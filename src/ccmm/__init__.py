@@ -47,7 +47,6 @@ from .concentration import (
     deviation_check,
     enlargement_check_from_tail_bound,
     fit_profile,
-    lanczos_gamma,
     median_to_mean_tail_constants,
     moment_bound_from_normal_tails,
     moment_norm,

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .concentration import alpha_profile
+from .concentration import EXACT_MAX_N, alpha_profile
 from .finsler import build_space, catalog, catalog_entry, entry_from_dict
 from .io import (
     load_space,
@@ -28,7 +28,7 @@ from .io import (
 )
 from .lipschitz import LipschitzFamily, ScalarField, generate_family
 from .observable import observable_diameter
-from .isoperimetry import isoperimetric_profile
+from .isoperimetry import isoperimetric_profile, mesh_scale
 from .quasimetric import MetricMeasureSpace, validate
 from .spectrum import ChengInputs, first_eigenvalue
 from .verify import SECTIONS, run_verify
@@ -152,13 +152,8 @@ def cmd_obsdiam(args) -> int:
 
 def cmd_isoperim(args) -> int:
     mm, _, _ = _load_target(args.space)
-    scale = args.scale
-    if scale is None:
-        # just past the smallest distance; strict balls at exactly the mesh
-        # step capture nothing
-        d = mm.dist
-        scale = float(d[d > 0].min()) * (1.0 + 1e-9)
-    strategy = args.strategy or ("exact" if mm.n <= 16 else "family")
+    scale = mesh_scale(mm) if args.scale is None else args.scale
+    strategy = args.strategy or ("exact" if mm.n <= EXACT_MAX_N else "family")
     prof = isoperimetric_profile(mm, scale, strategy=strategy, seed=args.seed or 0)
     lines = ["mass,content,strategy"]
     lines += [f"{m:.17g},{c:.17g},{strategy}" for m, c in prof]

@@ -60,7 +60,6 @@ __all__ = [
     "tail_bound_from_square_moments",
     "tail_bound_from_first_moment",
     "fit_profile",
-    "lanczos_gamma",
 ]
 
 # Exact subset enumeration is allowed up to 2^16 subsets.
@@ -76,38 +75,6 @@ _SUBSET_CHUNK = 2048
 # ---------------------------------------------------------------------------
 # small numeric helpers
 # ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lanczos_gamma(x: float) -> float:
-    """Gamma function by the 9-term Lanczos approximation (g = 7).
-
-    Relative error below 1e-10 on the range used here (roughly [0.5, 30]);
-    the reflection formula extends it below 1/2.
-    """
-    x = float(x)
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    x -= 1.0
-    a = _LANCZOS_COEFFS[0]
-    t = x + _LANCZOS_G + 0.5
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        a += c / (x + i)
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * a
-
 
 @dataclass(frozen=True)
 class SampledDecreasing:
@@ -722,7 +689,7 @@ def median_to_mean_tail_constants(C: float, c: float, p: float) -> tuple[float, 
     """
     if C <= 0 or c <= 0 or p <= 0:
         raise ValueError("C, c, p must be positive")
-    c_p = lanczos_gamma(1.0 / p + 1.0)
+    c_p = math.gamma(1.0 / p + 1.0)
     kappa = min(1.0, 2.0 ** (1.0 - p))
     C_prime = max(C, 1.0) * _safe_exp(c_p ** p * C ** p)
     return C_prime, kappa, c_p
@@ -739,7 +706,7 @@ def normal_equivalence_constants(direction: str, C: float, c: float) -> tuple[fl
     if C <= 0 or c <= 0:
         raise ValueError("C and c must be positive")
     if direction == "forward":
-        gamma32 = lanczos_gamma(1.5)
+        gamma32 = math.gamma(1.5)
         return max(2.0 * C, 1.0) * _safe_exp(4.0 * gamma32 ** 2 * C ** 2), c / 2.0
     if direction == "backward":
         return C, c / 4.0

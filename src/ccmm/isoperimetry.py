@@ -3,31 +3,30 @@
 On a finite space the liminf defining a Minkowski content degenerates, so
 contents are finite differences at a declared scale, recommended to be the
 smallest positive distance of the mesh; every result records the scale used.
-The Gaussian comparison profile phi is computed by in-module adaptive
-Simpson quadrature with tail series, and inverted by bisection plus Newton
-polish.
+The Gaussian comparison profile phi and its inverse come from the standard
+library (math.erfc and statistics.NormalDist).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 
 from .concentration import (
     EXACT_MAX_N,
     VERDICT_TOL,
-    _iter_exact_candidates,
-    _iter_family_candidates,
+    _candidate_chunks,
     _mu_below,
     _set_distance_rows,
 )
-from .lipschitz import LipschitzFamily, generate_family
+from .lipschitz import LipschitzFamily
 from .quasimetric import MetricMeasureSpace, as_pointset, snap_threshold
 
 __all__ = [
     "MinkowskiContent",
+    "mesh_scale",
     "minkowski_content",
     "isoperimetric_profile",
     "gaussian_phi",
@@ -54,6 +53,16 @@ class MinkowskiContent:
     @property
     def value(self) -> float:
         return min(self.forward, self.backward)
+
+
+def mesh_scale(mm: MetricMeasureSpace) -> float:
+    """The default content scale: just past the smallest positive distance.
+
+    Strict balls at exactly the mesh step capture nothing and give zero
+    contents.
+    """
+    d = mm.dist
+    return float(d[d > 0].min()) * (1.0 + 1e-9)
 
 
 def _content_rows(mm: MetricMeasureSpace, masses: np.ndarray,
@@ -104,13 +113,7 @@ def isoperimetric_profile(mm: MetricMeasureSpace, scale: float,
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if strategy == "exact":
-        chunks = _iter_exact_candidates(mm, 0.0)
-    elif strategy == "family":
-        fam = family if family is not None else generate_family(mm, seed=seed)
-        chunks = _iter_family_candidates(mm, fam, 0.0)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    chunks = _candidate_chunks(mm, strategy, family, 0.0, seed)
     best: dict[float, float] = {0.0: 0.0, 1.0: 0.0}
     for masses, m_fwd, m_bwd in chunks:
         contents = _content_rows(mm, masses, m_fwd, m_bwd, float(scale))
@@ -131,101 +134,17 @@ def gaussian_pdf(t: float) -> float:
     return INV_SQRT_2PI * math.exp(-0.5 * t * t)
 
 
-def _simpson(f, a: float, b: float, fa: float, fm: float, fb: float) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Classic bisecting Simpson with Richardson acceptance, absolute tol."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(f, a, b, fa, fm, fb)
-    stack = [(a, m, b, fa, fm, fb, whole, tol)]
-    total = 0.0
-    while stack:
-        a, m, b, fa, fm, fb, whole, tol = stack.pop()
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = _simpson(f, a, m, fa, flm, fm)
-        right = _simpson(f, m, b, fm, frm, fb)
-        if abs(left + right - whole) <= 15.0 * tol:
-            total += left + right + (left + right - whole) / 15.0
-        else:
-            stack.append((a, lm, m, fa, flm, fm, left, tol / 2.0))
-            stack.append((m, rm, b, fm, frm, fb, right, tol / 2.0))
-    return total
-
-
-_TAIL_CUTOFF = 8.0
-
-
-def _gaussian_tail(t: float) -> float:
-    """1 - phi(t) for large t >= _TAIL_CUTOFF via the asymptotic series."""
-    term = 1.0
-    acc = 0.0
-    k = 0
-    t2 = t * t
-    while abs(term) > 1e-19 and k < 12:
-        acc += term
-        k += 1
-        term *= -(2 * k - 1) / t2
-    return gaussian_pdf(t) / t * acc
-
-
-@lru_cache(maxsize=1 << 18)
-def _phi_positive(t: float) -> float:
-    if t >= _TAIL_CUTOFF:
-        return 1.0 - _gaussian_tail(t)
-    integral = _adaptive_simpson(gaussian_pdf, 0.0, t, 1e-13)
-    return min(1.0, 0.5 + integral)
-
-
 def gaussian_phi(t: float) -> float:
-    """Standard normal CDF by adaptive Simpson, abs tolerance 1e-12.
-
-    Symmetry handles negative arguments and an asymptotic tail series takes
-    over past |t| = 8 where the quadrature would cancel catastrophically.
-    Values are memoized; bulk callers hit the cache on repeated masses.
-    """
-    t = float(t)
-    if t == 0.0:
-        return 0.5
-    if t < 0.0:
-        return 1.0 - _phi_positive(-t)
-    return _phi_positive(t)
+    """Standard normal CDF, as 0.5 erfc(-t / sqrt 2)."""
+    return 0.5 * math.erfc(-float(t) / math.sqrt(2.0))
 
 
-@lru_cache(maxsize=1 << 16)
 def gaussian_phi_inv(v: float) -> float:
-    """Inverse of gaussian_phi on (0, 1) by bisection plus Newton polish."""
+    """Inverse of gaussian_phi on (0, 1)."""
     v = float(v)
     if not (0.0 < v < 1.0):
         raise ValueError("gaussian_phi_inv is defined on (0, 1)")
-    if v == 0.5:
-        return 0.0
-    lo, hi = -10.0, 10.0
-    while gaussian_phi(lo) > v:
-        lo *= 2.0
-    while gaussian_phi(hi) < v:
-        hi *= 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if gaussian_phi(mid) < v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-3:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(12):
-        err = gaussian_phi(x) - v
-        step = err / gaussian_pdf(x)
-        x -= step
-        if abs(step) <= 1e-13 * max(1.0, abs(x)):
-            break
-    return x
+    return NormalDist().inv_cdf(v)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +200,8 @@ def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
     if np.any(rs <= 0):
         raise ValueError("grid radii must be positive")
     sqrt_k = math.sqrt(K)
-    if mm.n <= EXACT_MAX_N:
-        subsets = "exact"
-        chunks = _iter_exact_candidates(mm, 0.0)
-    else:
-        subsets = "family"
-        fam = family if family is not None else generate_family(mm, seed=seed)
-        chunks = _iter_family_candidates(mm, fam, 0.0)
+    subsets = "exact" if mm.n <= EXACT_MAX_N else "family"
+    chunks = _candidate_chunks(mm, subsets, family, 0.0, seed)
     masses_list, fwd_list, bwd_list = [], [], []
     for masses, m_fwd, m_bwd in chunks:
         keep = masses < 1.0 - 1e-12

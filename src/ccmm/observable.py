@@ -19,6 +19,7 @@ from .concentration import (
     VERDICT_TOL,
     CheckReport,
     ConcentrationProfile,
+    _subset_masks,
     alpha_profile,
 )
 from .lipschitz import LipschitzFamily, as_field, generate_family, is_lipschitz
@@ -67,8 +68,7 @@ def partial_diameter(mm: MetricMeasureSpace, kappa: float,
         if n > EXACT_MAX_N:
             raise ValueError(f"exact partial diameter requires n <= {EXACT_MAX_N}")
         best = math.inf
-        codes = np.arange(1, 1 << n, dtype=np.uint32)
-        masks = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+        masks = _subset_masks(n)
         masses = masks @ w
         for mask in masks[masses >= need]:
             idx = np.nonzero(mask)[0]

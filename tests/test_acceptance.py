@@ -26,7 +26,6 @@ from ccmm.concentration import (
     deviation_check,
     enlargement_check_from_tail_bound,
     fit_profile,
-    lanczos_gamma,
     median_to_mean_tail_constants,
     moment_bound_from_normal_tails,
     moment_norm,
@@ -222,7 +221,6 @@ def test_criterion2_constants_pipeline():
     ok &= reg == "linear" and abs(b - 1.2130613194252668) < 1e-9
     ok &= abs(tail_bound_from_first_moment(16.0, 4.0, 2.0) - 0.25) < 1e-9
     ok &= abs(tail_bound_from_first_moment(4.0, 2.0, 1.0) - 0.5) < 1e-9
-    ok &= abs(lanczos_gamma(1.5) - math.sqrt(math.pi) / 2) < 1e-9
 
     # end-to-end chain on every suite space
     chain_failures = []

@@ -14,7 +14,6 @@ from ccmm.concentration import (
     deviation_check,
     enlargement_check_from_tail_bound,
     fit_profile,
-    lanczos_gamma,
     median_to_mean_tail_constants,
     moment_bound_from_normal_tails,
     moment_norm,
@@ -256,12 +255,6 @@ def test_sampled_decreasing_evaluation():
 # ---------------------------------------------------------------------------
 # explicit constants (hand-derived frozen values)
 # ---------------------------------------------------------------------------
-
-def test_gamma_against_stdlib():
-    xs = np.linspace(0.51, 5.0, 200)
-    errs = [abs(lanczos_gamma(x) - math.gamma(x)) / math.gamma(x) for x in xs]
-    assert max(errs) < 1e-10
-
 
 def test_median_to_mean_constants():
     C1, kappa1, c1 = median_to_mean_tail_constants(1.0, 1.0, 1.0)
