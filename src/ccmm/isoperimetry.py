@@ -31,7 +31,6 @@ __all__ = [
     "isoperimetric_profile",
     "gaussian_phi",
     "gaussian_phi_inv",
-    "gaussian_pdf",
     "profile_enlargement_check",
     "gaussian_alpha_bound",
     "normal_concentration_bound",
@@ -129,10 +128,6 @@ def isoperimetric_profile(mm: MetricMeasureSpace, scale: float,
 # ---------------------------------------------------------------------------
 # Gaussian comparison profile
 # ---------------------------------------------------------------------------
-
-def gaussian_pdf(t: float) -> float:
-    return INV_SQRT_2PI * math.exp(-0.5 * t * t)
-
 
 def gaussian_phi(t: float) -> float:
     """Standard normal CDF, as 0.5 erfc(-t / sqrt 2)."""

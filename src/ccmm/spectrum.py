@@ -47,9 +47,18 @@ LOG2 = math.log(2.0)
 # slopes and quotients
 # ---------------------------------------------------------------------------
 
-def _slopes(dist: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Ascending slope max_z (f(z) - f(x))^+ / d(x, z) at every point."""
-    q = (f[None, :] - f[:, None]) / np.where(dist > 0, dist, np.inf)
+def _positive(dist: np.ndarray) -> np.ndarray:
+    """The distances with every zero (the diagonal) raised to +inf."""
+    return np.where(dist > 0, dist, np.inf)
+
+
+def _slopes(dpos: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Ascending slope max_z (f(z) - f(x))^+ / d(x, z) at every point.
+
+    dpos is ``_positive(dist)``; ``out`` is an optional n x n scratch buffer.
+    """
+    q = np.subtract(f[None, :], f[:, None], out=out)
+    np.divide(q, dpos, out=q)
     np.fill_diagonal(q, -np.inf)
     return np.maximum(q.max(axis=1), 0.0)
 
@@ -59,7 +68,7 @@ def dual_slope(mm: MetricMeasureSpace, f, x: int | None = None):
     v = as_field(f, mm.n)
     if mm.n < 2:
         raise ValueError("slope needs at least two points")
-    s = _slopes(mm.dist, v)
+    s = _slopes(_positive(mm.dist), v)
     return float(s[x]) if x is not None else s
 
 
@@ -75,7 +84,7 @@ def rayleigh_quotient(mm: MetricMeasureSpace, f) -> float:
     var = float(w @ (v - mu) ** 2)
     if var <= 0.0:
         raise ValueError("Rayleigh quotient of a constant field")
-    num = float(w @ _slopes(mm.dist, v) ** 2)
+    num = float(w @ _slopes(_positive(mm.dist), v) ** 2)
     return num / var
 
 
@@ -90,55 +99,69 @@ def _jacobi_eigh(A: np.ndarray, rel_tol: float = 1e-12,
     Returns (eigenvalues ascending, eigenvector columns).  Thresholds are
     relative to the matrix scale, so the iteration is exactly equivariant
     under scalar rescaling.
+
+    Row j of one (n, 2n) work array holds column j of A, then column j of
+    the eigenvector matrix V.  A rotation of the pair (p, q) updates the two
+    columns of A and of V as two contiguous rows and then the two rows of A
+    as two strided columns, into buffers allocated once per call.
     """
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    V = np.eye(n)
     scale = float(np.max(np.abs(A)))
     if scale == 0.0:
-        return np.zeros(n), V
+        return np.zeros(n), np.eye(n)
+    work = np.empty((n, 2 * n))
+    work[:, :n] = A.T
+    work[:, n:] = np.eye(n)
+    cols = work.T  # cols[p] is row p of A, as column p of the work array
+    row_c, row_s = np.empty((2, 2, 2 * n))
+    col_c, col_s = np.empty((2, 2, n))
+    (row_c0, row_c1), (row_s0, row_s1) = row_c, row_s
+    (col_c0, col_c1), (col_s0, col_s1) = col_c, col_s
+    off = np.empty((n, n))
     skip = 1e-15 * scale
+    item = work.item
     for _ in range(max_sweeps):
-        off = A - np.diag(np.diag(A))
-        if float(np.max(np.abs(off))) <= rel_tol * scale:
+        np.abs(work[:, :n], out=off)
+        np.fill_diagonal(off, 0.0)
+        if float(off.max()) <= rel_tol * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
+                apq = item(q, p)
                 if abs(apq) <= skip:
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                theta = (item(q, q) - item(p, p)) / (2.0 * apq)
                 t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vcol_p = V[:, p].copy()
-                vcol_q = V[:, q].copy()
-                V[:, p] = c * vcol_p - s * vcol_q
-                V[:, q] = s * vcol_p + c * vcol_q
-    vals = np.diag(A).copy()
+                pair = work[p:q + 1:q - p]
+                np.multiply(c, pair, out=row_c)
+                np.multiply(s, pair, out=row_s)
+                np.subtract(row_c0, row_s1, out=pair[0])
+                np.add(row_s0, row_c1, out=pair[1])
+                pair = cols[p:q + 1:q - p]
+                np.multiply(c, pair, out=col_c)
+                np.multiply(s, pair, out=col_s)
+                np.subtract(col_c0, col_s1, out=pair[0])
+                np.add(col_s0, col_c1, out=pair[1])
+                work[q, p] = 0.0
+                work[p, q] = 0.0
+    vals = np.diagonal(work).copy()
     order = np.argsort(vals, kind="stable")
-    return vals[order], V[:, order]
+    return vals[order], work[order, n:].T
 
 
-def _oracle_eigenpair(dist: np.ndarray, w: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    """Spectral-gap eigenpair of the measure-normalized k-NN graph Laplacian.
+def _oracle_matrix(dist: np.ndarray, w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The measure-normalized k-NN graph Laplacian and diag(w)^{-1/2}.
 
     Directed weights w_i / (k d(i,j)^2) to the k nearest neighbors are
     symmetrized by summation, so each neighbor direction contributes its
     squared difference quotient with weight 1/k; the generalized problem
-    L v = lambda diag(w) v is solved through the diag(w)^{-1/2} similarity.
+    L v = lambda diag(w) v becomes an ordinary one through the
+    diag(w)^{-1/2} similarity.
     """
     n = dist.shape[0]
     if np.any(w <= 0):
@@ -153,11 +176,14 @@ def _oracle_eigenpair(dist: np.ndarray, w: np.ndarray, k: int) -> tuple[float, n
     S = W + W.T
     L = np.diag(S.sum(axis=1)) - S
     inv_sqrt = 1.0 / np.sqrt(w)
-    B = L * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return L * inv_sqrt[:, None] * inv_sqrt[None, :], inv_sqrt
+
+
+def _oracle_eigenpair(dist: np.ndarray, w: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """Spectral-gap eigenpair of the oracle Laplacian of ``_oracle_matrix``."""
+    B, inv_sqrt = _oracle_matrix(dist, w, k)
     vals, vecs = _jacobi_eigh(B)
-    lam = float(vals[1])
-    v = vecs[:, 1] * inv_sqrt
-    return lam, v
+    return float(vals[1]), vecs[:, 1] * inv_sqrt
 
 
 DEFAULT_ORACLE_K = 4
@@ -211,66 +237,80 @@ def _normalized(f: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     return g / math.sqrt(var)
 
 
-def _exact_numerator(dist: np.ndarray, w: np.ndarray, f: np.ndarray) -> float:
-    return float(w @ _slopes(dist, f) ** 2)
+def _exact_numerator(dpos: np.ndarray, w: np.ndarray, f: np.ndarray,
+                     buf: np.ndarray) -> float:
+    return float(w @ _slopes(dpos, f, buf) ** 2)
 
 
-def _smooth_value_grad(dist: np.ndarray, w: np.ndarray, f: np.ndarray,
-                       T: float) -> tuple[float, np.ndarray]:
+def _smooth_value_grad(invd: np.ndarray, w: np.ndarray, f: np.ndarray,
+                       T: float, buf: np.ndarray) -> tuple[float, np.ndarray]:
     """Smoothed numerator and its gradient for a unit-variance field.
 
     The slope is replaced by T log(sum exp(q/T) + 1), the soft maximum of
     the positive difference quotients with a zero floor, evaluated in the
-    shifted form that cannot overflow.
+    shifted form that cannot overflow.  invd holds the reciprocal distances
+    (0 on the diagonal); every n x n intermediate lives in the scratch
+    buffer ``buf``.
     """
-    n = len(f)
-    invd = 1.0 / np.where(dist > 0, dist, np.inf)
-    q = (f[None, :] - f[:, None]) * invd
+    q = np.subtract(f[None, :], f[:, None], out=buf)
+    np.multiply(q, invd, out=q)
     np.fill_diagonal(q, -np.inf)
     m = np.maximum(q.max(axis=1), 0.0)
-    e = np.exp((q - m[:, None]) / T)
+    e = np.subtract(q, m[:, None], out=q)
+    np.divide(e, T, out=e)
+    np.exp(e, out=e)
     np.fill_diagonal(e, 0.0)
     z = e.sum(axis=1) + np.exp(-m / T)
     s = m + T * np.log(z)
-    p = e / z[:, None]
-    g_mat = (w * s)[:, None] * p * invd
+    g_mat = np.divide(e, z[:, None], out=e)
+    np.multiply((w * s)[:, None], g_mat, out=g_mat)
+    np.multiply(g_mat, invd, out=g_mat)
     grad = 2.0 * (g_mat.sum(axis=0) - g_mat.sum(axis=1))
     return float(w @ s ** 2), grad
 
 
-def _subgradient(dist: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Exact subgradient of the squared-slope numerator (argmax selection)."""
-    invd = 1.0 / np.where(dist > 0, dist, np.inf)
-    q = (f[None, :] - f[:, None]) * invd
+def _subgradient(invd: np.ndarray, w: np.ndarray, f: np.ndarray,
+                 buf: np.ndarray) -> np.ndarray:
+    """Exact subgradient of the squared-slope numerator (argmax selection).
+
+    Each active point x moves 2 w(x) s(x) / d(x, z) from x to its argmax
+    target z; ``np.add.at`` applies the moves in ascending x, target first.
+    """
+    q = np.subtract(f[None, :], f[:, None], out=buf)
+    np.multiply(q, invd, out=q)
     np.fill_diagonal(q, -np.inf)
     arg = q.argmax(axis=1)
     s = np.maximum(q[np.arange(len(f)), arg], 0.0)
+    active = np.nonzero(s > 0)[0]
+    target = arg[active]
+    coef = 2.0 * w[active] * s[active] * invd[active, target]
     grad = np.zeros_like(f)
-    active = s > 0
-    for x in np.nonzero(active)[0]:
-        z = arg[x]
-        coef = 2.0 * w[x] * s[x] * invd[x, z]
-        grad[z] += coef
-        grad[x] -= coef
+    np.add.at(grad, np.column_stack((target, active)).ravel(),
+              np.column_stack((coef, -coef)).ravel())
     return grad
 
 
-def _descend(dist: np.ndarray, w: np.ndarray, f0: np.ndarray) -> tuple[float, np.ndarray]:
+def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, f0: np.ndarray,
+             buf: np.ndarray) -> tuple[float, np.ndarray]:
     """Annealed smoothed descent from one start; returns the best exact
-    (numerator, field) visited on the unit-variance sphere."""
+    (numerator, field) visited on the unit-variance sphere.
+
+    dpos and invd are the positive distances and their reciprocals, built
+    once per ``first_eigenvalue`` call, and buf is that call's n x n scratch.
+    """
     f = _normalized(f0, w)
     if f is None:
         return math.inf, f0
-    slope_scale = float(_slopes(dist, f).max())
+    slope_scale = float(_slopes(dpos, f, buf).max())
     if slope_scale <= 0.0:
         return math.inf, f
-    best_val = _exact_numerator(dist, w, f)
+    best_val = _exact_numerator(dpos, w, f, buf)
     best_f = f.copy()
     for t_rel in _T_STAGES:
         T = t_rel * slope_scale
         eta = 0.25
         for _ in range(_STAGE_STEPS):
-            _, grad = _smooth_value_grad(dist, w, f, T)
+            _, grad = _smooth_value_grad(invd, w, f, T, buf)
             gmax = float(np.max(np.abs(grad)))
             if gmax <= 0.0 or not math.isfinite(gmax):
                 break
@@ -278,7 +318,7 @@ def _descend(dist: np.ndarray, w: np.ndarray, f0: np.ndarray) -> tuple[float, np
             if cand is None:
                 break
             f = cand
-            val = _exact_numerator(dist, w, f)
+            val = _exact_numerator(dpos, w, f, buf)
             if val < best_val:
                 best_val = val
                 best_f = f.copy()
@@ -286,7 +326,7 @@ def _descend(dist: np.ndarray, w: np.ndarray, f0: np.ndarray) -> tuple[float, np
     f = best_f.copy()
     eta = 0.08
     for _ in range(_POLISH_STEPS):
-        grad = _subgradient(dist, w, f)
+        grad = _subgradient(invd, w, f, buf)
         gmax = float(np.max(np.abs(grad)))
         if gmax <= 0.0:
             break
@@ -294,7 +334,7 @@ def _descend(dist: np.ndarray, w: np.ndarray, f0: np.ndarray) -> tuple[float, np
         if cand is None:
             break
         f = cand
-        val = _exact_numerator(dist, w, f)
+        val = _exact_numerator(dpos, w, f, buf)
         if val < best_val:
             best_val = val
             best_f = f.copy()
@@ -318,6 +358,9 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
     dist = mm.dist
     w = mm.weights
     n = mm.n
+    dpos = _positive(dist)
+    invd = 1.0 / dpos
+    buf = np.empty((n, n))
 
     inits: list[np.ndarray] = []
     sym = 0.5 * (dist + dist.T)
@@ -332,7 +375,7 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
     for v in cones:
         g = _normalized(v, w)
         if g is not None:
-            ranked.append((_exact_numerator(dist, w, g), len(ranked), g))
+            ranked.append((_exact_numerator(dpos, w, g, buf), len(ranked), g))
     ranked.sort(key=lambda t: (t[0], t[1]))
     n_cone = min(len(ranked), max(0, (restarts - len(inits)) // 2))
     inits.extend(g for _, _, g in ranked[:n_cone])
@@ -346,7 +389,7 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
     best_val = math.inf
     best_f = None
     for f0 in inits:
-        val, f = _descend(dist, w, f0)
+        val, f = _descend(dpos, invd, w, f0, buf)
         if val < best_val:
             best_val = val
             best_f = f

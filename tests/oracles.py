@@ -180,3 +180,87 @@ def mass_decay_chain_bruteforce(mm, A, eps):
             return steps, "enlargement stalled"
         members = nxt
     return steps, "max steps reached"
+
+
+def jacobi_eigh_plain(A, rel_tol=1e-12, max_sweeps=60):
+    """Cyclic Jacobi diagonalization with one rotation of A's columns, A's
+    rows and V's columns at a time, each a fresh temporary.  The library's
+    in-place solver must return the same eigenvalues and eigenvectors, bit
+    for bit, because it performs the same floating-point operations in the
+    same order."""
+    A = np.array(A, dtype=float)
+    n = A.shape[0]
+    V = np.eye(n)
+    scale = float(np.max(np.abs(A)))
+    if scale == 0.0:
+        return np.zeros(n), V
+    skip = 1e-15 * scale
+    for _ in range(max_sweeps):
+        off = A - np.diag(np.diag(A))
+        if float(np.max(np.abs(off))) <= rel_tol * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = A[:, p].copy()
+                col_q = A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                row_p = A[p, :].copy()
+                row_q = A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                vcol_p = V[:, p].copy()
+                vcol_q = V[:, q].copy()
+                V[:, p] = c * vcol_p - s * vcol_q
+                V[:, q] = s * vcol_p + c * vcol_q
+    vals = np.diag(A).copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], V[:, order]
+
+
+def subgradient_plain(dist, w, f):
+    """Exact subgradient of the squared-slope numerator, accumulated by a
+    plain loop over the active points in ascending order: the argmax target
+    gains 2 w(x) s(x) / d(x, z) and x loses it."""
+    invd = 1.0 / np.where(dist > 0, dist, np.inf)
+    q = (f[None, :] - f[:, None]) * invd
+    np.fill_diagonal(q, -np.inf)
+    arg = q.argmax(axis=1)
+    s = np.maximum(q[np.arange(len(f)), arg], 0.0)
+    grad = np.zeros_like(f)
+    for x in np.nonzero(s > 0)[0]:
+        z = arg[x]
+        coef = 2.0 * w[x] * s[x] * invd[x, z]
+        grad[z] += coef
+        grad[x] -= coef
+    return grad
+
+
+def smooth_value_grad_plain(dist, w, f, T):
+    """Smoothed squared-slope numerator and its gradient, every intermediate
+    a fresh n x n temporary.  The library's scratch-buffer version must match
+    it bit for bit, because it evaluates the same expressions in the same
+    order."""
+    invd = 1.0 / np.where(dist > 0, dist, np.inf)
+    q = (f[None, :] - f[:, None]) * invd
+    np.fill_diagonal(q, -np.inf)
+    m = np.maximum(q.max(axis=1), 0.0)
+    e = np.exp((q - m[:, None]) / T)
+    np.fill_diagonal(e, 0.0)
+    z = e.sum(axis=1) + np.exp(-m / T)
+    s = m + T * np.log(z)
+    p = e / z[:, None]
+    g_mat = (w * s)[:, None] * p * invd
+    grad = 2.0 * (g_mat.sum(axis=0) - g_mat.sum(axis=1))
+    return float(w @ s ** 2), grad

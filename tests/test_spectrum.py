@@ -1,9 +1,17 @@
-"""Slopes, Rayleigh quotients, the Jacobi oracle, the descent, the bounds."""
+"""Slopes, Rayleigh quotients, the Jacobi oracle, the descent, the bounds.
+
+The in-place Jacobi solver and the vectorized subgradient are pinned bit for
+bit to the plain loops of ``tests/oracles.py``, and concurrent
+``first_eigenvalue`` calls must equal serial ones exactly.
+"""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from ccmm.finsler import build_space, catalog_entry
 from ccmm.quasimetric import (
     MetricMeasureSpace,
     QuasiMetricSpace,
@@ -23,7 +31,15 @@ from ccmm.spectrum import (
     symmetric_oracle,
     symmetric_oracle_field,
 )
-from ccmm.spectrum import _jacobi_eigh
+from ccmm.spectrum import (
+    _jacobi_eigh,
+    _oracle_matrix,
+    _positive,
+    _smooth_value_grad,
+    _subgradient,
+)
+
+from oracles import jacobi_eigh_plain, smooth_value_grad_plain, subgradient_plain
 
 
 def two_point_uniform():
@@ -92,6 +108,38 @@ def test_jacobi_against_numpy():
             assert np.linalg.norm(a @ vecs[:, k] - vals[k] * vecs[:, k]) < 1e-8
 
 
+def oracle_matrix(mm):
+    """The oracle matrix ``first_eigenvalue`` diagonalizes for its first start."""
+    sym = 0.5 * (mm.dist + mm.dist.T)
+    return _oracle_matrix(sym, mm.weights, 4)[0]
+
+
+JACOBI_INPUTS = {
+    "t2@4": lambda: oracle_matrix(build_space(catalog_entry("t2"), resolution=4)),
+    "g1@16": lambda: oracle_matrix(build_space(catalog_entry("g1"), resolution=16)),
+    **{f"random-{seed}": (lambda seed=seed: oracle_matrix(random_mm_space(seed)))
+       for seed in range(20)},
+    "1x1": lambda: np.array([[2.5]]),
+    "zero": lambda: np.zeros((4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_INPUTS))
+def test_jacobi_bit_identical_to_plain_loop(name):
+    a = JACOBI_INPUTS[name]()
+    vals, vecs = _jacobi_eigh(a)
+    ref_vals, ref_vecs = jacobi_eigh_plain(a)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+
+
+def test_jacobi_random_oracle_matrices_not_bitwise_symmetric():
+    # nonuniform weights make the similarity transform round differently on
+    # the two sides, so the pin above covers a non-symmetric input too
+    assert any(not np.array_equal(a, a.T)
+               for a in (oracle_matrix(random_mm_space(seed)) for seed in range(20)))
+
+
 def test_oracle_two_point_hand_laplacian():
     # uniform unit two-point space, k = 1: generalized gap is 4
     mm = two_point_uniform()
@@ -125,6 +173,69 @@ def test_oracle_rejects_asymmetric():
 # ---------------------------------------------------------------------------
 # the descent
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("T", [1e-1, 1e-3, 1e-6])
+def test_smooth_value_grad_bit_identical_to_temporaries(T):
+    spaces = [build_space(catalog_entry("t2"), resolution=4)] + \
+        [random_mm_space(seed) for seed in range(8)]
+    for mm in spaces:
+        f = np.random.default_rng(mm.n).normal(size=mm.n)
+        invd = 1.0 / _positive(mm.dist)
+        val, grad = _smooth_value_grad(invd, mm.weights, f, T, np.empty((mm.n, mm.n)))
+        ref_val, ref_grad = smooth_value_grad_plain(mm.dist, mm.weights, f, T)
+        assert val == ref_val
+        assert np.array_equal(grad, ref_grad)
+
+
+def test_subgradient_bit_identical_to_plain_loop():
+    shared = 0
+    for seed in range(12):
+        mm = random_mm_space(seed)
+        rng = np.random.default_rng(seed)
+        peak = np.zeros(mm.n)
+        peak[seed % mm.n] = 10.0 * float(mm.dist.max())
+        for f in (peak, peak + rng.normal(size=mm.n), rng.normal(size=mm.n),
+                  mm.dist[0, :].copy(), -mm.dist[:, 1]):
+            dpos = _positive(mm.dist)
+            got = _subgradient(1.0 / dpos, mm.weights, f, np.empty((mm.n, mm.n)))
+            assert np.array_equal(got, subgradient_plain(mm.dist, mm.weights, f))
+            q = (f[None, :] - f[:, None]) / dpos
+            np.fill_diagonal(q, -np.inf)
+            active = q.max(axis=1) > 0
+            shared += np.bincount(q.argmax(axis=1)[active], minlength=mm.n).max() >= 2
+    # most fields send several points to one argmax target, where the
+    # accumulation order decides the last bits
+    assert shared >= 30
+
+
+def test_first_eigenvalue_concurrent_calls_match_serial():
+    # the descent's scratch buffers belong to one call: three threads on
+    # three spaces, switching often, must each get the serial result
+    spaces = [build_space(catalog_entry("g1"), resolution=32),
+              build_space(catalog_entry("t2"), resolution=5), random_mm_space(7)]
+    serial = [first_eigenvalue(mm, restarts=4, seed=2) for mm in spaces]
+    results = [None] * len(spaces)
+    barrier = threading.Barrier(len(spaces), timeout=60)
+
+    def run(i):
+        barrier.wait()
+        results[i] = first_eigenvalue(spaces[i], restarts=4, seed=2)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(spaces))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert got.value == want.value
+        assert np.array_equal(got.certificate.values, want.certificate.values)
+
 
 def test_first_eigenvalue_two_point_exact():
     est = first_eigenvalue(two_point_uniform(), restarts=4, seed=0)
