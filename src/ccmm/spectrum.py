@@ -52,15 +52,23 @@ def _positive(dist: np.ndarray) -> np.ndarray:
     return np.where(dist > 0, dist, np.inf)
 
 
+def _fill_diagonal(q: np.ndarray, value: float) -> None:
+    """Set q[..., i, i] = value in a matrix or a stack of square matrices."""
+    d = np.arange(q.shape[-1])
+    q[..., d, d] = value
+
+
 def _slopes(dpos: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Ascending slope max_z (f(z) - f(x))^+ / d(x, z) at every point.
 
-    dpos is ``_positive(dist)``; ``out`` is an optional n x n scratch buffer.
+    f is one field (n,) or a stack of fields (R, n); dpos is
+    ``_positive(dist)`` and ``out`` an optional scratch buffer of shape
+    f.shape + (n,).
     """
-    q = np.subtract(f[None, :], f[:, None], out=out)
+    q = np.subtract(f[..., None, :], f[..., :, None], out=out)
     np.divide(q, dpos, out=q)
-    np.fill_diagonal(q, -np.inf)
-    return np.maximum(q.max(axis=1), 0.0)
+    _fill_diagonal(q, -np.inf)
+    return np.maximum(q.max(axis=-1), 0.0)
 
 
 def dual_slope(mm: MetricMeasureSpace, f, x: int | None = None):
@@ -228,118 +236,145 @@ _T_STAGES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _STAGE_STEPS = 30
 _POLISH_STEPS = 30
 
+# Bytes of (rows, n, n) scratch one descent block may use; a block holds at
+# least one row, so a call needs at most max(_SCRATCH_BUDGET, 8 n^2) bytes of
+# scratch whatever the number of restarts.
+_SCRATCH_BUDGET = 32 << 20
 
-def _normalized(f: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    g = f - float(w @ f)
-    var = float(w @ g ** 2)
-    if var <= 0.0 or not math.isfinite(var):
-        return None
-    return g / math.sqrt(var)
-
-
-def _exact_numerator(dpos: np.ndarray, w: np.ndarray, f: np.ndarray,
-                     buf: np.ndarray) -> float:
-    return float(w @ _slopes(dpos, f, buf) ** 2)
+# The descent works on stacks of fields, one field per row.  Every weighted
+# sum over the points of a row is ``np.vecdot(rows, w)``: one BLAS ddot per
+# row, the kernel of ``w @ row``, so each row's value equals the single-field
+# product bit for bit (a gemv ``rows @ w`` or an einsum would not).
 
 
-def _smooth_value_grad(invd: np.ndarray, w: np.ndarray, f: np.ndarray,
-                       T: float, buf: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smoothed numerator and its gradient for a unit-variance field.
+def _normalized(F: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered unit-variance copies of the rows of F that admit one.
+
+    Returns those rows, normalized, and the mask of the rows kept; a row of
+    zero or non-finite variance is dropped.
+    """
+    G = F - np.vecdot(F, w)[:, None]
+    var = np.vecdot(G ** 2, w)
+    ok = (var > 0.0) & np.isfinite(var)
+    return G[ok] / np.sqrt(var[ok])[:, None], ok
+
+
+def _exact_numerator(dpos: np.ndarray, w: np.ndarray, F: np.ndarray,
+                     buf: np.ndarray) -> np.ndarray:
+    """The squared-slope numerator w @ slope(f)^2 of every row f of F."""
+    return np.vecdot(_slopes(dpos, F, buf[:len(F)]) ** 2, w)
+
+
+def _smooth_grad(invd: np.ndarray, w: np.ndarray, F: np.ndarray, T: np.ndarray,
+                 buf: np.ndarray) -> np.ndarray:
+    """Gradient of the smoothed numerator at every row of F (unit-variance
+    fields), row r at its own temperature T[r].
 
     The slope is replaced by T log(sum exp(q/T) + 1), the soft maximum of
     the positive difference quotients with a zero floor, evaluated in the
     shifted form that cannot overflow.  invd holds the reciprocal distances
-    (0 on the diagonal); every n x n intermediate lives in the scratch
-    buffer ``buf``.
+    (0 on the diagonal); every (rows, n, n) intermediate lives in the
+    scratch buffer ``buf``.
     """
-    q = np.subtract(f[None, :], f[:, None], out=buf)
+    q = np.subtract(F[:, None, :], F[:, :, None], out=buf[:len(F)])
     np.multiply(q, invd, out=q)
-    np.fill_diagonal(q, -np.inf)
-    m = np.maximum(q.max(axis=1), 0.0)
-    e = np.subtract(q, m[:, None], out=q)
-    np.divide(e, T, out=e)
+    _fill_diagonal(q, -np.inf)
+    m = np.maximum(q.max(axis=2), 0.0)
+    e = np.subtract(q, m[:, :, None], out=q)
+    np.divide(e, T[:, None, None], out=e)
     np.exp(e, out=e)
-    np.fill_diagonal(e, 0.0)
-    z = e.sum(axis=1) + np.exp(-m / T)
-    s = m + T * np.log(z)
-    g_mat = np.divide(e, z[:, None], out=e)
-    np.multiply((w * s)[:, None], g_mat, out=g_mat)
+    _fill_diagonal(e, 0.0)
+    z = e.sum(axis=2) + np.exp(-m / T[:, None])
+    s = m + T[:, None] * np.log(z)
+    g_mat = np.divide(e, z[:, :, None], out=e)
+    np.multiply((w * s)[:, :, None], g_mat, out=g_mat)
     np.multiply(g_mat, invd, out=g_mat)
-    grad = 2.0 * (g_mat.sum(axis=0) - g_mat.sum(axis=1))
-    return float(w @ s ** 2), grad
+    return 2.0 * (g_mat.sum(axis=1) - g_mat.sum(axis=2))
 
 
-def _subgradient(invd: np.ndarray, w: np.ndarray, f: np.ndarray,
+def _subgradient(invd: np.ndarray, w: np.ndarray, F: np.ndarray,
                  buf: np.ndarray) -> np.ndarray:
-    """Exact subgradient of the squared-slope numerator (argmax selection).
+    """Exact subgradient of the squared-slope numerator (argmax selection)
+    at every row of F.
 
     Each active point x moves 2 w(x) s(x) / d(x, z) from x to its argmax
-    target z; ``np.add.at`` applies the moves in ascending x, target first.
+    target z; ``np.add.at`` applies the moves of a row in ascending x,
+    target first.
     """
-    q = np.subtract(f[None, :], f[:, None], out=buf)
+    k, n = F.shape
+    q = np.subtract(F[:, None, :], F[:, :, None], out=buf[:k])
     np.multiply(q, invd, out=q)
-    np.fill_diagonal(q, -np.inf)
-    arg = q.argmax(axis=1)
-    s = np.maximum(q[np.arange(len(f)), arg], 0.0)
-    active = np.nonzero(s > 0)[0]
-    target = arg[active]
-    coef = 2.0 * w[active] * s[active] * invd[active, target]
-    grad = np.zeros_like(f)
-    np.add.at(grad, np.column_stack((target, active)).ravel(),
+    _fill_diagonal(q, -np.inf)
+    arg = q.argmax(axis=2)
+    s = np.maximum(q.max(axis=2), 0.0)
+    row, x = np.nonzero(s > 0)
+    target = arg[row, x]
+    coef = 2.0 * w[x] * s[row, x] * invd[x, target]
+    grad = np.zeros((k, n))
+    np.add.at(grad.reshape(-1), np.column_stack((row * n + target, row * n + x)).ravel(),
               np.column_stack((coef, -coef)).ravel())
     return grad
 
 
-def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, f0: np.ndarray,
-             buf: np.ndarray) -> tuple[float, np.ndarray]:
-    """Annealed smoothed descent from one start; returns the best exact
-    (numerator, field) visited on the unit-variance sphere.
+def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, F0: np.ndarray,
+             buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Annealed smoothed descent from every row of F0 at once.
 
+    Returns each row's best exact numerator and field visited on the
+    unit-variance sphere (inf and the start for a row that cannot start).
     dpos and invd are the positive distances and their reciprocals, built
-    once per ``first_eigenvalue`` call, and buf is that call's n x n scratch.
+    once per ``first_eigenvalue`` call, and buf is that call's scratch, with
+    at least len(F0) rows.  A row keeps its own temperature and best-so-far
+    and leaves a stage on its own early exit, so it follows the trajectory
+    of a descent from that row alone, bit for bit.
     """
-    f = _normalized(f0, w)
-    if f is None:
-        return math.inf, f0
-    slope_scale = float(_slopes(dpos, f, buf).max())
-    if slope_scale <= 0.0:
-        return math.inf, f
-    best_val = _exact_numerator(dpos, w, f, buf)
-    best_f = f.copy()
+    vals = np.full(len(F0), math.inf)
+    fields = F0.copy()
+    F, ok = _normalized(F0, w)
+    start = np.flatnonzero(ok)
+    fields[start] = F
+    slope_scale = _slopes(dpos, F, buf[:len(F)]).max(axis=1)
+    live = slope_scale > 0.0
+    F, slope_scale, start = F[live], slope_scale[live], start[live]
+    best_val = _exact_numerator(dpos, w, F, buf)
+    best_F = F.copy()
+
+    def step(rows: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
+        """Move every row in ``rows`` down its gradient; returns the rows
+        that moved.  A zero gradient or a step off the sphere ends the
+        row's stage; a non-finite gradient always steps off it."""
+        gmax = np.abs(grad).max(axis=1)
+        keep = gmax > 0.0
+        rows = rows[keep]
+        cand, ok = _normalized(F[rows] - eta * (grad[keep] / gmax[keep, None]), w)
+        rows = rows[ok]
+        F[rows] = cand
+        val = _exact_numerator(dpos, w, cand, buf)
+        better = val < best_val[rows]
+        best_val[rows[better]] = val[better]
+        best_F[rows[better]] = cand[better]
+        return rows
+
     for t_rel in _T_STAGES:
         T = t_rel * slope_scale
+        rows = np.arange(len(F))
         eta = 0.25
         for _ in range(_STAGE_STEPS):
-            _, grad = _smooth_value_grad(invd, w, f, T, buf)
-            gmax = float(np.max(np.abs(grad)))
-            if gmax <= 0.0 or not math.isfinite(gmax):
+            if not rows.size:
                 break
-            cand = _normalized(f - eta * (grad / gmax), w)
-            if cand is None:
-                break
-            f = cand
-            val = _exact_numerator(dpos, w, f, buf)
-            if val < best_val:
-                best_val = val
-                best_f = f.copy()
+            rows = step(rows, _smooth_grad(invd, w, F[rows], T[rows], buf), eta)
             eta *= 0.88
-    f = best_f.copy()
+    F[:] = best_F
+    rows = np.arange(len(F))
     eta = 0.08
     for _ in range(_POLISH_STEPS):
-        grad = _subgradient(invd, w, f, buf)
-        gmax = float(np.max(np.abs(grad)))
-        if gmax <= 0.0:
+        if not rows.size:
             break
-        cand = _normalized(f - eta * (grad / gmax), w)
-        if cand is None:
-            break
-        f = cand
-        val = _exact_numerator(dpos, w, f, buf)
-        if val < best_val:
-            best_val = val
-            best_f = f.copy()
+        rows = step(rows, _subgradient(invd, w, F[rows], buf), eta)
         eta *= 0.9
-    return best_val, best_f
+    vals[start] = best_val
+    fields[start] = best_F
+    return vals, fields
 
 
 def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
@@ -348,19 +383,23 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
 
     Starts are the symmetric-oracle eigenvector (on the symmetrized
     distances when the space is irreversible), the best distance cones, and
-    random fields with amplitude equal to the diameter.  Deterministic given
-    the seed; the returned value is the quotient of the certificate field.
+    random fields with amplitude equal to the diameter.  All restarts
+    descend together, in blocks of rows sized to a fixed scratch budget.
+    Deterministic given the seed; the returned value is the quotient of the
+    certificate field, the first of the best restarts.  Raises ValueError
+    unless at least two points carry mass.
     """
-    if mm.n < 2:
-        raise ValueError("need at least two points")
+    w = mm.weights
+    if np.count_nonzero(w > 0) < 2:
+        raise ValueError("the first eigenvalue needs at least two points of positive mass")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     dist = mm.dist
-    w = mm.weights
     n = mm.n
     dpos = _positive(dist)
     invd = 1.0 / dpos
-    buf = np.empty((n, n))
+    block = min(restarts, max(1, _SCRATCH_BUDGET // (8 * n * n)))
+    buf = np.empty((block, n, n))
 
     inits: list[np.ndarray] = []
     sym = 0.5 * (dist + dist.T)
@@ -370,32 +409,28 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
     except ValueError:
         pass  # zero-weight points: skip the oracle start
 
-    cones = [dist[p, :] for p in range(n)] + [-dist[:, p] for p in range(n)]
-    ranked = []
-    for v in cones:
-        g = _normalized(v, w)
-        if g is not None:
-            ranked.append((_exact_numerator(dpos, w, g, buf), len(ranked), g))
-    ranked.sort(key=lambda t: (t[0], t[1]))
-    n_cone = min(len(ranked), max(0, (restarts - len(inits)) // 2))
-    inits.extend(g for _, _, g in ranked[:n_cone])
+    # the cones out of and into every point, best numerator first
+    cones, _ = _normalized(np.concatenate((dist, -dist.T)), w)
+    nums = np.empty(len(cones))
+    for i in range(0, len(cones), block):
+        nums[i:i + block] = _exact_numerator(dpos, w, cones[i:i + block], buf)
+    n_cone = min(len(cones), max(0, (restarts - len(inits)) // 2))
+    inits.extend(cones[np.argsort(nums, kind="stable")[:n_cone]])
 
     rng = np.random.default_rng(seed)
     amp = diameter(mm.space)
     while len(inits) < restarts:
         inits.append(rng.uniform(0.0, 1.0, n) * amp)
-    inits = inits[:restarts]
+    F0 = np.array(inits[:restarts])
 
-    best_val = math.inf
-    best_f = None
-    for f0 in inits:
-        val, f = _descend(dpos, invd, w, f0, buf)
-        if val < best_val:
-            best_val = val
-            best_f = f
-    if best_f is None:
+    vals = np.empty(restarts)
+    fields = np.empty((restarts, n))
+    for i in range(0, restarts, block):
+        vals[i:i + block], fields[i:i + block] = _descend(dpos, invd, w, F0[i:i + block], buf)
+    best = int(np.argmin(vals))  # the first minimum, as a strict < scan keeps
+    if not vals[best] < math.inf:
         raise RuntimeError("no usable start produced a nonconstant field")
-    certificate = ScalarField(best_f)
+    certificate = ScalarField(fields[best].copy())
     return EigenEstimate(rayleigh_quotient(mm, certificate), certificate, restarts)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -128,6 +128,11 @@ class _SuiteContext:
         return alpha_profile(self.mm, strategy, family=self.family)
 
     @cached_property
+    def obsdiam(self):
+        """The family observable diameter at every epsilon of ``EPS_GRID``."""
+        return {eps: observable_diameter(self.mm, eps, self.family) for eps in EPS_GRID}
+
+    @cached_property
     def eigen(self):
         return first_eigenvalue(self.mm, restarts=self.restarts, seed=self.seed)
 
@@ -225,13 +230,20 @@ def _run_thm37(ctx: _SuiteContext) -> VerifyEntry:
 
 def _run_thm38(ctx: _SuiteContext) -> VerifyEntry:
     mm = ctx.mm
-    qs = (1.0, 2.0, 4.0, 8.0)
-    norms = {q: max(moment_norm(mm, f, q) for f in ctx.family) for q in qs}
-    if any(v == 0 for v in norms.values()):
-        return VerifyEntry("pass", 0.0, "all-constant family, trivial")
-    C_star = min(q / norms[q] ** 2 for q in qs)
-    rs = ctx.profile.radii
+    w = mm.weights
     devs = [np.abs(f.values - mean(mm.measure, f.values)) for f in ctx.family]
+
+    @cache
+    def member_norms(q: float) -> tuple[float, ...]:
+        # moment_norm's arithmetic on the deviations, once per exponent
+        return tuple(float((w @ d ** q) ** (1.0 / q)) for d in devs)
+
+    qs = (1.0, 2.0, 4.0, 8.0)
+    largest = {q: max(member_norms(q)) for q in qs}
+    if any(v == 0 for v in largest.values()):
+        return VerifyEntry("pass", 0.0, "all-constant family, trivial")
+    C_star = min(q / largest[q] ** 2 for q in qs)
+    rs = ctx.profile.radii
     tail_rows = [_upper_tails(mm.weights, dev, rs) for dev in devs]
     worst = math.inf
     skipped_pts = 0
@@ -239,9 +251,9 @@ def _run_thm38(ctx: _SuiteContext) -> VerifyEntry:
     for j, r in enumerate(rs):
         regime, bound = tail_bound_from_square_moments(C_star, float(r))
         q_star = max(1.0, C_star * float(r) ** 2 / math.e)
-        for k, f in enumerate(ctx.family):
+        for k, norm in enumerate(member_norms(q_star)):
             # Chebyshev at the optimal exponent needs the moment premise there
-            if moment_norm(mm, f, q_star) ** 2 > (q_star / C_star) * (1 + 1e-9):
+            if norm ** 2 > (q_star / C_star) * (1 + 1e-9):
                 skipped_pts += 1
                 continue
             m = bound - float(tail_rows[k][j])
@@ -295,7 +307,7 @@ def _run_obsdiam_fit(ctx: _SuiteContext, model: str) -> VerifyEntry:
     worst = math.inf
     witness = None
     for eps in EPS_GRID:
-        obs = observable_diameter(ctx.mm, eps, ctx.family)
+        obs = ctx.obsdiam[eps]
         m = bound_fn(fit.C, fit.c, eps) - obs.value
         if m < worst:
             worst = m
@@ -369,7 +381,7 @@ def _run_cor55(ctx: _SuiteContext) -> VerifyEntry:
     worst = math.inf
     witness = None
     for eps in EPS_GRID:
-        obs = observable_diameter(ctx.mm, eps, ctx.family)
+        obs = ctx.obsdiam[eps]
         m = obsdiam_bound_from_curvature(ctx.K, eps) - obs.value
         if m < worst:
             worst = m
@@ -420,7 +432,7 @@ def _run_cor62(ctx: _SuiteContext) -> VerifyEntry:
     worst = math.inf
     witness = None
     for eps in EPS_GRID:
-        obs = observable_diameter(ctx.mm, eps, ctx.family)
+        obs = ctx.obsdiam[eps]
         m = obsdiam_bound_from_spectral_gap(lam, eps) - obs.value
         if m < worst:
             worst = m
@@ -460,16 +472,17 @@ _SUITE = (
     ("thm38", "sec3", ("family", "profile"), _run_thm38),
     ("thm39", "sec3", ("family", "profile"), _run_thm39),
     ("thm41", "sec4", ("family", "profile"), _run_thm41),
-    ("obnor", "sec4", ("family", "profile"), lambda ctx: _run_obsdiam_fit(ctx, "normal")),
-    ("obex", "sec4", ("family", "profile"),
+    ("obnor", "sec4", ("family", "profile", "obsdiam"),
+     lambda ctx: _run_obsdiam_fit(ctx, "normal")),
+    ("obex", "sec4", ("family", "profile", "obsdiam"),
      lambda ctx: _run_obsdiam_fit(ctx, "exponential")),
     ("lem51", "sec5", ("lem51",), _run_lem51),
     ("lem52", "sec5", ("profile", "lem51"), _run_lem52),
     ("thm54", "sec5", ("profile",), _run_thm54),
-    ("cor55", "sec5", ("family",), _run_cor55),
+    ("cor55", "sec5", ("family", "obsdiam"), _run_cor55),
     ("thm61", "sec6", ("profile", "eigen"), _run_thm61),
     ("gm_recursion", "sec6", ("eigen",), _run_gm),
-    ("cor62", "sec6", ("family", "eigen"), _run_cor62),
+    ("cor62", "sec6", ("family", "eigen", "obsdiam"), _run_cor62),
     ("thm63", "sec6", ("eigen",), _run_thm63),
 )
 
@@ -486,10 +499,12 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
                space_label: str | None = None) -> VerifyReport:
     """Run the requested sections of the theorem suite on one space.
 
-    Every suite member appears in the result with an explicit status; the
-    members of unrequested sections are marked skipped.  ``certified``
-    carries analytic curvature constants (catalog provenance), ``cheng`` the
-    inputs of the diameter bound.  Deterministic given the seed; worker
+    Every suite member appears in the result with an explicit status.  The
+    members of unrequested sections are marked skipped, so is every member
+    on a one-point space, and so are the eigenvalue members when fewer than
+    two points carry mass.  ``certified`` carries analytic curvature
+    constants (catalog provenance), ``cheng`` the inputs of the diameter
+    bound.  Deterministic given the seed; worker
     threads only parallelize independent entries and results are assembled
     in a fixed order.
     """
@@ -505,18 +520,31 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
             cheng = ChengInputs(int(certified["dim"]), float(certified["a"]),
                                 float(certified["K"]), float(certified["D"]))
     ctx = _SuiteContext(mm, seed, restarts, certified, cheng)
-    runners = {tid: run for tid, section, _, run in _SUITE if section in sections}
-    needs = {a for _, section, ns, _ in _SUITE if section in sections for a in ns}
+    requested = {tid: (ns, run) for tid, section, ns, run in _SUITE if section in sections}
+    # artifact -> why it could not be built; the entries that need it are skipped
+    missing = {}
     # a fixed build order: on t2 the eigenvalue descent ran about 9% slower
     # when it was built before the profile
-    for artifact in ("family", "profile", "eigen", "lem51"):
-        if artifact in needs:
+    for artifact in ("family", "profile", "eigen", "lem51", "obsdiam"):
+        if mm.n < 2 or not any(artifact in ns for ns, _ in requested.values()):
+            continue
+        try:
             getattr(ctx, artifact)
+        except ValueError as exc:
+            if artifact != "eigen":
+                raise
+            missing[artifact] = str(exc)  # fewer than two points carry mass
 
     def run_one(tid: str) -> VerifyEntry:
-        if tid not in runners:
+        if tid not in requested:
             return _skip("section not requested")
-        return runners[tid](ctx)
+        if mm.n < 2:
+            return _skip("one-point space: nothing to check")
+        ns, run = requested[tid]
+        for artifact in ns:
+            if artifact in missing:
+                return _skip(missing[artifact])
+        return run(ctx)
 
     if threads == 1:
         entries = {tid: run_one(tid) for tid in THEOREM_IDS}

@@ -264,3 +264,70 @@ def smooth_value_grad_plain(dist, w, f, T):
     g_mat = (w * s)[:, None] * p * invd
     grad = 2.0 * (g_mat.sum(axis=0) - g_mat.sum(axis=1))
     return float(w @ s ** 2), grad
+
+
+def normalized_plain(f, w):
+    """Centered unit-variance copy of one field, or None for a field of zero
+    or non-finite variance."""
+    g = f - float(w @ f)
+    var = float(w @ g ** 2)
+    if var <= 0.0 or not math.isfinite(var):
+        return None
+    return g / math.sqrt(var)
+
+
+def exact_numerator_plain(dist, w, f):
+    """The squared-slope numerator w @ slope(f)^2 of one field."""
+    q = (f[None, :] - f[:, None]) / np.where(dist > 0, dist, np.inf)
+    np.fill_diagonal(q, -np.inf)
+    return float(w @ np.maximum(q.max(axis=1), 0.0) ** 2)
+
+
+def descend_plain(dist, w, f0):
+    """The annealed descent from one start, one field at a time, as the
+    library ran each restart before the restarts were batched.  Every row of
+    the batched descent must return this (numerator, field), bit for bit."""
+    f = normalized_plain(f0, w)
+    if f is None:
+        return math.inf, f0
+    q = (f[None, :] - f[:, None]) / np.where(dist > 0, dist, np.inf)
+    np.fill_diagonal(q, -np.inf)
+    slope_scale = float(np.maximum(q.max(axis=1), 0.0).max())
+    if slope_scale <= 0.0:
+        return math.inf, f
+    best_val = exact_numerator_plain(dist, w, f)
+    best_f = f.copy()
+    for t_rel in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        T = t_rel * slope_scale
+        eta = 0.25
+        for _ in range(30):
+            _, grad = smooth_value_grad_plain(dist, w, f, T)
+            gmax = float(np.max(np.abs(grad)))
+            if gmax <= 0.0 or not math.isfinite(gmax):
+                break
+            cand = normalized_plain(f - eta * (grad / gmax), w)
+            if cand is None:
+                break
+            f = cand
+            val = exact_numerator_plain(dist, w, f)
+            if val < best_val:
+                best_val = val
+                best_f = f.copy()
+            eta *= 0.88
+    f = best_f.copy()
+    eta = 0.08
+    for _ in range(30):
+        grad = subgradient_plain(dist, w, f)
+        gmax = float(np.max(np.abs(grad)))
+        if gmax <= 0.0:
+            break
+        cand = normalized_plain(f - eta * (grad / gmax), w)
+        if cand is None:
+            break
+        f = cand
+        val = exact_numerator_plain(dist, w, f)
+        if val < best_val:
+            best_val = val
+            best_f = f.copy()
+        eta *= 0.9
+    return best_val, best_f

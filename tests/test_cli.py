@@ -205,3 +205,44 @@ def test_export_report_csv(tmp_path, space_file):
 def test_unknown_target_is_usage_error():
     res = run_cli("alpha", "no-such-file.json")
     assert res.returncode == 2
+
+
+def _write_space(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps({"edges": None, **doc}))
+    return path
+
+
+def test_verify_single_atom_space_skips_eigenvalue_entries(tmp_path):
+    # two points, all the mass on one: no first eigenvalue, but a report
+    path = _write_space(tmp_path, "atom.json",
+                        {"n": 2, "dist": [[0, 1], [2, 0]], "measure": [1, 0]})
+    res = run_cli("verify", "all", str(path))
+    assert res.returncode == 0, res.stderr
+    results = json.loads(res.stdout)["results"]
+    from ccmm.verify import SECTIONS
+    for tid, entry in results.items():
+        if tid in SECTIONS["sec6"]:
+            assert entry["status"] == "skipped"
+            assert "two points of positive mass" in entry["notes"]
+        else:
+            assert "positive mass" not in entry["notes"]
+    assert results["mf3"]["status"] == "pass"
+
+
+def test_eigen_single_atom_space_is_usage_error(tmp_path):
+    path = _write_space(tmp_path, "atom.json",
+                        {"n": 2, "dist": [[0, 1], [2, 0]], "measure": [1, 0]})
+    res = run_cli("eigen", str(path))
+    assert res.returncode == 2
+    assert "error: " in res.stderr and "two points of positive mass" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_one_point_space_all_skipped(tmp_path):
+    path = _write_space(tmp_path, "one.json", {"n": 1, "dist": [[0]], "measure": [1]})
+    res = run_cli("verify", "all", str(path))
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["meta"]["n"] == 1
+    assert {e["status"] for e in doc["results"].values()} == {"skipped"}

@@ -1,8 +1,9 @@
 """Slopes, Rayleigh quotients, the Jacobi oracle, the descent, the bounds.
 
-The in-place Jacobi solver and the vectorized subgradient are pinned bit for
-bit to the plain loops of ``tests/oracles.py``, and concurrent
-``first_eigenvalue`` calls must equal serial ones exactly.
+The in-place Jacobi solver, the vectorized subgradient and every row of the
+batched descent are pinned bit for bit to the plain loops of
+``tests/oracles.py``, and concurrent ``first_eigenvalue`` calls must equal
+serial ones exactly.
 """
 import math
 import sys
@@ -14,6 +15,7 @@ import pytest
 from ccmm.finsler import build_space, catalog_entry
 from ccmm.quasimetric import (
     MetricMeasureSpace,
+    ProbabilityMeasure,
     QuasiMetricSpace,
     from_digraph,
     random_mm_space,
@@ -31,15 +33,24 @@ from ccmm.spectrum import (
     symmetric_oracle,
     symmetric_oracle_field,
 )
+from ccmm import spectrum
 from ccmm.spectrum import (
+    _descend,
     _jacobi_eigh,
     _oracle_matrix,
     _positive,
-    _smooth_value_grad,
+    _slopes,
+    _smooth_grad,
     _subgradient,
 )
 
-from oracles import jacobi_eigh_plain, smooth_value_grad_plain, subgradient_plain
+from oracles import (
+    descend_plain,
+    jacobi_eigh_plain,
+    normalized_plain,
+    smooth_value_grad_plain,
+    subgradient_plain,
+)
 
 
 def two_point_uniform():
@@ -176,15 +187,20 @@ def test_oracle_rejects_asymmetric():
 
 @pytest.mark.parametrize("T", [1e-1, 1e-3, 1e-6])
 def test_smooth_value_grad_bit_identical_to_temporaries(T):
+    # three rows at once, each at its own temperature, and each row alone
     spaces = [build_space(catalog_entry("t2"), resolution=4)] + \
         [random_mm_space(seed) for seed in range(8)]
+    temps = T * np.array([1.0, 3.0, 0.5])
     for mm in spaces:
-        f = np.random.default_rng(mm.n).normal(size=mm.n)
+        F = np.random.default_rng(mm.n).normal(size=(3, mm.n))
         invd = 1.0 / _positive(mm.dist)
-        val, grad = _smooth_value_grad(invd, mm.weights, f, T, np.empty((mm.n, mm.n)))
-        ref_val, ref_grad = smooth_value_grad_plain(mm.dist, mm.weights, f, T)
-        assert val == ref_val
-        assert np.array_equal(grad, ref_grad)
+        buf = np.empty((3, mm.n, mm.n))
+        grads = _smooth_grad(invd, mm.weights, F, temps, buf)
+        for f, t, grad in zip(F, temps, grads):
+            _, ref_grad = smooth_value_grad_plain(mm.dist, mm.weights, f, t)
+            assert np.array_equal(grad, ref_grad)
+            alone = _smooth_grad(invd, mm.weights, f[None], np.array([t]), buf)
+            assert np.array_equal(alone[0], ref_grad)
 
 
 def test_subgradient_bit_identical_to_plain_loop():
@@ -194,11 +210,15 @@ def test_subgradient_bit_identical_to_plain_loop():
         rng = np.random.default_rng(seed)
         peak = np.zeros(mm.n)
         peak[seed % mm.n] = 10.0 * float(mm.dist.max())
-        for f in (peak, peak + rng.normal(size=mm.n), rng.normal(size=mm.n),
-                  mm.dist[0, :].copy(), -mm.dist[:, 1]):
-            dpos = _positive(mm.dist)
-            got = _subgradient(1.0 / dpos, mm.weights, f, np.empty((mm.n, mm.n)))
-            assert np.array_equal(got, subgradient_plain(mm.dist, mm.weights, f))
+        F = np.array([peak, peak + rng.normal(size=mm.n), rng.normal(size=mm.n),
+                      mm.dist[0, :], -mm.dist[:, 1]])
+        dpos = _positive(mm.dist)
+        buf = np.empty((len(F), mm.n, mm.n))
+        grads = _subgradient(1.0 / dpos, mm.weights, F, buf)
+        for f, got in zip(F, grads):
+            want = subgradient_plain(mm.dist, mm.weights, f)
+            assert np.array_equal(got, want)
+            assert np.array_equal(_subgradient(1.0 / dpos, mm.weights, f[None], buf)[0], want)
             q = (f[None, :] - f[:, None]) / dpos
             np.fill_diagonal(q, -np.inf)
             active = q.max(axis=1) > 0
@@ -206,6 +226,80 @@ def test_subgradient_bit_identical_to_plain_loop():
     # most fields send several points to one argmax target, where the
     # accumulation order decides the last bits
     assert shared >= 30
+
+
+def _descent_spaces():
+    return [random_mm_space(seed) for seed in range(20)] + \
+        [build_space(catalog_entry("t2"), resolution=4),
+         build_space(catalog_entry("g1"), resolution=16)]
+
+
+def _stalling_start(mm):
+    """A measure with one massless point and a start whose first candidate
+    leaves the unit-variance sphere: the start's tiny variance blows the
+    massless point up to a value whose square overflows, so the candidate's
+    variance is 0 * inf."""
+    w = mm.weights.copy()
+    w[-1] = 0.0
+    w /= w.sum()
+    f0 = 1e-8 * mm.dist[0, :]
+    f0[-1] = 1e150
+    return w, f0
+
+
+def test_descent_rows_bit_identical_to_plain_loop():
+    checked = 0
+    for mm in _descent_spaces():
+        n = mm.n
+        rng = np.random.default_rng(n)
+        dpos = _positive(mm.dist)
+        invd = 1.0 / dpos
+        w_stall, stall = _stalling_start(mm)
+        cases = [
+            # random fields, a constant field (no start), two distance cones
+            (mm.weights, np.vstack([rng.normal(size=(4, n)), np.full((1, n), 0.3),
+                                    mm.dist[1, :], -mm.dist[:, 0]])),
+            # the stalling start between two ordinary ones
+            (w_stall, np.vstack([mm.dist[0, :], stall, rng.uniform(size=n)])),
+        ]
+        for w, F0 in cases:
+            # the stalling start overflows on purpose, in both descents
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals, fields = _descend(dpos, invd, w, F0, np.empty((len(F0), n, n)))
+                want = [descend_plain(mm.dist, w, f0) for f0 in F0]
+            for val, field, (want_val, want_field) in zip(vals, fields, want):
+                assert val == want_val
+                assert np.array_equal(field, want_field)
+                checked += 1
+        # the stalling start does stall on its first candidate
+        f = normalized_plain(stall, w_stall)
+        T = 0.1 * float(_slopes(dpos, f).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, grad = smooth_value_grad_plain(mm.dist, w_stall, f, T)
+            gmax = float(np.max(np.abs(grad)))
+            assert 0.0 < gmax < math.inf
+            assert normalized_plain(f - 0.25 * (grad / gmax), w_stall) is None
+        assert np.array_equal(fields[1], f)
+    assert checked == 22 * 10
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_first_eigenvalue_blocks_match_one_block(monkeypatch, rows_per_block):
+    spaces = [random_mm_space(3), random_mm_space(11),
+              build_space(catalog_entry("t2"), resolution=4),
+              build_space(catalog_entry("g1"), resolution=16)]
+    whole = [first_eigenvalue(mm, restarts=8, seed=1) for mm in spaces]
+    for mm, want in zip(spaces, whole):
+        monkeypatch.setattr(spectrum, "_SCRATCH_BUDGET", rows_per_block * 8 * mm.n ** 2)
+        got = first_eigenvalue(mm, restarts=8, seed=1)
+        assert got.value == want.value
+        assert np.array_equal(got.certificate.values, want.certificate.values)
+
+
+def test_first_eigenvalue_needs_two_points_of_mass():
+    atom = MetricMeasureSpace(validate([[0, 1], [2, 0]]), ProbabilityMeasure([1.0, 0.0]))
+    with pytest.raises(ValueError, match="two points of positive mass"):
+        first_eigenvalue(atom)
 
 
 def test_first_eigenvalue_concurrent_calls_match_serial():
