@@ -242,9 +242,10 @@ _POLISH_STEPS = 30
 _SCRATCH_BUDGET = 32 << 20
 
 # The descent works on stacks of fields, one field per row.  Every weighted
-# sum over the points of a row is ``np.vecdot(rows, w)``: one BLAS ddot per
-# row, the kernel of ``w @ row``, so each row's value equals the single-field
-# product bit for bit (a gemv ``rows @ w`` or an einsum would not).
+# sum over the points of a row is ``np.vecdot(rows, w)`` (numpy 2.0 or
+# later): one BLAS ddot per row, the kernel of ``w @ row``, so each row's
+# value equals the single-field product bit for bit (a gemv ``rows @ w`` or
+# an einsum would not).
 
 
 def _normalized(F: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

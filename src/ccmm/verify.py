@@ -114,6 +114,7 @@ class _SuiteContext:
         self.seed = seed
         self.restarts = restarts
         self.K = (certified or {}).get("K", 0.0)
+        self.curved = self.K > 0
         self.cheng = cheng
         self.exact_ok = mm.n <= EXACT_MAX_N
 
@@ -376,7 +377,7 @@ def _run_thm54(ctx: _SuiteContext, slack: float = 0.25) -> VerifyEntry:
 
 
 def _run_cor55(ctx: _SuiteContext) -> VerifyEntry:
-    if ctx.K <= 0:
+    if not ctx.curved:
         return _skip("no positive curvature certificate")
     worst = math.inf
     witness = None
@@ -462,7 +463,8 @@ def _run_thm63(ctx: _SuiteContext) -> VerifyEntry:
 
 # The suite in report order: (id, section, needs, runner).  ``needs`` names
 # the _SuiteContext artifacts the runner reads; run_verify builds them up
-# front so worker threads never race.
+# front so worker threads never race.  A need (artifact, gate) is read only
+# when the context flag ``gate`` holds, the runner's own skip test.
 _SUITE = (
     ("mf3", "sec3", ("family", "profile"), _run_mf3),
     ("prop32.1", "sec3", ("family",), _run_prop32_1),
@@ -472,14 +474,14 @@ _SUITE = (
     ("thm38", "sec3", ("family", "profile"), _run_thm38),
     ("thm39", "sec3", ("family", "profile"), _run_thm39),
     ("thm41", "sec4", ("family", "profile"), _run_thm41),
-    ("obnor", "sec4", ("family", "profile", "obsdiam"),
+    ("obnor", "sec4", ("family", "profile", ("obsdiam", "exact_ok")),
      lambda ctx: _run_obsdiam_fit(ctx, "normal")),
-    ("obex", "sec4", ("family", "profile", "obsdiam"),
+    ("obex", "sec4", ("family", "profile", ("obsdiam", "exact_ok")),
      lambda ctx: _run_obsdiam_fit(ctx, "exponential")),
     ("lem51", "sec5", ("lem51",), _run_lem51),
     ("lem52", "sec5", ("profile", "lem51"), _run_lem52),
     ("thm54", "sec5", ("profile",), _run_thm54),
-    ("cor55", "sec5", ("family", "obsdiam"), _run_cor55),
+    ("cor55", "sec5", ("family", ("obsdiam", "curved")), _run_cor55),
     ("thm61", "sec6", ("profile", "eigen"), _run_thm61),
     ("gm_recursion", "sec6", ("eigen",), _run_gm),
     ("cor62", "sec6", ("family", "eigen", "obsdiam"), _run_cor62),
@@ -514,37 +516,43 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
         raise ValueError(f"unknown sections {unknown}; choose from {sorted(SECTIONS)}")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if cheng is None and certified is not None:
         need = {"K", "a", "D", "dim"}
         if need <= set(certified):
             cheng = ChengInputs(int(certified["dim"]), float(certified["a"]),
                                 float(certified["K"]), float(certified["D"]))
     ctx = _SuiteContext(mm, seed, restarts, certified, cheng)
-    requested = {tid: (ns, run) for tid, section, ns, run in _SUITE if section in sections}
-    # artifact -> why it could not be built; the entries that need it are skipped
-    missing = {}
+    # a measure on fewer than two points has no first eigenvalue to estimate
+    no_gap = np.count_nonzero(mm.weights > 0) < 2
+    skipped = {}
+    live = {}
+    for tid, section, needs, run in _SUITE:
+        if section not in sections:
+            skipped[tid] = "section not requested"
+        elif mm.n < 2:
+            skipped[tid] = "one-point space: nothing to check"
+        elif no_gap and "eigen" in needs:
+            skipped[tid] = "the first eigenvalue needs at least two points of positive mass"
+        else:
+            live[tid] = (needs, run)
+    wanted = set()
+    for needs, _ in live.values():
+        for need in needs:
+            artifact, gate = (need, None) if isinstance(need, str) else need
+            if gate is None or getattr(ctx, gate):
+                wanted.add(artifact)
     # a fixed build order: on t2 the eigenvalue descent ran about 9% slower
     # when it was built before the profile
     for artifact in ("family", "profile", "eigen", "lem51", "obsdiam"):
-        if mm.n < 2 or not any(artifact in ns for ns, _ in requested.values()):
-            continue
-        try:
+        if artifact in wanted:
             getattr(ctx, artifact)
-        except ValueError as exc:
-            if artifact != "eigen":
-                raise
-            missing[artifact] = str(exc)  # fewer than two points carry mass
 
     def run_one(tid: str) -> VerifyEntry:
-        if tid not in requested:
-            return _skip("section not requested")
-        if mm.n < 2:
-            return _skip("one-point space: nothing to check")
-        ns, run = requested[tid]
-        for artifact in ns:
-            if artifact in missing:
-                return _skip(missing[artifact])
-        return run(ctx)
+        if tid in skipped:
+            return _skip(skipped[tid])
+        return live[tid][1](ctx)
 
     if threads == 1:
         entries = {tid: run_one(tid) for tid in THEOREM_IDS}

@@ -246,3 +246,12 @@ def test_verify_one_point_space_all_skipped(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["meta"]["n"] == 1
     assert {e["status"] for e in doc["results"].values()} == {"skipped"}
+
+
+def test_verify_zero_restarts_is_usage_error(tmp_path):
+    atom = _write_space(tmp_path, "atom.json",
+                        {"n": 2, "dist": [[0, 1], [2, 0]], "measure": [1, 0]})
+    for target in ("t2", str(atom)):
+        res = run_cli("verify", "all", target, "--restarts", "0")
+        assert res.returncode == 2, target
+        assert "error: restarts must be at least 1" in res.stderr

@@ -170,3 +170,22 @@ def test_obsdiam_bounds_closed_forms():
     assert obsdiam_bound_exponential(0.25, 1.0, 0.5) == 0.0
     with pytest.raises(ValueError):
         obsdiam_bound_normal(0.5, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("sections, calls", [
+    (("sec5",), 0),   # cor55 skips without a curvature certificate
+    (("sec4",), 9),   # obnor and obex share one diameter per epsilon
+    (("sec4", "sec5", "sec6"), 9),
+])
+def test_run_verify_builds_observable_diameters_only_when_read(monkeypatch,
+                                                              sections, calls):
+    from ccmm import verify
+    seen = []
+
+    def counting(mm, eps, family):
+        seen.append(eps)
+        return observable_diameter(mm, eps, family)
+
+    monkeypatch.setattr(verify, "observable_diameter", counting)
+    verify.run_verify(random_mm_space(3), sections=sections, restarts=2)
+    assert len(seen) == calls
