@@ -2,10 +2,11 @@
 
 Subcommands: gen, validate, family, alpha, obsdiam, isoperim, eigen,
 verify, export.  Exit codes: 0 when nothing failed, 1 when a verification
-check failed, 2 for usage or I/O errors.  Global --seed and --threads flags
-(CCMM_THREADS is the fallback for the latter) keep runs reproducible:
-identical inputs, seed, and tool version give byte-identical reports at any
-thread count.
+check failed, 2 for usage or I/O errors.  The global --seed flag keeps runs
+reproducible: identical inputs, seed, and tool version give byte-identical
+reports.  Reports are computed serially; the global --threads flag (with
+CCMM_THREADS as its fallback) must be at least 1 and is accepted for
+compatibility only.
 """
 from __future__ import annotations
 
@@ -219,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: CCMM_THREADS or 1)")
+                       help="accepted for compatibility, at least 1; reports are "
+                            "computed serially (default: CCMM_THREADS or 1)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("gen", help="build a catalog or spec-file space as JSON")

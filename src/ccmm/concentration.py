@@ -103,7 +103,8 @@ class SampledDecreasing:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         idx = np.searchsorted(self.rs, s, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.clip(idx, 0, len(self.values) - 1)], 1.0)
+        # index -1, below the first sample or with no samples, picks the 1
+        out = np.append(self.values, 1.0)[idx]
         return float(out) if out.ndim == 0 else out
 
 
@@ -542,12 +543,7 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
     # tail at mass(A) rho) per (A, rho); the reversed cones have the same
     # centered deviations, so both directions reduce to this computation
-    masks = _subset_masks(mm.n)
-    masses_all = masks @ w
-    for lo in range(0, len(masks), 1024):
-        sl = slice(lo, lo + 1024)
-        m_fwd, m_bwd = _set_distance_rows(mm.dist, masks[sl])
-        masses = masses_all[sl]
+    for masses, m_fwd, m_bwd in _iter_exact_candidates(mm, 0.0, chunk=1024):
         s = masses[:, None] * radii[None, :]
         # relative and absolute shrink: the absolute part covers the
         # membership snap and mean rounding for tiny-mass subsets

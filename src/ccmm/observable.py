@@ -10,6 +10,7 @@ because their right-hand sides bound the true supremum.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,21 +179,26 @@ def alpha_inverse(profile: ConcentrationProfile, epsilon: float) -> float:
 def obsdiam_vs_alpha_check(mm: MetricMeasureSpace, epsilon_grid,
                            family: LipschitzFamily | None = None,
                            profile: ConcentrationProfile | None = None,
-                           seed: int = 0) -> CheckReport:
+                           seed: int = 0,
+                           diameters: Mapping[float, ObsDiamResult] | None = None,
+                           ) -> CheckReport:
     """Check ObsDiam(eps) <= 2 alpha^{-1}(eps/2) on an epsilon grid.
 
     The left side is the family lower bound, so a pass is a necessary
     condition for the inequality over the full Lipschitz cone; a failure is
     a genuine counterexample and is reported with its witness.
+    ``diameters`` maps each epsilon of the grid to its already computed
+    observable diameter; without it they are computed over ``family``.
     """
-    if family is None:
+    if diameters is None and family is None:
         family = generate_family(mm, seed=seed)
     if profile is None:
         profile = alpha_profile(mm, "exact")
     worst = math.inf
     witness = None
     for eps in np.asarray(epsilon_grid, dtype=float):
-        obs = observable_diameter(mm, float(eps), family)
+        obs = (diameters[float(eps)] if diameters is not None
+               else observable_diameter(mm, float(eps), family))
         rhs = 2.0 * alpha_inverse(profile, float(eps) / 2.0)
         margin = rhs - obs.value
         if margin < worst:

@@ -6,13 +6,12 @@ substitute the estimated eigenvalue (an upper bound of the true one, so a
 violated strengthened inequality proves nothing), and "skipped" when a
 precondition is missing (exact enumeration infeasible, no curvature
 certificate, section not requested).  Failing entries carry a serialized
-witness.  Reports are deterministic for fixed inputs and seed, regardless
-of the worker thread count.
+witness.  Entries run one after another, in report order, so reports are
+deterministic for fixed inputs and seed.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -104,8 +103,8 @@ def _skip(reason: str) -> VerifyEntry:
 class _SuiteContext:
     """Shared artifacts for one verification run, each computed once.
 
-    The artifacts an entry reads are its declared needs in ``_SUITE``;
-    ``run_verify`` builds them before any entry runs.
+    An artifact is built when an entry first reads it, so one that no
+    running entry reads is never built.
     """
 
     def __init__(self, mm: MetricMeasureSpace, seed: int, restarts: int,
@@ -114,7 +113,6 @@ class _SuiteContext:
         self.seed = seed
         self.restarts = restarts
         self.K = (certified or {}).get("K", 0.0)
-        self.curved = self.K > 0
         self.cheng = cheng
         self.exact_ok = mm.n <= EXACT_MAX_N
 
@@ -293,8 +291,8 @@ def _run_thm39(ctx: _SuiteContext) -> VerifyEntry:
 def _run_thm41(ctx: _SuiteContext) -> VerifyEntry:
     if not ctx.exact_ok:
         return _skip(f"exact profile infeasible for n = {ctx.mm.n}")
-    rep = obsdiam_vs_alpha_check(ctx.mm, EPS_GRID, family=ctx.family,
-                                 profile=ctx.profile)
+    rep = obsdiam_vs_alpha_check(ctx.mm, EPS_GRID, profile=ctx.profile,
+                                 diameters=ctx.obsdiam)
     return _check(rep.margin, rep.notes, rep.witness)
 
 
@@ -377,7 +375,7 @@ def _run_thm54(ctx: _SuiteContext, slack: float = 0.25) -> VerifyEntry:
 
 
 def _run_cor55(ctx: _SuiteContext) -> VerifyEntry:
-    if not ctx.curved:
+    if ctx.K <= 0:
         return _skip("no positive curvature certificate")
     worst = math.inf
     witness = None
@@ -461,37 +459,32 @@ def _run_thm63(ctx: _SuiteContext) -> VerifyEntry:
                        {"lambda_hat": ctx.eigen.value, "bound": bound})
 
 
-# The suite in report order: (id, section, needs, runner).  ``needs`` names
-# the _SuiteContext artifacts the runner reads; run_verify builds them up
-# front so worker threads never race.  A need (artifact, gate) is read only
-# when the context flag ``gate`` holds, the runner's own skip test.
+# The suite in report order: (id, section, runner).
 _SUITE = (
-    ("mf3", "sec3", ("family", "profile"), _run_mf3),
-    ("prop32.1", "sec3", ("family",), _run_prop32_1),
-    ("prop32.2", "sec3", (), _run_prop32_2),
-    ("thm33", "sec3", ("family", "profile"), _run_thm33),
-    ("thm37", "sec3", ("family", "profile"), _run_thm37),
-    ("thm38", "sec3", ("family", "profile"), _run_thm38),
-    ("thm39", "sec3", ("family", "profile"), _run_thm39),
-    ("thm41", "sec4", ("family", "profile"), _run_thm41),
-    ("obnor", "sec4", ("family", "profile", ("obsdiam", "exact_ok")),
-     lambda ctx: _run_obsdiam_fit(ctx, "normal")),
-    ("obex", "sec4", ("family", "profile", ("obsdiam", "exact_ok")),
-     lambda ctx: _run_obsdiam_fit(ctx, "exponential")),
-    ("lem51", "sec5", ("lem51",), _run_lem51),
-    ("lem52", "sec5", ("profile", "lem51"), _run_lem52),
-    ("thm54", "sec5", ("profile",), _run_thm54),
-    ("cor55", "sec5", ("family", ("obsdiam", "curved")), _run_cor55),
-    ("thm61", "sec6", ("profile", "eigen"), _run_thm61),
-    ("gm_recursion", "sec6", ("eigen",), _run_gm),
-    ("cor62", "sec6", ("family", "eigen", "obsdiam"), _run_cor62),
-    ("thm63", "sec6", ("eigen",), _run_thm63),
+    ("mf3", "sec3", _run_mf3),
+    ("prop32.1", "sec3", _run_prop32_1),
+    ("prop32.2", "sec3", _run_prop32_2),
+    ("thm33", "sec3", _run_thm33),
+    ("thm37", "sec3", _run_thm37),
+    ("thm38", "sec3", _run_thm38),
+    ("thm39", "sec3", _run_thm39),
+    ("thm41", "sec4", _run_thm41),
+    ("obnor", "sec4", lambda ctx: _run_obsdiam_fit(ctx, "normal")),
+    ("obex", "sec4", lambda ctx: _run_obsdiam_fit(ctx, "exponential")),
+    ("lem51", "sec5", _run_lem51),
+    ("lem52", "sec5", _run_lem52),
+    ("thm54", "sec5", _run_thm54),
+    ("cor55", "sec5", _run_cor55),
+    ("thm61", "sec6", _run_thm61),
+    ("gm_recursion", "sec6", _run_gm),
+    ("cor62", "sec6", _run_cor62),
+    ("thm63", "sec6", _run_thm63),
 )
 
-THEOREM_IDS = tuple(tid for tid, _, _, _ in _SUITE)
+THEOREM_IDS = tuple(tid for tid, _, _ in _SUITE)
 
-SECTIONS = {sec: tuple(tid for tid, s, _, _ in _SUITE if s == sec)
-            for sec in dict.fromkeys(s for _, s, _, _ in _SUITE)}
+SECTIONS = {sec: tuple(tid for tid, s, _ in _SUITE if s == sec)
+            for sec in dict.fromkeys(s for _, s, _ in _SUITE)}
 
 
 def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6"),
@@ -506,9 +499,9 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
     on a one-point space, and so are the eigenvalue members when fewer than
     two points carry mass.  ``certified`` carries analytic curvature
     constants (catalog provenance), ``cheng`` the inputs of the diameter
-    bound.  Deterministic given the seed; worker
-    threads only parallelize independent entries and results are assembled
-    in a fixed order.
+    bound.  Deterministic given the seed.  Entries run serially in report
+    order; ``threads`` is validated (at least 1) and accepted for
+    compatibility, but does not change how the suite runs.
     """
     sections = tuple(sections)
     unknown = [s for s in sections if s not in SECTIONS]
@@ -526,40 +519,18 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
     ctx = _SuiteContext(mm, seed, restarts, certified, cheng)
     # a measure on fewer than two points has no first eigenvalue to estimate
     no_gap = np.count_nonzero(mm.weights > 0) < 2
-    skipped = {}
-    live = {}
-    for tid, section, needs, run in _SUITE:
+    entries = {}
+    for tid, section, run in _SUITE:
         if section not in sections:
-            skipped[tid] = "section not requested"
+            entries[tid] = _skip("section not requested")
         elif mm.n < 2:
-            skipped[tid] = "one-point space: nothing to check"
-        elif no_gap and "eigen" in needs:
-            skipped[tid] = "the first eigenvalue needs at least two points of positive mass"
+            entries[tid] = _skip("one-point space: nothing to check")
+        elif no_gap and section == "sec6":
+            # sec6, the eigenvalue section, holds exactly the entries that read ctx.eigen
+            entries[tid] = _skip("the first eigenvalue needs at least two points "
+                                 "of positive mass")
         else:
-            live[tid] = (needs, run)
-    wanted = set()
-    for needs, _ in live.values():
-        for need in needs:
-            artifact, gate = (need, None) if isinstance(need, str) else need
-            if gate is None or getattr(ctx, gate):
-                wanted.add(artifact)
-    # a fixed build order: on t2 the eigenvalue descent ran about 9% slower
-    # when it was built before the profile
-    for artifact in ("family", "profile", "eigen", "lem51", "obsdiam"):
-        if artifact in wanted:
-            getattr(ctx, artifact)
-
-    def run_one(tid: str) -> VerifyEntry:
-        if tid in skipped:
-            return _skip(skipped[tid])
-        return live[tid][1](ctx)
-
-    if threads == 1:
-        entries = {tid: run_one(tid) for tid in THEOREM_IDS}
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {tid: pool.submit(run_one, tid) for tid in THEOREM_IDS}
-            entries = {tid: futures[tid].result() for tid in THEOREM_IDS}
+            entries[tid] = run(ctx)
 
     meta = {
         "seed": seed,

@@ -255,3 +255,12 @@ def test_verify_zero_restarts_is_usage_error(tmp_path):
         res = run_cli("verify", "all", target, "--restarts", "0")
         assert res.returncode == 2, target
         assert "error: restarts must be at least 1" in res.stderr
+
+
+def test_verify_zero_threads_is_usage_error(space_file):
+    import os
+    env = dict(os.environ, CCMM_THREADS="0")
+    for res in (run_cli("verify", "all", str(space_file), "--threads", "0"),
+                run_cli("verify", "all", str(space_file), env=env)):
+        assert res.returncode == 2
+        assert "error: threads must be at least 1" in res.stderr

@@ -252,6 +252,13 @@ def test_sampled_decreasing_evaluation():
         SampledDecreasing(np.array([1.0, 2.0]), np.array([0.1, 0.4]))
 
 
+def test_sampled_decreasing_without_samples_is_one():
+    sd = SampledDecreasing(np.empty(0), np.empty(0))
+    assert sd(0.0) == 1.0 and sd(1.0) == 1.0
+    out = sd(np.array([[0.5, 2.0], [1e9, -1.0]]))
+    assert out.shape == (2, 2) and np.all(out == 1.0)
+
+
 # ---------------------------------------------------------------------------
 # explicit constants (hand-derived frozen values)
 # ---------------------------------------------------------------------------

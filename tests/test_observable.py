@@ -163,6 +163,17 @@ def test_obsdiam_vs_alpha_random_suite():
         assert rep.passed, (seed, rep.witness)
 
 
+def test_obsdiam_vs_alpha_reads_given_diameters():
+    grid = [k / 10 for k in range(1, 10)]
+    for seed in range(5):
+        mm = random_mm_space(seed, n_low=3, n_high=10)
+        fam = generate_family(mm, seed=0)
+        prof = alpha_profile(mm, "exact")
+        diameters = {eps: observable_diameter(mm, eps, fam) for eps in grid}
+        assert (obsdiam_vs_alpha_check(mm, grid, profile=prof, diameters=diameters)
+                == obsdiam_vs_alpha_check(mm, grid, family=fam, profile=prof))
+
+
 def test_obsdiam_bounds_closed_forms():
     assert obsdiam_bound_normal(0.5, 1.0, 1 / math.e) == pytest.approx(2.0, rel=1e-12)
     assert obsdiam_bound_exponential(0.5, 1.0, 1 / math.e) == pytest.approx(2.0, rel=1e-12)
@@ -174,12 +185,13 @@ def test_obsdiam_bounds_closed_forms():
 
 @pytest.mark.parametrize("sections, calls", [
     (("sec5",), 0),   # cor55 skips without a curvature certificate
-    (("sec4",), 9),   # obnor and obex share one diameter per epsilon
+    (("sec4",), 9),   # thm41, obnor and obex share one diameter per epsilon
     (("sec4", "sec5", "sec6"), 9),
 ])
 def test_run_verify_builds_observable_diameters_only_when_read(monkeypatch,
                                                               sections, calls):
-    from ccmm import verify
+    # counted where the suite builds them and where thm41's check would
+    from ccmm import observable, verify
     seen = []
 
     def counting(mm, eps, family):
@@ -187,5 +199,6 @@ def test_run_verify_builds_observable_diameters_only_when_read(monkeypatch,
         return observable_diameter(mm, eps, family)
 
     monkeypatch.setattr(verify, "observable_diameter", counting)
+    monkeypatch.setattr(observable, "observable_diameter", counting)
     verify.run_verify(random_mm_space(3), sections=sections, restarts=2)
     assert len(seen) == calls
