@@ -4,7 +4,7 @@ Subcommands: gen, validate, family, alpha, obsdiam, isoperim, eigen,
 verify, export.  Exit codes: 0 when nothing failed, 1 when a verification
 check failed, 2 for usage or I/O errors.  The global --seed flag keeps runs
 reproducible: identical inputs, seed, and tool version give byte-identical
-reports.  Reports are computed serially; the global --threads flag (with
+reports.  Reports are computed serially; verify's --threads flag (with
 CCMM_THREADS as its fallback) must be at least 1 and is accepted for
 compatibility only.
 """
@@ -219,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility, at least 1; reports are "
-                            "computed serially (default: CCMM_THREADS or 1)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("gen", help="build a catalog or spec-file space as JSON")
@@ -280,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cheng", default=None, metavar="n,a,K,D",
                    help="inputs of the diameter-based eigenvalue bound")
     p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility, at least 1; reports are "
+                        "computed serially (default: CCMM_THREADS or 1)")
     common(p)
     p.set_defaults(func=cmd_verify)
 

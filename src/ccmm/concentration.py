@@ -204,38 +204,43 @@ def _lower_tails(weights: np.ndarray, values: np.ndarray,
     return cw[idx]
 
 
-def _rowwise_searchsorted(sorted_rows: np.ndarray, queries: np.ndarray,
-                          side: str = "left") -> np.ndarray:
-    """searchsorted of each query row into the matching sorted row.
+def _count_below(rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """#{x : rows[r, x] < cuts[i]} for every row r and cut i, in any cut order.
 
-    One flat searchsorted over offset-separated rows; queries may be a
-    (R, B) array or a shared (B,) vector.
+    Each entry's place among the sorted cuts is found once; a per-row
+    histogram of the places, summed up, counts the entries below every cut.
+    The counting is integer throughout, so no rounding can move an entry
+    across a cut.
     """
-    R, n = sorted_rows.shape
-    if queries.ndim == 1:
-        queries = np.broadcast_to(queries[None, :], (R, len(queries)))
-    big = float(np.abs(sorted_rows).max(initial=0.0)) \
-        + float(np.abs(queries).max(initial=0.0)) + 1.0
-    rows = np.arange(R, dtype=float)[:, None]
-    pos = np.searchsorted((sorted_rows + big * rows).ravel(),
-                          (queries + big * rows).ravel(), side=side)
-    return pos.reshape(R, queries.shape[1]) - (np.arange(R) * n)[:, None]
+    R, B = len(rows), len(cuts)
+    order = np.argsort(cuts, kind="stable")
+    # an entry is below the k-th smallest cut iff at most k cuts are <= it
+    place = np.searchsorted(cuts[order], rows, side="right")
+    place += (B + 1) * np.arange(R)[:, None]
+    counts = np.bincount(place.ravel(), minlength=R * (B + 1)).reshape(R, B + 1)
+    np.cumsum(counts, axis=1, out=counts)
+    return counts[:, np.argsort(order)]
+
+
+def _prefix_masses(rows: np.ndarray, weights: np.ndarray):
+    """Sorted rows, their weights, and cw[r, k] = mass of row r's k smallest."""
+    order = np.argsort(rows, axis=1)
+    ms = np.take_along_axis(rows, order, axis=1)
+    ws = weights[order]
+    cw = np.concatenate([np.zeros((len(ms), 1)), np.cumsum(ws, axis=1)], axis=1)
+    cw[:, -1] = 1.0  # the full space has mass one by definition, not by cumsum
+    return ms, ws, cw
 
 
 def _mu_below(m_rows: np.ndarray, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """mu({x : m(x) < t}) for every row of m_rows and every threshold.
 
-    Rows are independent point-to-set distance vectors; thresholds must be
-    ascending.  Uses one flat searchsorted over offset-separated rows.
+    Rows are independent point-to-set distance vectors; thresholds may come
+    in any order.  The points below each threshold are counted exactly and
+    their mass read off the row's prefix masses.
     """
-    R, n = m_rows.shape
-    order = np.argsort(m_rows, axis=1)
-    ms = np.take_along_axis(m_rows, order, axis=1)
-    ws = weights[order]
-    cw = np.concatenate([np.zeros((R, 1)), np.cumsum(ws, axis=1)], axis=1)
-    cw[:, -1] = 1.0  # the full space has mass one by definition, not by cumsum
-    counts = _rowwise_searchsorted(ms, thresholds, side="left")
-    return np.take_along_axis(cw, counts, axis=1)
+    _, _, cw = _prefix_masses(m_rows, weights)
+    return np.take_along_axis(cw, _count_below(m_rows, thresholds), axis=1)
 
 
 def _set_distance_rows(dist: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,11 +421,10 @@ def alpha_profile(mm: MetricMeasureSpace, strategy: str = "exact",
 # median-deviation inequalities
 # ---------------------------------------------------------------------------
 
-def deviation_check(mm: MetricMeasureSpace, f, profile: ConcentrationProfile,
-                    eps_floor: float = 1e-12) -> DeviationReport:
+def deviation_check(mm: MetricMeasureSpace, f, profile: ConcentrationProfile) -> DeviationReport:
     """Verify the median tail inequalities of a Lipschitz field.
 
-    With L the field's Lipschitz constant (floored at ``eps_floor``) and m
+    With L the field's Lipschitz constant (floored at 1e-12) and m
     its lower median, checks at the radius r = L s for every profile
     breakpoint s
 
@@ -437,7 +441,7 @@ def deviation_check(mm: MetricMeasureSpace, f, profile: ConcentrationProfile,
         raise ValueError("deviation_check requires an exact profile")
     v = as_field(f, mm.n)
     w = mm.weights
-    L = max(lipschitz_constant(mm.space, v), eps_floor)
+    L = max(lipschitz_constant(mm.space, v), 1e-12)
     m = median(mm.measure, v)
     rs = L * profile.radii
     rhs = profile.alphas
@@ -549,25 +553,26 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
         # membership snap and mean rounding for tiny-mass subsets
         thr = s * (1 - 1e-9) - 1e-12 * np.maximum(1.0, radii)[None, :]
         for m_rows in (m_fwd, m_bwd):
-            order = np.argsort(m_rows, axis=1)
-            ms = np.take_along_axis(m_rows, order, axis=1)
-            ws = w[order]
-            cw = np.concatenate([np.zeros((len(ms), 1)), np.cumsum(ws, axis=1)], axis=1)
-            cw[:, -1] = 1.0
+            ms, ws, cw = _prefix_masses(m_rows, w)
             cwm = np.concatenate([np.zeros((len(ms), 1)),
                                   np.cumsum(ws * ms, axis=1)], axis=1)
+            # every value of a row is a cut, so the count below the first cut
+            # >= q counts the values < q, and below the first cut > q those <= q
+            cuts = np.append(np.unique(ms), np.inf)
+            table = _count_below(ms, cuts)
+            rows = np.arange(len(ms))[:, None]
+
+            def below(prefix, q, side="left"):
+                k = table[rows, np.searchsorted(cuts, q, side)]
+                return np.take_along_axis(prefix, k, axis=1)
+
             # mean of min(m, rho) from the prefix sums below rho
-            idx = _rowwise_searchsorted(ms, radii, side="left")
-            mu_lt = np.take_along_axis(cw, idx, axis=1)
-            mean_f = np.take_along_axis(cwm, idx, axis=1) + radii[None, :] * (1.0 - mu_lt)
+            mu_lt = below(cw, radii)
+            mean_f = below(cwm, radii) + radii[None, :] * (1.0 - mu_lt)
             hi = mean_f + thr
             lo_thr = mean_f - thr
-            up = np.where(hi > radii[None, :], 0.0,
-                          1.0 - np.take_along_axis(
-                              cw, _rowwise_searchsorted(ms, hi, "left"), axis=1))
-            down = np.where(lo_thr >= radii[None, :], 1.0,
-                            np.take_along_axis(
-                                cw, _rowwise_searchsorted(ms, lo_thr, "right"), axis=1))
+            up = np.where(hi > radii[None, :], 0.0, 1.0 - below(cw, hi))
+            down = np.where(lo_thr >= radii[None, :], 1.0, below(cw, lo_thr, "right"))
             rows_s.append(s)
             rows_v.append(up + down)
     return _suffix_max_envelope(rows_s, rows_v)
@@ -657,10 +662,8 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
         mu_b = _mu_below(m_bwd, w, thresholds)
         enl_margin = min(enl_margin, float(np.min(rhs - (1.0 - mu_f))),
                          float(np.min(rhs - (1.0 - mu_b))))
-        half = masses >= 0.5
-        if half.any():
-            v = 1.0 - np.minimum(mu_f[half], mu_b[half])
-            np.maximum(curve, v.max(axis=0), out=curve)
+        v = 1.0 - np.minimum(mu_f[masses >= 0.5], mu_b[masses >= 0.5])
+        np.maximum(curve, v.max(axis=0, initial=0.0), out=curve)
     alpha_margin = float(np.min(b(radii / 2.0) - curve))
     passed = enl_margin >= -VERDICT_TOL and alpha_margin >= -VERDICT_TOL
     return TailTransferReport(True, hyp_margin, True, enl_margin, alpha_margin, passed)

@@ -271,9 +271,7 @@ def _grid_neighbors(domain: Domain, resolution: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_space(entry: CatalogEntry, neighbor_rule: str = "grid",
-                resolution: int | None = None,
-                subdivisions: int = 16) -> MetricMeasureSpace:
+def build_space(entry: CatalogEntry, resolution: int | None = None) -> MetricMeasureSpace:
     """Sample, connect, weight, and close a catalog entry into an mm-space.
 
     Directed edge weights are chord quadratures of F (asymmetric whenever
@@ -281,8 +279,6 @@ def build_space(entry: CatalogEntry, neighbor_rule: str = "grid",
     closure, and the measure is e^{-psi} times the Riemannian volume density
     times the coordinate cell volume, normalized to total mass one.
     """
-    if neighbor_rule != "grid":
-        raise ValueError("only the 'grid' neighbor rule is implemented")
     spec = entry.spec
     res = resolution if resolution is not None else spec.resolution
     if res < 4:
@@ -294,7 +290,7 @@ def build_space(entry: CatalogEntry, neighbor_rule: str = "grid",
     for i, j in _grid_neighbors(domain, res):
         p = points[i]
         disp = domain.displacement(p.copy(), points[j].copy())
-        w = finsler_length(spec, [p, p + disp], subdivisions)
+        w = finsler_length(spec, [p, p + disp])
         edges.append((i, j, w))
     space = from_digraph(edges, n)
     dens = np.empty(n)

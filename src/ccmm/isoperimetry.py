@@ -40,6 +40,9 @@ __all__ = [
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# profile_enlargement_check strides its scan down to at most this many rows
+_MAX_SUBSETS = 512
+
 
 @dataclass(frozen=True)
 class MinkowskiContent:
@@ -64,14 +67,12 @@ def mesh_scale(mm: MetricMeasureSpace) -> float:
     return float(d[d > 0].min()) * (1.0 + 1e-9)
 
 
-def _content_rows(mm: MetricMeasureSpace, masses: np.ndarray,
-                  m_fwd: np.ndarray, m_bwd: np.ndarray, scale: float) -> np.ndarray:
+def _content_rows(mm: MetricMeasureSpace, masses: np.ndarray, m_fwd: np.ndarray,
+                  m_bwd: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward contents (mu(B(E, scale)) - mu(E)) / scale per row."""
     thr = np.array([snap_threshold(scale)])
-    mu_f = _mu_below(m_fwd, mm.weights, thr)[:, 0]
-    mu_b = _mu_below(m_bwd, mm.weights, thr)[:, 0]
-    fwd = np.maximum(mu_f - masses, 0.0) / scale
-    bwd = np.maximum(mu_b - masses, 0.0) / scale
-    return np.minimum(fwd, bwd)
+    return tuple(np.maximum(_mu_below(m, mm.weights, thr)[:, 0] - masses, 0.0) / scale
+                 for m in (m_fwd, m_bwd))
 
 
 def minkowski_content(mm: MetricMeasureSpace, E, scale: float) -> MinkowskiContent:
@@ -88,15 +89,10 @@ def minkowski_content(mm: MetricMeasureSpace, E, scale: float) -> MinkowskiConte
     if len(ps) == mm.n:
         return MinkowskiContent(0.0, 0.0, float(scale))
     idx = ps.array()
-    mask = np.zeros((1, mm.n), dtype=bool)
-    mask[0, idx] = True
-    m_fwd, m_bwd = _set_distance_rows(mm.dist, mask)
-    thr = np.array([snap_threshold(float(scale))])
-    mu_f = float(_mu_below(m_fwd, mm.weights, thr)[0, 0])
-    mu_b = float(_mu_below(m_bwd, mm.weights, thr)[0, 0])
-    mE = float(mm.weights[idx].sum())
-    return MinkowskiContent(max(mu_f - mE, 0.0) / scale,
-                            max(mu_b - mE, 0.0) / scale, float(scale))
+    m_fwd, m_bwd = _set_distance_rows(mm.dist, np.isin(np.arange(mm.n), idx)[None, :])
+    mE = np.array([float(mm.weights[idx].sum())])
+    fwd, bwd = _content_rows(mm, mE, m_fwd, m_bwd, float(scale))
+    return MinkowskiContent(float(fwd[0]), float(bwd[0]), float(scale))
 
 
 def isoperimetric_profile(mm: MetricMeasureSpace, scale: float,
@@ -115,7 +111,7 @@ def isoperimetric_profile(mm: MetricMeasureSpace, scale: float,
     chunks = _candidate_chunks(mm, strategy, family, 0.0, seed)
     best: dict[float, float] = {0.0: 0.0, 1.0: 0.0}
     for masses, m_fwd, m_bwd in chunks:
-        contents = _content_rows(mm, masses, m_fwd, m_bwd, float(scale))
+        contents = np.minimum(*_content_rows(mm, masses, m_fwd, m_bwd, float(scale)))
         for mass, cont in zip(masses, contents):
             key = round(float(mass), 12)
             if key >= 1.0 - 1e-12:
@@ -155,7 +151,7 @@ class Lemma51Report:
     conclusion is asserted only in that case, with one mesh step of slack
     (tol_disc = scale) for the discretized growth argument.  ``subsets``
     names the candidate class scanned ("exact" or "family"), possibly
-    strided down to ``max_subsets`` rows; margins are in mass units.
+    strided down to ``_MAX_SUBSETS`` rows; margins are in mass units.
     """
 
     hypothesis_ok: bool
@@ -170,8 +166,7 @@ class Lemma51Report:
 def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
                               K: float = 1.0,
                               family: LipschitzFamily | None = None,
-                              seed: int = 0,
-                              max_subsets: int | None = 512) -> Lemma51Report:
+                              seed: int = 0) -> Lemma51Report:
     """Check the Gaussian enlargement lower bound under a measured hypothesis.
 
     Hypothesis (measured, not assumed): every scanned subset E has
@@ -185,7 +180,7 @@ def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
     one mesh step of slack covering the discretized growth argument.
     Subsets are enumerated exhaustively for n <= 16 and over the
     ball/level-set family otherwise; a deterministic stride caps the scan at
-    ``max_subsets`` rows (None scans everything).
+    ``_MAX_SUBSETS`` rows.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -197,21 +192,17 @@ def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
     sqrt_k = math.sqrt(K)
     subsets = "exact" if mm.n <= EXACT_MAX_N else "family"
     chunks = _candidate_chunks(mm, subsets, family, 0.0, seed)
-    masses_list, fwd_list, bwd_list = [], [], []
+    kept = []
     for masses, m_fwd, m_bwd in chunks:
         keep = masses < 1.0 - 1e-12
-        masses_list.append(masses[keep])
-        fwd_list.append(m_fwd[keep])
-        bwd_list.append(m_bwd[keep])
-    masses = np.concatenate(masses_list)
-    m_fwd = np.concatenate(fwd_list)
-    m_bwd = np.concatenate(bwd_list)
-    if max_subsets is not None and len(masses) > max_subsets:
-        stride = -(-len(masses) // max_subsets)
+        kept.append((masses[keep], m_fwd[keep], m_bwd[keep]))
+    masses, m_fwd, m_bwd = (np.concatenate(parts) for parts in zip(*kept))
+    if len(masses) > _MAX_SUBSETS:
+        stride = -(-len(masses) // _MAX_SUBSETS)
         masses, m_fwd, m_bwd = masses[::stride], m_fwd[::stride], m_bwd[::stride]
         subsets += f" (strided to {len(masses)} rows)"
 
-    contents = _content_rows(mm, masses, m_fwd, m_bwd, float(scale))
+    contents = np.minimum(*_content_rows(mm, masses, m_fwd, m_bwd, float(scale)))
     bases = np.array([gaussian_phi_inv(min(max(float(m), 1e-300), 1.0 - 1e-15))
                       for m in masses])
     targets = sqrt_k * INV_SQRT_2PI * np.exp(-0.5 * bases ** 2)

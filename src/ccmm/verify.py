@@ -358,17 +358,17 @@ def _run_lem52(ctx: _SuiteContext) -> VerifyEntry:
     return _check(worst, note, witness)
 
 
-def _run_thm54(ctx: _SuiteContext, slack: float = 0.25) -> VerifyEntry:
+def _run_thm54(ctx: _SuiteContext) -> VerifyEntry:
     if ctx.K <= 0:
         return _skip("no positive curvature certificate")
     worst = math.inf
     witness = None
     for r, a in zip(ctx.profile.radii, ctx.profile.alphas):
-        bound = normal_concentration_bound(ctx.K, float(r)) * (1.0 + slack)
+        bound = normal_concentration_bound(ctx.K, float(r)) * 1.25
         if bound - a < worst:
             worst = bound - a
             witness = {"r": float(r)}
-    note = f"normal concentration bound with slack {slack}"
+    note = "normal concentration bound with slack 0.25"
     if ctx.profile.strategy == "family":
         note += "; family profile on the left (necessary-condition form)"
     return _check(worst, note, witness)

@@ -39,6 +39,14 @@ def alpha_bruteforce(mm, r):
     return best
 
 
+def mu_below_plain(rows, weights, cuts):
+    """mu({x : row[x] < c}) for every row and cut, by explicit loops; with
+    unit weights, the number of entries below each cut."""
+    weights = [float(w) for w in weights]
+    return np.array([[sum(w for m, w in zip(row, weights) if m < c) for c in cuts]
+                     for row in np.asarray(rows, dtype=float).tolist()])
+
+
 def partial_diameter_bruteforce(mm, kappa):
     n = mm.n
     best = math.inf

@@ -264,3 +264,9 @@ def test_verify_zero_threads_is_usage_error(space_file):
                 run_cli("verify", "all", str(space_file), env=env)):
         assert res.returncode == 2
         assert "error: threads must be at least 1" in res.stderr
+
+
+def test_threads_is_a_verify_option_only(space_file):
+    res = run_cli("alpha", str(space_file), "--threads", "2")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --threads" in res.stderr

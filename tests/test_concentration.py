@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccmm.concentration import (
     ConcentrationProfile,
@@ -21,16 +22,20 @@ from ccmm.concentration import (
     tail_bound_from_first_moment,
     tail_bound_from_square_moments,
     tail_envelope,
+    _count_below,
+    _mu_below,
 )
+from ccmm.isoperimetry import mesh_scale, profile_enlargement_check
 from ccmm.lipschitz import generate_family
 from ccmm.quasimetric import (
     MetricMeasureSpace,
     ProbabilityMeasure,
+    breakpoint_radii,
     random_mm_space,
     reverse,
     validate,
 )
-from oracles import alpha_bruteforce
+from oracles import alpha_bruteforce, mu_below_plain
 
 
 def two_point_uniform():
@@ -212,6 +217,53 @@ def test_linear_tail_decay_trivial_regimes():
     fam = generate_family(mm)
     big_r = 1000.0 / float(mm.dist.max())
     assert check_linear_tail_decay(mm, fam, C=1e-6, r_grid=[big_r]).passed
+
+
+# ---------------------------------------------------------------------------
+# the set-distance mass kernel
+# ---------------------------------------------------------------------------
+
+def test_mu_below_keeps_the_snap_on_many_rows():
+    # 1 + 2e-12 is the strict-ball threshold just past the distance 1.0:
+    # every row has half its mass below it, however many rows a call holds
+    rows = np.tile([1.0, 10.0] * 4, (5000, 1))
+    got = _mu_below(rows, np.full(8, 1 / 8), np.array([1 + 2e-12]))
+    assert np.array_equal(got, np.full((5000, 1), 0.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
+       st.integers(1, 5000), st.integers(1, 8), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_count_below_matches_plain_loop_on_near_ties(bases, n_rows, n_cols, n_cuts, seed):
+    rng = np.random.default_rng(seed)
+    # each base value with its neighbours two snap tolerances away, as
+    # entries and as cuts in any order, repeats included
+    ties = np.array([t + k * 2e-12 * max(1.0, t) for t in bases for k in (-1, 0, 1)])
+    rows = rng.choice(ties, size=(n_rows, n_cols))
+    cuts = rng.choice(ties, size=n_cuts)
+    weights = rng.random(n_cols) + 0.1
+    weights /= weights.sum()
+    assert np.array_equal(_count_below(rows, cuts), mu_below_plain(rows, np.ones(n_cols), cuts))
+    np.testing.assert_allclose(_mu_below(rows, weights, cuts),
+                               mu_below_plain(rows, weights, cuts), rtol=0, atol=1e-12)
+
+
+def test_checks_do_not_depend_on_radius_order():
+    mm = random_mm_space(5)
+    radii = breakpoint_radii(mm.space)
+    shuffled = np.random.default_rng(0).permutation(radii)
+    beta = tail_envelope(mm)
+    env = tail_envelope(mm, radii=shuffled)
+    assert np.array_equal(env.rs, beta.rs) and np.array_equal(env.values, beta.values)
+    sorted_rep = enlargement_check_from_tail_bound(mm, beta, radii=radii)
+    assert sorted_rep.conclusions_asserted
+    for other in (shuffled, radii[::-1]):
+        assert enlargement_check_from_tail_bound(mm, beta, radii=other) == sorted_rep
+    scale = mesh_scale(mm)
+    rep = profile_enlargement_check(mm, scale, [0.5, 1.0, 2.0], K=0.01)
+    assert rep.conclusion_asserted
+    assert profile_enlargement_check(mm, scale, [2.0, 0.5, 1.0], K=0.01) == rep
 
 
 # ---------------------------------------------------------------------------
