@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,6 +70,10 @@ EXACT_MAX_N = 16
 VERDICT_TOL = 1e-9
 
 _SUBSET_CHUNK = 2048
+
+# Bytes one block of subset rows may use: no (rows, n, n) set-distance
+# temporary is larger, so memory does not grow with the number of sets.
+_ROW_BUDGET = 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -243,38 +247,61 @@ def _mu_below(m_rows: np.ndarray, weights: np.ndarray, thresholds: np.ndarray) -
     return np.take_along_axis(cw, _count_below(m_rows, thresholds), axis=1)
 
 
+def _row_block(n: int) -> int:
+    """Subset rows per block: one (rows, n, n) float temporary fits _ROW_BUDGET."""
+    return max(1, _ROW_BUDGET // (8 * n * n))
+
+
 def _set_distance_rows(dist: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward point-to-set distances for each mask row."""
-    inf = np.inf
-    sel = masks[:, :, None]
-    m_fwd = np.where(sel, dist[None, :, :], inf).min(axis=1)
-    m_bwd = np.where(sel, dist.T[None, :, :], inf).min(axis=1)
+    """Forward and backward point-to-set distances for each mask row.
+
+    Rows are built in blocks of ``_row_block(n)``; min is exact, so the
+    block boundaries change no value.
+    """
+    m_fwd = np.empty(masks.shape)
+    m_bwd = np.empty(masks.shape)
+    step = _row_block(len(dist))
+    for lo in range(0, len(masks), step):
+        sel = masks[lo:lo + step, :, None]
+        m_fwd[lo:lo + step] = np.where(sel, dist, np.inf).min(axis=1)
+        m_bwd[lo:lo + step] = np.where(sel, dist.T, np.inf).min(axis=1)
     return m_fwd, m_bwd
 
 
-def _iter_exact_candidates(mm: MetricMeasureSpace, min_mass: float,
-                           chunk: int = _SUBSET_CHUNK) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (masses, m_fwd, m_bwd) over all nonempty subsets with mass >= min_mass."""
+# A candidate group is (masses, build, block): the masses of its sets in scan
+# order, build(sel) -> (m_fwd, m_bwd) for the selected sets only, and the
+# rows per chunk a full scan builds at once.  Masses need no rows, so a scan
+# can pick its sets before it builds any.
+
+def _mask_rows(dist: np.ndarray, masks: np.ndarray):
+    """Rows of the sets given as boolean masks."""
+    return lambda sel: _set_distance_rows(dist, masks[sel])
+
+
+def _ball_rows(dist: np.ndarray, order: np.ndarray, ends: np.ndarray):
+    """Rows of the balls made of the first ends[i] + 1 points of ``order``."""
+    def build(sel):
+        return (np.minimum.accumulate(dist[order, :], axis=0)[ends[sel]],
+                np.minimum.accumulate(dist.T[order, :], axis=0)[ends[sel]])
+    return build
+
+
+def _exact_groups(mm: MetricMeasureSpace, min_mass: float, chunk: int = _SUBSET_CHUNK):
+    """All nonempty subsets with mass >= min_mass, as one group."""
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"exact enumeration allowed only for n <= {EXACT_MAX_N}, got n = {mm.n}")
     masks = _subset_masks(mm.n)
     masses = masks @ mm.weights
     keep = masses >= min_mass
-    masks, masses = masks[keep], masses[keep]
-    for lo in range(0, len(masks), chunk):
-        sl = slice(lo, lo + chunk)
-        m_fwd, m_bwd = _set_distance_rows(mm.dist, masks[sl])
-        yield masses[sl], m_fwd, m_bwd
+    yield masses[keep], _mask_rows(mm.dist, masks[keep]), chunk
 
 
-def _iter_family_candidates(mm: MetricMeasureSpace, family: LipschitzFamily,
-                            min_mass: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Forward/backward balls around every center plus median level sets.
+def _family_groups(mm: MetricMeasureSpace, family: LipschitzFamily, min_mass: float):
+    """Forward/backward balls around every center, then median level sets.
 
     Ball prefixes are grouped at strict increases of the sorted center
     distances so that ties enter together; masses below ``min_mass`` are
-    dropped.  Yields the same (masses, m_fwd, m_bwd) chunks as the exact
-    enumerator.
+    dropped.  The level sets are built in blocks of ``_row_block(n)`` rows.
     """
     dist = mm.dist
     w = mm.weights
@@ -282,16 +309,11 @@ def _iter_family_candidates(mm: MetricMeasureSpace, family: LipschitzFamily,
     for center in range(n):
         for vec in (dist[center, :], dist[:, center]):
             order = np.argsort(vec, kind="stable")
-            vs = vec[order]
-            lengths = np.append(np.nonzero(np.diff(vs) > 0)[0] + 1, n)
+            lengths = np.append(np.nonzero(np.diff(vec[order]) > 0)[0] + 1, n)
             masses = np.cumsum(w[order])[lengths - 1]
             keep = masses >= min_mass
-            if not keep.any():
-                continue
-            rows = lengths[keep] - 1
-            m_fwd = np.minimum.accumulate(dist[order, :], axis=0)[rows]
-            m_bwd = np.minimum.accumulate(dist.T[order, :], axis=0)[rows]
-            yield masses[keep], m_fwd, m_bwd
+            if keep.any():
+                yield masses[keep], _ball_rows(dist, order, lengths[keep] - 1), n
     level_masks = []
     for f in family:
         v = f.values
@@ -303,18 +325,30 @@ def _iter_family_candidates(mm: MetricMeasureSpace, family: LipschitzFamily,
         masses = masks @ w
         keep = (masses >= min_mass) & masks.any(axis=1)
         if keep.any():
-            m_fwd, m_bwd = _set_distance_rows(dist, masks[keep])
-            yield masses[keep], m_fwd, m_bwd
+            yield masses[keep], _mask_rows(dist, masks[keep]), _row_block(n)
+
+
+def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
+                      family: LipschitzFamily | None, min_mass: float, seed: int):
+    if strategy == "exact":
+        return _exact_groups(mm, min_mass)
+    if strategy == "family":
+        fam = family if family is not None else generate_family(mm, seed=seed)
+        return _family_groups(mm, fam, min_mass)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _chunks(groups) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (masses, m_fwd, m_bwd) over every set of the groups, in order."""
+    for masses, build, block in groups:
+        for lo in range(0, len(masses), block):
+            sl = slice(lo, lo + block)
+            yield masses[sl], *build(sl)
 
 
 def _candidate_chunks(mm: MetricMeasureSpace, strategy: str,
                       family: LipschitzFamily | None, min_mass: float, seed: int):
-    if strategy == "exact":
-        return _iter_exact_candidates(mm, min_mass)
-    if strategy == "family":
-        fam = family if family is not None else generate_family(mm, seed=seed)
-        return _iter_family_candidates(mm, fam, min_mass)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _chunks(_candidate_groups(mm, strategy, family, min_mass, seed))
 
 
 def _alpha_curve(mm: MetricMeasureSpace, radii: np.ndarray, strategy: str,
@@ -535,19 +569,31 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     # ascending radii make every sample row below ascend in s
     radii = np.sort(np.asarray(radii, dtype=float))
     w = mm.weights
-    rows_s: list[np.ndarray] = []
-    rows_v: list[np.ndarray] = []
+    # each row of samples (s, v) is cut down to its tops at once, so no
+    # chunk's (rows, B) samples outlive it
+    tops_s: list[np.ndarray] = []
+    tops_v: list[np.ndarray] = []
+
+    def add(s, v):
+        ts, tv = _row_tops(s, v)
+        tops_s.append(ts)
+        tops_v.append(tv)
 
     # family members: full tail curves on the grid
     for f in family:
         dev = np.abs(f.values - mean(mm.measure, f.values))
-        rows_s.append(radii[None, :])
-        rows_v.append(_upper_tails(w, dev, radii * (1 - 1e-9))[None, :])
+        add(radii[None, :], _upper_tails(w, dev, radii * (1 - 1e-9))[None, :])
+
+    # a chunk's count table has a column per distinct value of its rows, at
+    # most n rows + 1: chunks of sqrt(budget / 8n) rows keep it in the budget
+    chunk = max(1, math.isqrt(_ROW_BUDGET // (8 * mm.n)))
+    subsets = next(_exact_groups(mm, 0.0, chunk))
+    subset_masses = subsets[0]
 
     # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
     # tail at mass(A) rho) per (A, rho); the reversed cones have the same
     # centered deviations, so both directions reduce to this computation
-    for masses, m_fwd, m_bwd in _iter_exact_candidates(mm, 0.0, chunk=1024):
+    for masses, m_fwd, m_bwd in _chunks([subsets]):
         s = masses[:, None] * radii[None, :]
         # relative and absolute shrink: the absolute part covers the
         # membership snap and mean rounding for tiny-mass subsets
@@ -560,45 +606,60 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
             # >= q counts the values < q, and below the first cut > q those <= q
             cuts = np.append(np.unique(ms), np.inf)
             table = _count_below(ms, cuts)
-            rows = np.arange(len(ms))[:, None]
+            # each row's mass below each cut, flat: one gather per query
+            cw_at = np.take_along_axis(cw, table, axis=1)
+            offsets = len(cuts) * np.arange(len(ms))[:, None]
 
-            def below(prefix, q, side="left"):
-                k = table[rows, np.searchsorted(cuts, q, side)]
-                return np.take_along_axis(prefix, k, axis=1)
+            def below(q, side="left"):
+                return cw_at.ravel()[np.searchsorted(cuts, q, side) + offsets]
 
             # mean of min(m, rho) from the prefix sums below rho
-            mu_lt = below(cw, radii)
-            mean_f = below(cwm, radii) + radii[None, :] * (1.0 - mu_lt)
+            kr = np.searchsorted(cuts, radii)
+            mu_lt = cw_at[:, kr]
+            mean_f = (np.take_along_axis(cwm, table[:, kr], axis=1)
+                      + radii[None, :] * (1.0 - mu_lt))
             hi = mean_f + thr
             lo_thr = mean_f - thr
-            up = np.where(hi > radii[None, :], 0.0, 1.0 - below(cw, hi))
-            down = np.where(lo_thr >= radii[None, :], 1.0, below(cw, lo_thr, "right"))
-            rows_s.append(s)
-            rows_v.append(up + down)
-    return _suffix_max_envelope(rows_s, rows_v)
+            up = np.where(hi > radii[None, :], 0.0, 1.0 - below(hi))
+            down = np.where(lo_thr >= radii[None, :], 1.0, below(lo_thr, "right"))
+            add(s, up + down)
+
+    def points():
+        # the sample points again, chunk by chunk: the same products of the
+        # masses and radii, bit for bit
+        if len(family):
+            yield radii
+        for lo in range(0, len(subset_masses), chunk):
+            yield subset_masses[lo:lo + chunk, None] * radii[None, :]
+
+    return _suffix_max_envelope(tops_s, tops_v, points())
 
 
-def _suffix_max_envelope(rows_s: list[np.ndarray],
-                         rows_v: list[np.ndarray]) -> SampledDecreasing:
+def _row_tops(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples (s, v) of rows ascending in s that can set the envelope.
+
+    Only a sample with s > 0 above every later one of its row can: a later
+    sample of at least its value covers it.
+    """
+    v = np.where(s > 0, v, -np.inf)
+    later = np.full_like(v, -np.inf)
+    later[:, :-1] = np.maximum.accumulate(v[:, :0:-1], axis=1)[:, ::-1]
+    top = v > later
+    return s[top], v[top]
+
+
+def _suffix_max_envelope(tops_s: list[np.ndarray], tops_v: list[np.ndarray],
+                         points: Iterable[np.ndarray]) -> SampledDecreasing:
     """The envelope t -> max{v : s >= t} over samples (s, v) with s > 0.
 
-    Samples come as rows ascending in s.  The envelope is kept only at the
-    sample points where its value changes, which leaves every evaluation
-    of the envelope sampled at all points unchanged.
+    Takes the samples' row tops (``_row_tops``), then their sample points s
+    in blocks, in any order and with repeats; points s <= 0 are ignored.  The
+    envelope is kept only at the sample points where its value changes,
+    which leaves every evaluation of the envelope sampled at all points
+    unchanged.
     """
-    tops_s, tops_v, points = [], [], []
-    for s, v in zip(rows_s, rows_v):
-        pos = s > 0
-        v = np.where(pos, v, -np.inf)
-        # only a sample above every later one of its row can set the
-        # envelope: a later sample of at least its value covers it
-        later = np.full_like(v, -np.inf)
-        later[:, :-1] = np.maximum.accumulate(v[:, :0:-1], axis=1)[:, ::-1]
-        top = v > later
-        tops_s.append(s[top])
-        tops_v.append(v[top])
-        points.append(s[pos])
-    if not any(len(p) for p in points):
+    # a row with a sample at s > 0 has a top, so no top means no sample
+    if not any(len(t) for t in tops_s):
         return SampledDecreasing(np.empty(0), np.empty(0))
     ts = np.concatenate(tops_s)
     order = np.argsort(ts)
@@ -607,9 +668,16 @@ def _suffix_max_envelope(rows_s: list[np.ndarray],
     # the envelope changes value only at the first sample point past a
     # point where tail_max drops
     drops = ts[:-1][tail_max[:-1] > tail_max[1:]]
-    pts = np.sort(np.concatenate(points))
-    after = np.searchsorted(pts, drops, side="right")
-    starts = np.unique(np.append(pts[after[after < len(pts)]], pts[0]))
+    # the first point of all, and past each drop, merged block by block
+    first, after = np.inf, np.full(len(drops), np.inf)
+    for p in points:
+        p = np.sort(p[p > 0])
+        if len(p):
+            first = min(first, p[0])
+            k = np.searchsorted(p, drops, side="right")
+            hit = k < len(p)
+            after[hit] = np.minimum(after[hit], p[k[hit]])
+    starts = np.unique(np.append(after[after < np.inf], first))
     values = tail_max[np.searchsorted(ts, starts, side="left")]
     keep = np.diff(values, prepend=np.inf) != 0
     return SampledDecreasing(starts[keep], values[keep])
@@ -656,7 +724,7 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
     enl_margin = math.inf
     # the exact alpha curve, from the rows of mass >= 1/2 of the same scan
     curve = np.zeros(len(radii))
-    for masses, m_fwd, m_bwd in _iter_exact_candidates(mm, 0.0):
+    for masses, m_fwd, m_bwd in _chunks(_exact_groups(mm, 0.0)):
         rhs = b(masses[:, None] * radii[None, :])
         mu_f = _mu_below(m_fwd, w, thresholds)
         mu_b = _mu_below(m_bwd, w, thresholds)

@@ -18,6 +18,7 @@ from .concentration import (
     EXACT_MAX_N,
     VERDICT_TOL,
     _candidate_chunks,
+    _candidate_groups,
     _mu_below,
     _set_distance_rows,
 )
@@ -163,6 +164,25 @@ class Lemma51Report:
     scale: float
 
 
+def _strided_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every stride-th candidate of mass < 1, in scan order, and their count.
+
+    The stride is the smallest that keeps at most ``_MAX_SUBSETS`` rows.  The
+    masses pick the kept sets, so only their rows are built.
+    """
+    groups = list(groups)
+    picks = [np.flatnonzero(masses < 1.0 - 1e-12) for masses, _, _ in groups]
+    total = sum(len(p) for p in picks)
+    stride = max(1, -(-total // _MAX_SUBSETS))
+    kept, start = [], 0
+    for (masses, build, _), p in zip(groups, picks):
+        sel = p[-start % stride::stride]
+        start += len(p)
+        kept.append((masses[sel], *build(sel)))
+    masses, m_fwd, m_bwd = (np.concatenate(parts) for parts in zip(*kept))
+    return masses, m_fwd, m_bwd, total
+
+
 def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
                               K: float = 1.0,
                               family: LipschitzFamily | None = None,
@@ -191,15 +211,9 @@ def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
         raise ValueError("grid radii must be positive")
     sqrt_k = math.sqrt(K)
     subsets = "exact" if mm.n <= EXACT_MAX_N else "family"
-    chunks = _candidate_chunks(mm, subsets, family, 0.0, seed)
-    kept = []
-    for masses, m_fwd, m_bwd in chunks:
-        keep = masses < 1.0 - 1e-12
-        kept.append((masses[keep], m_fwd[keep], m_bwd[keep]))
-    masses, m_fwd, m_bwd = (np.concatenate(parts) for parts in zip(*kept))
-    if len(masses) > _MAX_SUBSETS:
-        stride = -(-len(masses) // _MAX_SUBSETS)
-        masses, m_fwd, m_bwd = masses[::stride], m_fwd[::stride], m_bwd[::stride]
+    groups = _candidate_groups(mm, subsets, family, 0.0, seed)
+    masses, m_fwd, m_bwd, total = _strided_rows(groups)
+    if total > _MAX_SUBSETS:
         subsets += f" (strided to {len(masses)} rows)"
 
     contents = np.minimum(*_content_rows(mm, masses, m_fwd, m_bwd, float(scale)))

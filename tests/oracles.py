@@ -47,6 +47,17 @@ def mu_below_plain(rows, weights, cuts):
                      for row in np.asarray(rows, dtype=float).tolist()])
 
 
+def strided_enlargement_rows_plain(chunks, max_rows):
+    """The rows a strided enlargement scan keeps: every candidate chunk
+    concatenated, the sets of mass 1 dropped, then every stride-th row with
+    the smallest stride that keeps at most max_rows."""
+    masses, m_fwd, m_bwd = (np.concatenate(parts) for parts in zip(*chunks))
+    keep = masses < 1.0 - 1e-12
+    masses, m_fwd, m_bwd = masses[keep], m_fwd[keep], m_bwd[keep]
+    stride = max(1, math.ceil(len(masses) / max_rows))
+    return masses[::stride], m_fwd[::stride], m_bwd[::stride]
+
+
 def partial_diameter_bruteforce(mm, kappa):
     n = mm.n
     best = math.inf

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccmm import build_space, catalog_entry, concentration
 from ccmm.concentration import (
     ConcentrationProfile,
     SampledDecreasing,
@@ -22,10 +23,13 @@ from ccmm.concentration import (
     tail_bound_from_first_moment,
     tail_bound_from_square_moments,
     tail_envelope,
+    _alpha_curve,
     _count_below,
     _mu_below,
+    _set_distance_rows,
+    _subset_masks,
 )
-from ccmm.isoperimetry import mesh_scale, profile_enlargement_check
+from ccmm.isoperimetry import isoperimetric_profile, mesh_scale, profile_enlargement_check
 from ccmm.lipschitz import generate_family
 from ccmm.quasimetric import (
     MetricMeasureSpace,
@@ -264,6 +268,49 @@ def test_checks_do_not_depend_on_radius_order():
     rep = profile_enlargement_check(mm, scale, [0.5, 1.0, 2.0], K=0.01)
     assert rep.conclusion_asserted
     assert profile_enlargement_check(mm, scale, [2.0, 0.5, 1.0], K=0.01) == rep
+
+
+# ---------------------------------------------------------------------------
+# subset rows in blocks under the byte budget
+# ---------------------------------------------------------------------------
+
+def one_row_blocks(monkeypatch):
+    """Shrink the row budget below one row, so every blocked scan builds one
+    row per block."""
+    monkeypatch.setattr(concentration, "_ROW_BUDGET", 1)
+
+
+def test_set_distance_rows_blocks_match_one_block(monkeypatch):
+    mm = random_mm_space(7, n_low=9, n_high=9)
+    masks = _subset_masks(mm.n)
+    whole = _set_distance_rows(mm.dist, masks)
+    one_row_blocks(monkeypatch)
+    blocked = _set_distance_rows(mm.dist, masks)
+    assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+    for mask, fwd, bwd in zip(masks[::29], *(rows[::29] for rows in blocked)):
+        assert np.array_equal(fwd, mm.dist[mask].min(axis=0))
+        assert np.array_equal(bwd, mm.dist[:, mask].min(axis=1))
+
+
+def test_family_scans_in_blocks_match_one_block(monkeypatch):
+    mm = build_space(catalog_entry("g1"), resolution=24)
+    fam = generate_family(mm, count=2 * mm.n + 8, seed=0)
+    radii = breakpoint_radii(mm.space)
+    scale = mesh_scale(mm)
+    curve = _alpha_curve(mm, radii, "family", family=fam)
+    profile = isoperimetric_profile(mm, scale, "family", family=fam)
+    one_row_blocks(monkeypatch)
+    assert np.array_equal(_alpha_curve(mm, radii, "family", family=fam), curve)
+    assert isoperimetric_profile(mm, scale, "family", family=fam) == profile
+
+
+def test_tail_envelope_in_blocks_matches_one_block(monkeypatch):
+    spaces = [random_mm_space(seed, n_low=6, n_high=8) for seed in range(4)]
+    whole = [tail_envelope(mm) for mm in spaces]
+    one_row_blocks(monkeypatch)
+    for mm, env in zip(spaces, whole):
+        got = tail_envelope(mm)
+        assert np.array_equal(got.rs, env.rs) and np.array_equal(got.values, env.values)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from ccmm.concentration import _candidate_chunks, _candidate_groups
 from ccmm.isoperimetry import (
+    _MAX_SUBSETS,
+    _strided_rows,
     gaussian_alpha_bound,
     gaussian_phi,
     gaussian_phi_inv,
@@ -21,7 +24,8 @@ from ccmm.quasimetric import (
     reverse,
     validate,
 )
-from oracles import isoperimetric_profile_bruteforce
+from ccmm.lipschitz import generate_family
+from oracles import isoperimetric_profile_bruteforce, strided_enlargement_rows_plain
 
 
 def path3():
@@ -190,3 +194,27 @@ def test_enlargement_check_gates_on_hypothesis():
     rep = profile_enlargement_check(mm, scale, [0.5, 1.0], K=50.0)
     assert not rep.hypothesis_ok
     assert not rep.conclusion_asserted
+
+
+@pytest.mark.parametrize("count, total", [(45, 510), (46, 512), (47, 514), (320, 1060)])
+def test_strided_rows_match_plain_stride(count, total):
+    # n = 15: 420 balls of mass < 1 in groups of 14, plus two median level
+    # sets per member, so the family scan sits just below, at and just above
+    # the row cap; at stride 3 the groups start at every offset of the stride
+    mm = random_mm_space(0, n_low=15, n_high=15)
+    fam = generate_family(mm, count=count, seed=0)
+    *got, n_sets = _strided_rows(_candidate_groups(mm, "family", fam, 0.0, 0))
+    want = strided_enlargement_rows_plain(
+        _candidate_chunks(mm, "family", fam, 0.0, 0), _MAX_SUBSETS)
+    assert n_sets == total
+    stride = -(-total // _MAX_SUBSETS)
+    assert len(got[0]) == -(-total // stride) <= _MAX_SUBSETS
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_enlargement_check_labels_its_stride():
+    mm = random_mm_space(1, n_low=10, n_high=10)
+    scale = float(mm.dist[mm.dist > 0].min()) * (1 + 1e-9)
+    rep = profile_enlargement_check(mm, scale, [0.5, 1.0], K=50.0)
+    # 1022 proper nonempty subsets, every second one kept
+    assert rep.subsets == "exact (strided to 511 rows)"

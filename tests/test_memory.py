@@ -1,0 +1,66 @@
+"""Peak memory of the subset-row scans, each measured in a fresh interpreter.
+
+``ru_maxrss`` is a process's high-water mark, so every measurement runs in
+its own subprocess.  Linux carries the mark across exec: a child started
+straight from the test process would report at least the test process's
+own peak, so a small launcher interpreter starts the measured one.  The
+peak includes the interpreter, numpy, scipy and the
+space itself: about 66 MB before the scan on a 2-core x86-64 Linux VM
+(Python 3.11, numpy 2.4, scipy 1.17).  On that machine the scans peaked at
+76 MB (family profile of t2) and 71 MB (enlargement check on g1) with their
+rows built in blocks, against 584 MB and 181 MB when every row was built at
+once.  Each bound is the measured peak plus about 40 MB of headroom.
+"""
+import os
+import subprocess
+import sys
+import textwrap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+T2_FAMILY_PROFILE_MB = 120     # measured 75.7 MB
+G1_ENLARGEMENT_CHECK_MB = 110  # measured 71.2 MB
+
+LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+
+
+def peak_rss_mb(body: str) -> float:
+    """Peak RSS, in MB, of a fresh interpreter that runs ``body``."""
+    code = textwrap.dedent(body) + textwrap.dedent("""
+        import resource
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024  # Linux reports kilobytes
+
+
+def test_family_profile_peak_rss():
+    peak = peak_rss_mb("""
+        from ccmm import alpha_profile, build_space, catalog_entry
+        alpha_profile(build_space(catalog_entry("t2"), resolution=16), "family")
+        """)
+    assert peak <= T2_FAMILY_PROFILE_MB, peak
+
+
+def test_enlargement_check_peak_rss():
+    peak = peak_rss_mb("""
+        from ccmm import build_space, catalog_entry
+        from ccmm.isoperimetry import mesh_scale, profile_enlargement_check
+        from ccmm.lipschitz import generate_family
+        from ccmm.quasimetric import breakpoint_radii
+
+        entry = catalog_entry("g1")
+        mm = build_space(entry, resolution=128)
+        scale = mesh_scale(mm)
+        rs = breakpoint_radii(mm.space)
+        rs = rs[rs > scale][::24]
+        family = generate_family(mm, count=2 * mm.n + 8, seed=0)
+        rep = profile_enlargement_check(mm, scale, rs, K=entry.certified["K"], family=family)
+        assert rep.subsets.startswith("family (strided to ")
+        """)
+    assert peak <= G1_ENLARGEMENT_CHECK_MB, peak
