@@ -9,6 +9,9 @@ exactly on the two-sided breakpoint grid rather than on an r-mesh.
 Two strategies are available: "exact" enumerates all subsets (n <= 16),
 "family" restricts to metric balls and median sub/superlevel sets of a
 1-Lipschitz family, which yields a certified lower bound of alpha.
+Each candidate row is sorted once; its mass below the breakpoint grid is
+constant between consecutive row values, so alpha and the transfer margins
+are read off the row's n + 1 segment ends, never off a (rows, radii) table.
 
 The module also carries the explicit constants that convert between
 concentration decay, median and mean deviation tails, moment bounds, and
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -229,8 +232,11 @@ def _count_below(rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
 def _prefix_masses(rows: np.ndarray, weights: np.ndarray):
     """Sorted rows, their weights, and cw[r, k] = mass of row r's k smallest."""
     order = np.argsort(rows, axis=1)
-    ms = np.take_along_axis(rows, order, axis=1)
-    ws = weights[order]
+    return _with_prefix(np.take_along_axis(rows, order, axis=1), weights[order])
+
+
+def _with_prefix(ms: np.ndarray, ws: np.ndarray):
+    """(ms, ws, cw) of rows already sorted, with their weights."""
     cw = np.concatenate([np.zeros((len(ms), 1)), np.cumsum(ws, axis=1)], axis=1)
     cw[:, -1] = 1.0  # the full space has mass one by definition, not by cumsum
     return ms, ws, cw
@@ -286,14 +292,14 @@ def _ball_rows(dist: np.ndarray, order: np.ndarray, ends: np.ndarray):
     return build
 
 
-def _exact_groups(mm: MetricMeasureSpace, min_mass: float, chunk: int = _SUBSET_CHUNK):
+def _exact_groups(mm: MetricMeasureSpace, min_mass: float):
     """All nonempty subsets with mass >= min_mass, as one group."""
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"exact enumeration allowed only for n <= {EXACT_MAX_N}, got n = {mm.n}")
     masks = _subset_masks(mm.n)
     masses = masks @ mm.weights
     keep = masses >= min_mass
-    yield masses[keep], _mask_rows(mm.dist, masks[keep]), chunk
+    yield masses[keep], _mask_rows(mm.dist, masks[keep]), _SUBSET_CHUNK
 
 
 def _family_groups(mm: MetricMeasureSpace, family: LipschitzFamily, min_mass: float):
@@ -351,17 +357,75 @@ def _candidate_chunks(mm: MetricMeasureSpace, strategy: str,
     return _chunks(_candidate_groups(mm, strategy, family, min_mass, seed))
 
 
+@dataclass(frozen=True)
+class _SubsetRows:
+    """Every subset's rows, sorted once: per direction the sorted rows and
+    their sort order, which rebuilds a block's prefix masses bit for bit."""
+
+    masses: np.ndarray
+    weights: np.ndarray
+    ms: np.ndarray
+    order: np.ndarray
+
+    def blocks(self, size: int, min_mass: float = 0.0):
+        """(masses, fwd, bwd) per block of sets of mass >= min_mass."""
+        for lo in range(0, len(self.masses), size):
+            keep = np.flatnonzero(self.masses[lo:lo + size] >= min_mass) + lo
+            yield (self.masses[keep], *(_with_prefix(ms[keep], self.weights[o[keep]])
+                                        for ms, o in zip(self.ms, self.order)))
+
+
+def _subset_rows(mm: MetricMeasureSpace, min_mass: float = 0.0) -> _SubsetRows:
+    """The sorted rows of every subset of mass >= min_mass (n <= 16), each
+    block of ``_row_block(n)`` rows sorted as it is built."""
+    masses, build, _ = next(_exact_groups(mm, min_mass))
+    ms = np.empty((2, len(masses), mm.n))
+    order = np.empty(ms.shape, np.uint8)
+    step = _row_block(mm.n)
+    for lo in range(0, len(masses), step):
+        for d, rows in enumerate(build(slice(lo, lo + step))):
+            order[d, lo:lo + step] = idx = np.argsort(rows, axis=1)
+            ms[d, lo:lo + step] = np.take_along_axis(rows, idx, axis=1)
+    return _SubsetRows(masses, mm.weights, ms, order)
+
+
+def _sorted_chunks(mm: MetricMeasureSpace, strategy: str, family: LipschitzFamily | None,
+                   min_mass: float, seed: int, rows: _SubsetRows | None = None):
+    """(masses, fwd, bwd) per chunk of candidates of mass >= min_mass, each
+    direction as _prefix_masses gives it; exact scans read ``rows`` if given."""
+    if strategy == "exact":
+        rows = _subset_rows(mm, min_mass) if rows is None else rows
+        return rows.blocks(_SUBSET_CHUNK, min_mass)
+    return ((masses, *(_prefix_masses(m, mm.weights) for m in (f, b)))
+            for masses, f, b in _candidate_chunks(mm, strategy, family, min_mass, seed))
+
+
+def _curve(order: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """alpha at the radii sorted by ``order``, back in their own order, from
+    the largest 1 - mu of the segments ending at each sorted grid index."""
+    curve = np.empty(len(order))
+    curve[order] = np.maximum.accumulate(ends[::-1])[::-1][1:]
+    return curve
+
+
 def _alpha_curve(mm: MetricMeasureSpace, radii: np.ndarray, strategy: str,
-                 family: LipschitzFamily | None = None, seed: int = 0) -> np.ndarray:
-    radii = np.asarray(radii, dtype=float)
-    thresholds = snap_threshold(radii)
-    best = np.zeros(len(radii))
-    for _, m_fwd, m_bwd in _candidate_chunks(mm, strategy, family, 0.5, seed):
-        mu_f = _mu_below(m_fwd, mm.weights, thresholds)
-        mu_b = _mu_below(m_bwd, mm.weights, thresholds)
-        v = 1.0 - np.minimum(mu_f, mu_b)
-        np.maximum(best, v.max(axis=0), out=best)
-    return best
+                 family: LipschitzFamily | None = None, seed: int = 0,
+                 rows: _SubsetRows | None = None) -> np.ndarray:
+    """alpha at every radius, from each candidate row's segment ends.
+
+    On the sorted thresholds t, a sorted row with prefix masses cw has
+    1 - mu = 1 - cw[i] on its segment e[i - 1] <= k < e[i] = #{t <= ms[i]},
+    never rising in k: alpha at k is the largest of a segment ending past k.
+    """
+    order = np.argsort(radii, kind="stable")
+    ts = snap_threshold(np.asarray(radii, dtype=float)[order])
+    ends = np.zeros(len(ts) + 1)
+    for _, *dirs in _sorted_chunks(mm, strategy, family, 0.5, seed, rows):
+        for ms, _, cw in dirs:
+            # flat operands take ufunc.at's fast path, about 10x the 2-d one
+            np.maximum.at(ends, np.searchsorted(ts, ms, "right").ravel(),
+                          (1.0 - cw[:, :-1]).ravel())
+    return _curve(order, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +501,17 @@ def alpha(mm: MetricMeasureSpace, r: float, strategy: str = "exact",
 
 
 def alpha_profile(mm: MetricMeasureSpace, strategy: str = "exact",
-                  family: LipschitzFamily | None = None, seed: int = 0) -> ConcentrationProfile:
+                  family: LipschitzFamily | None = None, seed: int = 0,
+                  rows: _SubsetRows | None = None) -> ConcentrationProfile:
     """alpha sampled at every attained distance and just after it.
 
     The grid ends beyond the diameter where the profile reaches 0 exactly.
+    An exact profile reads the sorted subset ``rows`` when given.
     """
     radii = breakpoint_radii(mm.space)
-    curve = _alpha_curve(mm, radii, strategy, family, seed)
-    # the curve is non-increasing by construction; guard against rounding
-    fixed = np.minimum.accumulate(curve)
-    if np.any(curve - fixed > 1e-12):
-        raise AssertionError("alpha curve failed monotonicity beyond rounding")
-    return ConcentrationProfile(radii, np.clip(fixed, 0.0, 0.5), strategy)
+    # a suffix maximum over the ascending radii: non-increasing exactly
+    curve = _alpha_curve(mm, radii, strategy, family, seed, rows)
+    return ConcentrationProfile(radii, np.clip(curve, 0.0, 0.5), strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +613,8 @@ def check_linear_tail_decay(mm: MetricMeasureSpace, family: LipschitzFamily,
 # ---------------------------------------------------------------------------
 
 def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
-                  radii: np.ndarray | None = None, seed: int = 0) -> SampledDecreasing:
+                  radii: np.ndarray | None = None, seed: int = 0,
+                  rows: _SubsetRows | None = None) -> SampledDecreasing:
     """Measured mean-deviation tail envelope of the space (n <= 16).
 
     Dominates, by construction, the tails of every supplied family member at
@@ -558,7 +622,8 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     min(d(A, .), rho) and max(-d(., A), -rho) at the radii the enlargement
     argument consumes (mass(A) * rho).  Feeding it to
     :func:`enlargement_check_from_tail_bound` therefore exercises the full
-    transfer with a hypothesis that genuinely holds.
+    transfer with a hypothesis that genuinely holds.  Its values never
+    rise, and it reads the sorted subset ``rows`` when given.
     """
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"tail envelope enumeration requires n <= {EXACT_MAX_N}")
@@ -569,15 +634,15 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     # ascending radii make every sample row below ascend in s
     radii = np.sort(np.asarray(radii, dtype=float))
     w = mm.weights
-    # each row of samples (s, v) is cut down to its tops at once, so no
-    # chunk's (rows, B) samples outlive it
-    tops_s: list[np.ndarray] = []
-    tops_v: list[np.ndarray] = []
+    # the front: the samples (s, v) no other at or past s covers, ascending
+    # in s; each row is cut to its tops and merged at once
+    front = (np.empty(0), np.empty(0))
 
     def add(s, v):
-        ts, tv = _row_tops(s, v)
-        tops_s.append(ts)
-        tops_v.append(tv)
+        nonlocal front
+        ts, tv = (np.append(f, t) for f, t in zip(front, _row_tops(s, v)))
+        order = np.lexsort((tv, ts))  # one row ascending in s, ties by v
+        front = _row_tops(ts[None, order], tv[None, order])
 
     # family members: full tail curves on the grid
     for f in family:
@@ -587,19 +652,17 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     # a chunk's count table has a column per distinct value of its rows, at
     # most n rows + 1: chunks of sqrt(budget / 8n) rows keep it in the budget
     chunk = max(1, math.isqrt(_ROW_BUDGET // (8 * mm.n)))
-    subsets = next(_exact_groups(mm, 0.0, chunk))
-    subset_masses = subsets[0]
+    rows = _subset_rows(mm) if rows is None else rows
 
     # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
     # tail at mass(A) rho) per (A, rho); the reversed cones have the same
     # centered deviations, so both directions reduce to this computation
-    for masses, m_fwd, m_bwd in _chunks([subsets]):
+    for masses, *dirs in rows.blocks(chunk):
         s = masses[:, None] * radii[None, :]
         # relative and absolute shrink: the absolute part covers the
         # membership snap and mean rounding for tiny-mass subsets
         thr = s * (1 - 1e-9) - 1e-12 * np.maximum(1.0, radii)[None, :]
-        for m_rows in (m_fwd, m_bwd):
-            ms, ws, cw = _prefix_masses(m_rows, w)
+        for ms, ws, cw in dirs:
             cwm = np.concatenate([np.zeros((len(ms), 1)),
                                   np.cumsum(ws * ms, axis=1)], axis=1)
             # every value of a row is a cut, so the count below the first cut
@@ -629,10 +692,27 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
         # masses and radii, bit for bit
         if len(family):
             yield radii
-        for lo in range(0, len(subset_masses), chunk):
-            yield subset_masses[lo:lo + chunk, None] * radii[None, :]
+        for lo in range(0, len(rows.masses), chunk):
+            yield rows.masses[lo:lo + chunk, None] * radii[None, :]
 
-    return _suffix_max_envelope(tops_s, tops_v, points())
+    # t -> max{v : s >= t} changes value only at the first sample point past
+    # a front sample, the last excepted: the envelope keeps it only there and
+    # at the first point of all, with its value unchanged at every point
+    ts, tv = front
+    if not len(ts):
+        return SampledDecreasing(np.empty(0), np.empty(0))
+    first, after = np.inf, np.full(len(ts) - 1, np.inf)
+    for p in points():
+        p = np.sort(p[p > 0])
+        if len(p):
+            first = min(first, p[0])
+            k = np.searchsorted(p, ts[:-1], side="right")
+            hit = k < len(p)
+            after[hit] = np.minimum(after[hit], p[k[hit]])
+    # first reads the first front sample and after[j] the (j + 1)-th, so no
+    # value repeats
+    starts = np.unique(np.append(after[after < np.inf], first))
+    return SampledDecreasing(starts, tv[np.searchsorted(ts, starts, side="left")])
 
 
 def _row_tops(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -648,45 +728,11 @@ def _row_tops(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[top], v[top]
 
 
-def _suffix_max_envelope(tops_s: list[np.ndarray], tops_v: list[np.ndarray],
-                         points: Iterable[np.ndarray]) -> SampledDecreasing:
-    """The envelope t -> max{v : s >= t} over samples (s, v) with s > 0.
-
-    Takes the samples' row tops (``_row_tops``), then their sample points s
-    in blocks, in any order and with repeats; points s <= 0 are ignored.  The
-    envelope is kept only at the sample points where its value changes,
-    which leaves every evaluation of the envelope sampled at all points
-    unchanged.
-    """
-    # a row with a sample at s > 0 has a top, so no top means no sample
-    if not any(len(t) for t in tops_s):
-        return SampledDecreasing(np.empty(0), np.empty(0))
-    ts = np.concatenate(tops_s)
-    order = np.argsort(ts)
-    ts = ts[order]
-    tail_max = np.maximum.accumulate(np.concatenate(tops_v)[order][::-1])[::-1]
-    # the envelope changes value only at the first sample point past a
-    # point where tail_max drops
-    drops = ts[:-1][tail_max[:-1] > tail_max[1:]]
-    # the first point of all, and past each drop, merged block by block
-    first, after = np.inf, np.full(len(drops), np.inf)
-    for p in points:
-        p = np.sort(p[p > 0])
-        if len(p):
-            first = min(first, p[0])
-            k = np.searchsorted(p, drops, side="right")
-            hit = k < len(p)
-            after[hit] = np.minimum(after[hit], p[k[hit]])
-    starts = np.unique(np.append(after[after < np.inf], first))
-    values = tail_max[np.searchsorted(ts, starts, side="left")]
-    keep = np.diff(values, prepend=np.inf) != 0
-    return SampledDecreasing(starts[keep], values[keep])
-
-
 def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
                                       family: LipschitzFamily | None = None,
                                       radii: np.ndarray | None = None,
-                                      seed: int = 0) -> TailTransferReport:
+                                      seed: int = 0,
+                                      rows: _SubsetRows | None = None) -> TailTransferReport:
     """Transfer a mean-deviation tail bound into enlargement bounds.
 
     Hypothesis (tested on the extreme-point family, all 2n distance cones
@@ -696,7 +742,10 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
 
         1 - mu(B+(A, r)) <= beta(mu(A) r),   1 - mu(B-(A, r)) <= beta(mu(A) r)
 
-    and alpha(r) <= beta(r/2), reporting worst margins.
+    and alpha(r) <= beta(r/2), reporting worst margins.  mu is constant on
+    segments of the grid, so a beta sampled without rises is read at both
+    ends of each row's segments, O(n) points per row; any other beta on the
+    whole grid.  The sorted subset ``rows`` are read when given.
     """
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"transfer check requires n <= {EXACT_MAX_N}")
@@ -706,13 +755,12 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
     if radii is None:
         radii = breakpoint_radii(mm.space)
     radii = np.asarray(radii, dtype=float)
-    w = mm.weights
 
     hyp_margin = math.inf
     beta_at_radii = b(radii)
     for f in family:
         dev = np.abs(f.values - mean(mm.measure, f.values))
-        tails = _upper_tails(w, dev, radii)
+        tails = _upper_tails(mm.weights, dev, radii)
         hyp_margin = min(hyp_margin, float(np.min(beta_at_radii - tails)))
     hypothesis_ok = hyp_margin >= -VERDICT_TOL
     if not hypothesis_ok:
@@ -720,19 +768,29 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
                                   notes="hypothesis not satisfied on the family; "
                                         "conclusions not asserted")
 
-    thresholds = snap_threshold(radii)
+    order = np.argsort(radii, kind="stable")
+    rs, B = radii[order], len(radii)
+    ts = snap_threshold(rs)
+    # on a segment of constant mu, a beta that is 1 below its first sample
+    # and never rises from it is smallest at the segment's first or last radius
+    at_ends = isinstance(b, SampledDecreasing) and bool(np.all(np.diff(b.values) <= 0))
     enl_margin = math.inf
-    # the exact alpha curve, from the rows of mass >= 1/2 of the same scan
-    curve = np.zeros(len(radii))
-    for masses, m_fwd, m_bwd in _chunks(_exact_groups(mm, 0.0)):
-        rhs = b(masses[:, None] * radii[None, :])
-        mu_f = _mu_below(m_fwd, w, thresholds)
-        mu_b = _mu_below(m_bwd, w, thresholds)
-        enl_margin = min(enl_margin, float(np.min(rhs - (1.0 - mu_f))),
-                         float(np.min(rhs - (1.0 - mu_b))))
-        v = 1.0 - np.minimum(mu_f[masses >= 0.5], mu_b[masses >= 0.5])
-        np.maximum(curve, v.max(axis=0, initial=0.0), out=curve)
-    alpha_margin = float(np.min(b(radii / 2.0) - curve))
+    ends = np.zeros(B + 1)  # the exact alpha curve's events, from mass >= 1/2
+    for masses, *dirs in _sorted_chunks(mm, "exact", None, 0.0, seed, rows):
+        half = masses >= 0.5
+        for ms, _, cw in dirs:
+            e = np.searchsorted(ts, ms, "right")
+            np.maximum.at(ends, e[half].ravel(), (1.0 - cw[half, :-1]).ravel())
+            if at_ends:  # segment i covers [e[i - 1], e[i]), the last one [e[n - 1], B)
+                last = np.append(e, np.full((len(e), 1), B), axis=1)
+                first = np.append(np.zeros_like(e[:, :1]), e, axis=1)
+                ks = np.minimum([first, last - 1], B - 1)
+                margins = (b(masses[:, None] * rs[ks]).min(axis=0) - (1.0 - cw))[last > first]
+            else:
+                mu = np.take_along_axis(cw, _count_below(ms, snap_threshold(radii)), axis=1)
+                margins = b(masses[:, None] * radii[None, :]) - (1.0 - mu)
+            enl_margin = min(enl_margin, float(np.min(margins, initial=math.inf)))
+    alpha_margin = float(np.min(b(radii / 2.0) - _curve(order, ends)))
     passed = enl_margin >= -VERDICT_TOL and alpha_margin >= -VERDICT_TOL
     return TailTransferReport(True, hyp_margin, True, enl_margin, alpha_margin, passed)
 

@@ -21,6 +21,7 @@ from . import __version__
 from .concentration import (
     EXACT_MAX_N,
     VERDICT_TOL,
+    _subset_rows,
     _upper_tails,
     alpha_profile,
     deviation_check,
@@ -121,10 +122,17 @@ class _SuiteContext:
         return generate_family(self.mm, count=2 * self.mm.n + 8, seed=self.seed)
 
     @cached_property
+    def subset_rows(self):
+        """Every subset's sorted rows (n <= 16), which the exact profile, the
+        tail envelope and the transfer check all read."""
+        return _subset_rows(self.mm)
+
+    @cached_property
     def profile(self):
         """Exact profile when feasible, family profile otherwise."""
-        strategy = "exact" if self.exact_ok else "family"
-        return alpha_profile(self.mm, strategy, family=self.family)
+        if self.exact_ok:
+            return alpha_profile(self.mm, "exact", family=self.family, rows=self.subset_rows)
+        return alpha_profile(self.mm, "family", family=self.family)
 
     @cached_property
     def obsdiam(self):
@@ -170,8 +178,9 @@ def _run_mf3(ctx: _SuiteContext) -> VerifyEntry:
 def _run_prop32_1(ctx: _SuiteContext) -> VerifyEntry:
     if not ctx.exact_ok:
         return _skip(f"subset enumeration infeasible for n = {ctx.mm.n}")
-    beta = tail_envelope(ctx.mm, family=ctx.family)
-    rep = enlargement_check_from_tail_bound(ctx.mm, beta, family=ctx.family)
+    beta = tail_envelope(ctx.mm, family=ctx.family, rows=ctx.subset_rows)
+    rep = enlargement_check_from_tail_bound(ctx.mm, beta, family=ctx.family,
+                                            rows=ctx.subset_rows)
     if not rep.hypothesis_ok:
         return _skip("measured tail hypothesis not satisfied; conclusions not asserted")
     worst = min(rep.enlargement_margin, rep.alpha_margin)

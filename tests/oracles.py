@@ -47,6 +47,40 @@ def mu_below_plain(rows, weights, cuts):
                      for row in np.asarray(rows, dtype=float).tolist()])
 
 
+def alpha_curve_plain(masses, m_fwd, m_bwd, weights, radii):
+    """alpha at every radius over the given candidate rows: the largest
+    1 - min(mu_f, mu_b) of the rows of mass >= 1/2, and 0 if none, by explicit
+    loops over the grid."""
+    thresholds = [r - SNAP_RTOL * max(1.0, r) for r in radii]
+    mu_f = mu_below_plain(m_fwd, weights, thresholds)
+    mu_b = mu_below_plain(m_bwd, weights, thresholds)
+    curve = []
+    for k in range(len(thresholds)):
+        best = 0.0
+        for i, mass in enumerate(masses):
+            if mass >= 0.5:
+                best = max(best, 1.0 - min(mu_f[i][k], mu_b[i][k]))
+        curve.append(best)
+    return np.array(curve)
+
+
+def transfer_margins_plain(masses, m_fwd, m_bwd, weights, radii, beta):
+    """(enlargement margin, alpha margin) of the transfer check over the given
+    rows: beta(mass r) - (1 - mu) at every row, direction and radius, and
+    beta(r / 2) - alpha(r), each minimized by explicit loops over the grid."""
+    thresholds = [r - SNAP_RTOL * max(1.0, r) for r in radii]
+    enlargement = math.inf
+    for rows in (m_fwd, m_bwd):
+        mu = mu_below_plain(rows, weights, thresholds)
+        for i, mass in enumerate(masses):
+            for k, r in enumerate(radii):
+                b = float(beta(float(mass) * float(r)))
+                enlargement = min(enlargement, b - (1.0 - mu[i][k]))
+    curve = alpha_curve_plain(masses, m_fwd, m_bwd, weights, radii)
+    alpha_margin = min(float(beta(float(r) / 2.0)) - a for r, a in zip(radii, curve))
+    return enlargement, alpha_margin
+
+
 def strided_enlargement_rows_plain(chunks, max_rows):
     """The rows a strided enlargement scan keeps: every candidate chunk
     concatenated, the sets of mass 1 dropped, then every stride-th row with

@@ -24,6 +24,7 @@ from ccmm.concentration import (
     tail_bound_from_square_moments,
     tail_envelope,
     _alpha_curve,
+    _candidate_chunks,
     _count_below,
     _mu_below,
     _set_distance_rows,
@@ -37,9 +38,10 @@ from ccmm.quasimetric import (
     breakpoint_radii,
     random_mm_space,
     reverse,
+    snap_threshold,
     validate,
 )
-from oracles import alpha_bruteforce, mu_below_plain
+from oracles import alpha_bruteforce, alpha_curve_plain, mu_below_plain, transfer_margins_plain
 
 
 def two_point_uniform():
@@ -268,6 +270,91 @@ def test_checks_do_not_depend_on_radius_order():
     rep = profile_enlargement_check(mm, scale, [0.5, 1.0, 2.0], K=0.01)
     assert rep.conclusion_asserted
     assert profile_enlargement_check(mm, scale, [2.0, 0.5, 1.0], K=0.01) == rep
+
+
+# ---------------------------------------------------------------------------
+# the event kernel: alpha curves and transfer margins from segment ends
+# ---------------------------------------------------------------------------
+
+def dyadic_space(dist, counts):
+    """The space on ``dist`` with weights counts / 64: every sum of weights is
+    exact in any order, so the kernel and the plain loops agree bit for bit."""
+    return MetricMeasureSpace(validate(dist), ProbabilityMeasure(np.asarray(counts) / 64))
+
+
+def candidate_rows(mm, strategy, family=None):
+    """(masses, m_fwd, m_bwd) of every candidate set, unsorted."""
+    chunks = _candidate_chunks(mm, strategy, family, 0.0, 0)
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(1.0, 1.9), min_size=1, max_size=3), st.integers(2, 6),
+       st.integers(0, 2**32 - 1))
+def test_event_kernel_matches_plain_grid_loops(bases, n, seed):
+    rng = np.random.default_rng(seed)
+    # off-diagonal distances in [1, 2) always satisfy the triangle
+    # inequality; each base comes with neighbours two snap tolerances away
+    ties = np.array([t + k * 2e-12 * t for t in bases for k in (-1, 0, 1)])
+    dist = rng.choice(ties, size=(n, n))
+    np.fill_diagonal(dist, 0.0)
+    # dyadic weights, points of zero weight included
+    cuts = np.sort(rng.integers(0, 65, n - 1))
+    mm = dyadic_space(dist, np.diff(cuts, prepend=0, append=64))
+    radii = breakpoint_radii(mm.space)
+    radii = rng.permutation(np.concatenate([radii, rng.choice(ties, 3)]))
+    fam = generate_family(mm, count=2 * n + 4, seed=seed % 1000)
+    for strategy in ("exact", "family"):
+        rows = candidate_rows(mm, strategy, fam)
+        want = alpha_curve_plain(*rows, mm.weights, radii)
+        assert np.array_equal(_alpha_curve(mm, radii, strategy, family=fam), want)
+    beta = tail_envelope(mm, family=fam, radii=radii)
+    rep = enlargement_check_from_tail_bound(mm, beta, family=fam, radii=radii)
+    assert rep.conclusions_asserted
+    want = transfer_margins_plain(*candidate_rows(mm, "exact"), mm.weights, radii, beta)
+    assert (rep.enlargement_margin, rep.alpha_margin) == want
+
+
+def segment_betas(mm, radii):
+    """Three betas whose smallest value on the first segment of the lightest
+    point's rows lies at neither end of it: samples that never rise but start
+    above the 1 in front of them, samples with a 5e-13 rise, and a callable
+    with a dip.  Only the first is exactly non-increasing from its samples."""
+    x = int(np.argmin(mm.weights))
+    others = np.arange(mm.n) != x
+    near = min(mm.dist[x, others].min(), mm.dist[others, x].min())
+    rs = np.sort(radii)
+    inside = rs[snap_threshold(rs) <= near]  # mu = w_x there, both ways
+    assert len(inside) >= 3
+    w = mm.weights[x]
+    dip = w * inside[1]
+    assert dip not in radii and dip not in radii / 2
+    above_one = SampledDecreasing(np.array([w * inside[-1]]), np.array([1 + 5e-13]))
+    rise = SampledDecreasing(np.array([dip, w * inside[-1]]),
+                             np.array([1 - 2e-12, 1 - 1.5e-12]))
+    return above_one, rise, lambda s: np.where(np.asarray(s) == dip, 0.75, 1.0)
+
+
+def test_transfer_margins_match_the_grid_inside_a_segment():
+    dist = random_mm_space(4, n_low=6, n_high=6).dist
+    mm = dyadic_space(dist, [5, 9, 13, 11, 15, 11])
+    radii = breakpoint_radii(mm.space)
+    rows = candidate_rows(mm, "exact")
+    # beyond every value of a row mu = 1: a beta that drops to 0 at the last
+    # radius puts the smallest margin on the segments that reach it
+    last_drop = SampledDecreasing(radii[-1:], np.zeros(1))
+    for beta in (*segment_betas(mm, radii), last_drop):
+        rep = enlargement_check_from_tail_bound(mm, beta, radii=radii)
+        assert rep.conclusions_asserted
+        want = transfer_margins_plain(*rows, mm.weights, radii, beta)
+        assert (rep.enlargement_margin, rep.alpha_margin) == want
+
+
+def test_tail_envelope_never_rises():
+    # the transfer check reads the envelope at segment ends only on this
+    for seed in range(60):
+        mm = random_mm_space(seed)
+        assert np.all(np.diff(tail_envelope(mm).values) <= 0), seed
 
 
 # ---------------------------------------------------------------------------

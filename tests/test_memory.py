@@ -9,7 +9,11 @@ space itself: about 66 MB before the scan on a 2-core x86-64 Linux VM
 (Python 3.11, numpy 2.4, scipy 1.17).  On that machine the scans peaked at
 76 MB (family profile of t2) and 71 MB (enlargement check on g1) with their
 rows built in blocks, against 584 MB and 181 MB when every row was built at
-once.  Each bound is the measured peak plus about 40 MB of headroom.
+once.  The full suite on a random n = 16 space, whose 65535 subsets' sorted
+rows one run shares, peaked at 99 MB, against 147 MB when the exact profile,
+the tail envelope and the transfer check each built them and the envelope
+kept every row's tops.  Each bound is the measured peak plus about 40 MB of
+headroom.
 """
 import os
 import subprocess
@@ -20,6 +24,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 T2_FAMILY_PROFILE_MB = 120     # measured 75.7 MB
 G1_ENLARGEMENT_CHECK_MB = 110  # measured 71.2 MB
+N16_VERIFY_MB = 140            # measured 98.7 MB
 
 LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
 
@@ -64,3 +69,12 @@ def test_enlargement_check_peak_rss():
         assert rep.subsets.startswith("family (strided to ")
         """)
     assert peak <= G1_ENLARGEMENT_CHECK_MB, peak
+
+
+def test_verify_all_on_sixteen_points_peak_rss():
+    peak = peak_rss_mb("""
+        from ccmm import random_mm_space, run_verify
+        from ccmm.verify import SECTIONS
+        run_verify(random_mm_space(0, n_low=16, n_high=16), sections=sorted(SECTIONS))
+        """)
+    assert peak <= N16_VERIFY_MB, peak
