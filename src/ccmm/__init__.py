@@ -59,6 +59,7 @@ from .observable import (
     ObsDiamResult,
     alpha_inverse,
     observable_diameter,
+    observable_diameters,
     obsdiam_bound_exponential,
     obsdiam_bound_normal,
     obsdiam_vs_alpha_check,

@@ -285,10 +285,12 @@ def _mask_rows(dist: np.ndarray, masks: np.ndarray):
 
 
 def _ball_rows(dist: np.ndarray, order: np.ndarray, ends: np.ndarray):
-    """Rows of the balls made of the first ends[i] + 1 points of ``order``."""
+    """Rows of the balls made of the first ends[i] + 1 points of ``order``
+    (selections keep ends increasing), as prefix minima of stretch minima."""
     def build(sel):
-        return (np.minimum.accumulate(dist[order, :], axis=0)[ends[sel]],
-                np.minimum.accumulate(dist.T[order, :], axis=0)[ends[sel]])
+        cuts = np.r_[0, ends[sel] + 1]
+        return tuple(np.minimum.accumulate(np.minimum.reduceat(
+            m[order[:cuts[-1]]], cuts[:-1], axis=0), axis=0) for m in (dist, dist.T))
     return build
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "partial_diameter",
     "pushforward_partial_diameter",
     "observable_diameter",
+    "observable_diameters",
     "alpha_inverse",
     "obsdiam_vs_alpha_check",
     "obsdiam_bound_normal",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+
+# Bytes per (rows, n) array of one block of family members stacked at once.
+_STACK_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -106,56 +110,64 @@ def partial_diameter(mm: MetricMeasureSpace, kappa: float,
     return best
 
 
-def pushforward_partial_diameter(measure: ProbabilityMeasure, f, kappa: float) -> float:
-    """Length of the shortest closed interval holding mass >= 1 - kappa of f.
-
-    Exact sliding window over the sorted attained values; for a discrete
-    pushforward the optimum is attained on value endpoints.
-    """
-    if not (0.0 < kappa < 1.0):
+def _pardiams(values, weights: np.ndarray, kappas) -> np.ndarray:
+    """Pushforward partial diameter of every field of ``values`` at every kappa:
+    from start i of a stably sorted row the window ends at the first j >= i
+    with cw[j + 1] - cw[i] >= need, bisected on exactly that predicate, which
+    is monotone in j, so j is the end an exact sliding window reaches."""
+    if not all(0.0 < k < 1.0 for k in kappas):
         raise ValueError("kappa must lie strictly between 0 and 1")
-    v = as_field(f, measure.n)
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    cw = np.concatenate([[0.0], np.cumsum(measure.weights[order])])
-    need = 1.0 - kappa - MASS_TOL
-    best = math.inf
-    j = 0
-    for i in range(len(vs)):
-        if j < i:
-            j = i
-        while j < len(vs) and cw[j + 1] - cw[i] < need:
-            j += 1
-        if j == len(vs):
-            break
-        best = min(best, float(vs[j] - vs[i]))
-    if best is math.inf:  # only reachable through degenerate rounding
-        best = float(vs[-1] - vs[0])
-    return best
+    n, out = len(weights), np.empty((len(kappas), len(values)))
+    step = max(1, _STACK_BUDGET // (8 * (n + 1)))
+    for lo in range(0, len(values), step):
+        block = np.array(values[lo:lo + step])
+        order = np.argsort(block, axis=1, kind="stable")
+        vs = np.take_along_axis(block, order, axis=1)
+        cw = np.pad(np.cumsum(weights[order], axis=1), ((0, 0), (1, 0)))
+        for k, kappa in enumerate(kappas):
+            first, last = np.broadcast_to(np.arange(n), vs.shape), np.full(vs.shape, n)
+            for _ in range(n.bit_length()):
+                mid = (first + last) // 2
+                ok = (mid == last) | (np.take_along_axis(cw, np.minimum(mid + 1, n), axis=1)
+                                      - cw[:, :-1] >= 1.0 - kappa - MASS_TOL)
+                first, last = np.where(ok, first, mid + 1), np.where(ok, mid, last)
+            width = np.take_along_axis(vs, np.minimum(first, n - 1), axis=1) - vs
+            best = np.where(first < n, width, np.inf).min(axis=1)
+            # only degenerate rounding leaves no start holding the mass
+            out[k, lo:lo + step] = np.where(np.isinf(best), vs[:, -1] - vs[:, 0], best)
+    return out
 
 
-def observable_diameter(mm: MetricMeasureSpace, kappa: float,
-                        family: LipschitzFamily | None = None,
-                        seed: int = 0) -> ObsDiamResult:
-    """Largest pushforward partial diameter over a certified family.
+def pushforward_partial_diameter(measure: ProbabilityMeasure, f, kappa: float) -> float:
+    """Length of the shortest closed interval holding mass >= 1 - kappa of f,
+    exact: for a discrete pushforward the optimum ends at attained values."""
+    return float(_pardiams([as_field(f, measure.n)], measure.weights, [kappa])[0, 0])
 
-    A lower bound of the true observable diameter (the family replaces the
-    supremum over all 1-Lipschitz functions); enlarging the family can only
-    increase the result.
-    """
+
+def observable_diameters(mm: MetricMeasureSpace, kappas, family: LipschitzFamily | None = None,
+                         seed: int = 0) -> dict[float, ObsDiamResult]:
+    """Largest pushforward partial diameter over a certified family, per kappa,
+    with the first member attaining it.  Each member is certified and sorted
+    once.  Lower bounds of the true observable diameters (the family replaces
+    the supremum over all 1-Lipschitz functions); a larger family can only
+    increase them."""
+    kappas = [float(k) for k in kappas]
     if family is None:
         family = generate_family(mm, seed=seed)
     if len(family) == 0:
         raise ValueError("empty family")
-    best = -math.inf
-    witness = -1
     for k, f in enumerate(family):
         if not is_lipschitz(mm.space, f):
             raise ValueError(f"family member {k} fails 1-Lipschitz certification")
-        val = pushforward_partial_diameter(mm.measure, f, kappa)
-        if val > best:
-            best, witness = val, k
-    return ObsDiamResult(float(kappa), float(best), witness, len(family))
+    vals = _pardiams([f.values for f in family], mm.weights, kappas)
+    return {kappa: ObsDiamResult(kappa, float(row.max()), int(row.argmax()), len(family))
+            for kappa, row in zip(kappas, vals)}
+
+
+def observable_diameter(mm: MetricMeasureSpace, kappa: float,
+                        family: LipschitzFamily | None = None, seed: int = 0) -> ObsDiamResult:
+    """``observable_diameters`` at one kappa."""
+    return observable_diameters(mm, [kappa], family, seed)[float(kappa)]
 
 
 def alpha_inverse(profile: ConcentrationProfile, epsilon: float) -> float:
@@ -190,15 +202,15 @@ def obsdiam_vs_alpha_check(mm: MetricMeasureSpace, epsilon_grid,
     ``diameters`` maps each epsilon of the grid to its already computed
     observable diameter; without it they are computed over ``family``.
     """
-    if diameters is None and family is None:
-        family = generate_family(mm, seed=seed)
+    grid = np.asarray(epsilon_grid, dtype=float)
+    if diameters is None:
+        diameters = observable_diameters(mm, grid, family, seed)
     if profile is None:
         profile = alpha_profile(mm, "exact")
     worst = math.inf
     witness = None
-    for eps in np.asarray(epsilon_grid, dtype=float):
-        obs = (diameters[float(eps)] if diameters is not None
-               else observable_diameter(mm, float(eps), family))
+    for eps in grid:
+        obs = diameters[float(eps)]
         rhs = 2.0 * alpha_inverse(profile, float(eps) / 2.0)
         margin = rhs - obs.value
         if margin < worst:

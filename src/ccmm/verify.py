@@ -39,7 +39,7 @@ from .concentration import (
 from .io import space_hash
 from .lipschitz import generate_family
 from .observable import (
-    observable_diameter,
+    observable_diameters,
     obsdiam_bound_exponential,
     obsdiam_bound_normal,
     obsdiam_vs_alpha_check,
@@ -137,7 +137,7 @@ class _SuiteContext:
     @cached_property
     def obsdiam(self):
         """The family observable diameter at every epsilon of ``EPS_GRID``."""
-        return {eps: observable_diameter(self.mm, eps, self.family) for eps in EPS_GRID}
+        return observable_diameters(self.mm, EPS_GRID, self.family)
 
     @cached_property
     def eigen(self):

@@ -120,6 +120,31 @@ def window_pardiam_bruteforce(weights, values, kappa):
     return best
 
 
+def pushforward_pardiam_plain(weights, values, kappa):
+    """The pushforward partial diameter by a two-pointer sliding window over
+    the stably sorted values, with the same prefix masses and the same
+    floating predicate cw[j + 1] - cw[i] < need as the library, so the two
+    agree bit for bit."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    vs = values[order]
+    cw = np.concatenate([[0.0], np.cumsum(np.asarray(weights)[order])])
+    need = 1.0 - kappa - 1e-12
+    best = math.inf
+    j = 0
+    for i in range(len(vs)):
+        if j < i:
+            j = i
+        while j < len(vs) and cw[j + 1] - cw[i] < need:
+            j += 1
+        if j == len(vs):
+            break
+        best = min(best, float(vs[j] - vs[i]))
+    if best is math.inf:  # only reachable through degenerate rounding
+        best = float(vs[-1] - vs[0])
+    return best
+
+
 def lipschitz_constant_bruteforce(space, f):
     n = space.n
     best = 0.0

@@ -391,6 +391,37 @@ def test_family_scans_in_blocks_match_one_block(monkeypatch):
     assert isoperimetric_profile(mm, scale, "family", family=fam) == profile
 
 
+@pytest.mark.parametrize("min_mass", [0.0, 0.5, 0.9])
+def test_ball_rows_match_prefix_minima_over_every_point(monkeypatch, min_mass):
+    calls = []
+    real = concentration._ball_rows
+    monkeypatch.setattr(concentration, "_ball_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 10))
+        # off-diagonal distances in {1, 2}: many ties among each center's distances
+        dist = rng.integers(1, 3, (n, n)).astype(float)
+        np.fill_diagonal(dist, 0.0)
+        w = rng.random(n) * (rng.random(n) < 0.8)
+        w[0] += 0.1
+        mm = MetricMeasureSpace(validate(dist), ProbabilityMeasure(w / w.sum()))
+        list(concentration._family_groups(mm, generate_family(mm), min_mass))
+    # tied prefixes are always left out, and the center alone (end 0) is
+    # left out only when min_mass drops it
+    assert any(len(ends) < ends[-1] + 1 for _, _, ends in calls)
+    assert any(ends[0] > 0 for _, _, ends in calls) == (min_mass > 0)
+    for dist, order, ends in calls:
+        # slices as the scans take them, strided and empty picks as the
+        # isoperimetric scan takes them
+        for sel in (slice(0, len(ends)), slice(len(ends) // 2, None), slice(-1, None),
+                    np.arange(len(ends))[1::2], np.array([], dtype=int)):
+            want = (np.minimum.accumulate(dist[order, :], axis=0)[ends[sel]],
+                    np.minimum.accumulate(dist.T[order, :], axis=0)[ends[sel]])
+            got = real(dist, order, ends)(sel)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_tail_envelope_in_blocks_matches_one_block(monkeypatch):
     spaces = [random_mm_space(seed, n_low=6, n_high=8) for seed in range(4)]
     whole = [tail_envelope(mm) for mm in spaces]

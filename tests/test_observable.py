@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ccmm import observable
 from ccmm.concentration import alpha_profile
 from ccmm.lipschitz import LipschitzFamily, ScalarField, generate_family
 from ccmm.observable import (
     alpha_inverse,
     observable_diameter,
+    observable_diameters,
     obsdiam_bound_exponential,
     obsdiam_bound_normal,
     obsdiam_vs_alpha_check,
@@ -21,7 +24,11 @@ from ccmm.quasimetric import (
     random_mm_space,
     validate,
 )
-from oracles import partial_diameter_bruteforce, window_pardiam_bruteforce
+from oracles import (
+    partial_diameter_bruteforce,
+    pushforward_pardiam_plain,
+    window_pardiam_bruteforce,
+)
 
 
 def two_point_uniform():
@@ -61,6 +68,14 @@ def test_pushforward_pardiam_examples():
     assert pushforward_partial_diameter(pm, [5.0, 5.0, 5.0, 5.0], 0.3) == 0.0
     assert pushforward_partial_diameter(pm, [0.0, 1.0, 2.0, 3.0], 0.5) == 1.0
     assert pushforward_partial_diameter(pm, [0.0, 1.0, 2.0, 3.0], 1e-9) == 3.0
+
+
+def test_pushforward_pardiam_falls_back_to_the_full_range():
+    # on a probability measure no window misses the bar except through
+    # rounding; weights of total 0.3 stand in for that case
+    light, vals = np.full(3, 0.1), [0.0, 1.0, 3.0]
+    got = observable._pardiams(np.array([vals]), light, [0.5])
+    assert got[0, 0] == pushforward_pardiam_plain(light, vals, 0.5) == 3.0
 
 
 def test_pushforward_pardiam_matches_bruteforce():
@@ -109,6 +124,45 @@ def test_observable_diameter_rejects_bad_member():
     bad = LipschitzFamily((ScalarField(np.array([0.0, 5.0])),), ("user",))
     with pytest.raises(ValueError, match="certification"):
         observable_diameter(mm, 0.5, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_observable_diameters_match_the_sliding_window(n, members, seed):
+    rng = np.random.default_rng(seed)
+    # off-diagonal distances of 8 make every field of range below 8 1-Lipschitz
+    dist = np.full((n, n), 8.0)
+    np.fill_diagonal(dist, 0.0)
+    w = rng.random(n) * (rng.random(n) < 0.7)  # points of zero weight
+    w[rng.integers(n)] += 0.1
+    mm = MetricMeasureSpace(validate(dist), ProbabilityMeasure(w / w.sum()))
+    # near-tie values: a few bases, each with its neighbours one ulp away
+    bases = rng.uniform(0.0, 4.0, 3)
+    pool = np.concatenate([bases, np.nextafter(bases, 5.0), np.nextafter(bases, -1.0)])
+    values = rng.choice(pool, size=(members, n))
+    fam = LipschitzFamily(tuple(ScalarField(v) for v in values), ("user",) * members)
+    # kappas near 0 and 1, and ones whose mass bar lands within an ulp of the
+    # mass of a window of the first member
+    cw = np.concatenate([[0.0], np.cumsum(mm.weights[np.argsort(values[0], kind="stable")])])
+    i, j = sorted(rng.integers(0, n + 1, 2))
+    bar = 1.0 - (cw[j] - cw[i]) - 1e-12
+    kappas = [k for k in (1e-15, 1e-9, 0.5, 1 - 1e-9, 1 - 1e-15, bar,
+                          np.nextafter(bar, 0.0), np.nextafter(bar, 1.0)) if 0.0 < k < 1.0]
+    got = observable_diameters(mm, kappas, fam)
+    for kappa in kappas:
+        want = [pushforward_pardiam_plain(mm.weights, v, kappa) for v in values]
+        assert got[kappa] == observable_diameter(mm, kappa, fam)
+        assert (got[kappa].value, got[kappa].witness) == (max(want), want.index(max(want)))
+        assert [pushforward_partial_diameter(mm.measure, v, kappa) for v in values] == want
+
+
+def test_observable_diameters_do_not_depend_on_the_block_size(monkeypatch):
+    grid = [k / 10 for k in range(1, 10)]
+    spaces = [random_mm_space(seed, n_low=3, n_high=12) for seed in range(4)]
+    fams = [generate_family(mm, count=2 * mm.n + 8, seed=1) for mm in spaces]
+    default = [observable_diameters(mm, grid, fam) for mm, fam in zip(spaces, fams)]
+    monkeypatch.setattr(observable, "_STACK_BUDGET", 1)  # one member per block
+    assert [observable_diameters(mm, grid, fam) for mm, fam in zip(spaces, fams)] == default
 
 
 def test_observable_at_most_partial_diameter():
@@ -163,15 +217,25 @@ def test_obsdiam_vs_alpha_random_suite():
         assert rep.passed, (seed, rep.witness)
 
 
-def test_obsdiam_vs_alpha_reads_given_diameters():
+def test_obsdiam_vs_alpha_reads_given_diameters(monkeypatch):
     grid = [k / 10 for k in range(1, 10)]
+    builds = []
+
+    def counting(mm, kappas, family=None, seed=0):
+        builds.append(len(kappas))
+        return observable_diameters(mm, kappas, family, seed)
+
+    monkeypatch.setattr(observable, "observable_diameters", counting)
     for seed in range(5):
         mm = random_mm_space(seed, n_low=3, n_high=10)
         fam = generate_family(mm, seed=0)
         prof = alpha_profile(mm, "exact")
         diameters = {eps: observable_diameter(mm, eps, fam) for eps in grid}
-        assert (obsdiam_vs_alpha_check(mm, grid, profile=prof, diameters=diameters)
-                == obsdiam_vs_alpha_check(mm, grid, family=fam, profile=prof))
+        builds.clear()
+        given = obsdiam_vs_alpha_check(mm, grid, profile=prof, diameters=diameters)
+        assert builds == []
+        assert obsdiam_vs_alpha_check(mm, grid, family=fam, profile=prof) == given
+        assert builds == [len(grid)]  # the whole grid in one build
 
 
 def test_obsdiam_bounds_closed_forms():
@@ -185,20 +249,21 @@ def test_obsdiam_bounds_closed_forms():
 
 @pytest.mark.parametrize("sections, calls", [
     (("sec5",), 0),   # cor55 skips without a curvature certificate
-    (("sec4",), 9),   # thm41, obnor and obex share one diameter per epsilon
+    (("sec4",), 9),   # thm41, obnor and obex share one build of all nine epsilons
     (("sec4", "sec5", "sec6"), 9),
 ])
 def test_run_verify_builds_observable_diameters_only_when_read(monkeypatch,
                                                               sections, calls):
-    # counted where the suite builds them and where thm41's check would
-    from ccmm import observable, verify
-    seen = []
+    # builds counted where the suite makes them, where thm41's check would,
+    # and under observable_diameter, which is one build at one epsilon
+    from ccmm import verify
+    builds = []
 
-    def counting(mm, eps, family):
-        seen.append(eps)
-        return observable_diameter(mm, eps, family)
+    def counting(mm, kappas, family=None, seed=0):
+        builds.append(len(kappas))
+        return observable_diameters(mm, kappas, family, seed)
 
-    monkeypatch.setattr(verify, "observable_diameter", counting)
-    monkeypatch.setattr(observable, "observable_diameter", counting)
+    monkeypatch.setattr(verify, "observable_diameters", counting)
+    monkeypatch.setattr(observable, "observable_diameters", counting)
     verify.run_verify(random_mm_space(3), sections=sections, restarts=2)
-    assert len(seen) == calls
+    assert builds == ([calls] if calls else [])
