@@ -32,7 +32,6 @@ from .lipschitz import (
     ScalarField,
     generate_family,
     inf_convolution,
-    is_lipschitz,
     lipschitz_constant,
     mean,
     median,

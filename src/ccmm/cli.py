@@ -27,7 +27,7 @@ from .io import (
     save_space,
     space_hash,
 )
-from .lipschitz import LipschitzFamily, ScalarField, generate_family
+from .lipschitz import LipschitzFamily, generate_family
 from .observable import observable_diameter
 from .isoperimetry import isoperimetric_profile, mesh_scale
 from .quasimetric import MetricMeasureSpace, validate
@@ -113,7 +113,7 @@ def cmd_family(args) -> int:
         "count": len(fam),
         "seed": args.seed or 0,
         "tags": list(fam.tags),
-        "fields": [[float(x) for x in f.values] for f in fam.fields],
+        "fields": fam.values.tolist(),
     }
     _write_json(doc, args.out)
     return 0
@@ -122,9 +122,8 @@ def cmd_family(args) -> int:
 def _load_family(path: str, mm: MetricMeasureSpace) -> LipschitzFamily:
     with open(path) as fh:
         doc = json.load(fh)
-    fields = tuple(ScalarField(np.asarray(v, dtype=float)) for v in doc["fields"])
-    tags = tuple(doc.get("tags") or ["user"] * len(fields))
-    return LipschitzFamily(fields, tags)
+    fields = doc["fields"]
+    return LipschitzFamily(mm.space, fields, doc.get("tags") or ["user"] * len(fields))
 
 
 def cmd_alpha(args) -> int:

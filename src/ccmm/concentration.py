@@ -27,14 +27,15 @@ import numpy as np
 
 from .lipschitz import (
     LipschitzFamily,
+    _deviations,
+    _medians,
     as_field,
     generate_family,
     lipschitz_constant,
-    median,
-    mean,
 )
 from .quasimetric import (
     MetricMeasureSpace,
+    _row_block,
     breakpoint_radii,
     snap_threshold,
 )
@@ -73,10 +74,6 @@ EXACT_MAX_N = 16
 VERDICT_TOL = 1e-9
 
 _SUBSET_CHUNK = 2048
-
-# Bytes one block of subset rows may use: no (rows, n, n) set-distance
-# temporary is larger, so memory does not grow with the number of sets.
-_ROW_BUDGET = 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +187,39 @@ def _subset_masks(n: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
 
 
-def _upper_tails(weights: np.ndarray, values: np.ndarray,
-                 thresholds: np.ndarray) -> np.ndarray:
-    """mu({values >= t}) for every threshold, via one sort and searchsorted."""
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    cw = np.concatenate([[0.0], np.cumsum(weights[order])])
-    total = cw[-1]
-    idx = np.searchsorted(vs, thresholds, side="left")
-    return total - cw[idx]
+def _row_tails(weights: np.ndarray, rows: np.ndarray, thresholds: np.ndarray,
+               upper: bool = True) -> np.ndarray:
+    """mu(f >= t), or mu(f <= t) unless ``upper``, for every row f of
+    ``rows`` and every threshold t of its row of ``thresholds`` (a 1-d grid
+    serves every row).
+
+    Each row's prefix masses are summed in its stable sort order, and the
+    points below each threshold are counted exactly, in blocks of rows whose
+    (rows, thresholds, n) comparison fits _ROW_BUDGET.
+    """
+    m, n = rows.shape
+    ts = np.broadcast_to(thresholds, (m, np.shape(thresholds)[-1]))
+    cw = np.zeros((m, n + 1))
+    np.cumsum(weights[np.argsort(rows, axis=1, kind="stable")], axis=1, out=cw[:, 1:])
+    count = np.empty(ts.shape, dtype=np.intp)
+    step = _row_block(ts.shape[1] * n)
+    for lo in range(0, m, step):
+        v, t = rows[lo:lo + step, None, :], ts[lo:lo + step, :, None]
+        count[lo:lo + step] = np.count_nonzero(v < t if upper else v <= t, axis=2)
+    below = np.take_along_axis(cw, count, axis=1)
+    return cw[:, -1:] - below if upper else below
 
 
-def _lower_tails(weights: np.ndarray, values: np.ndarray,
-                 thresholds: np.ndarray) -> np.ndarray:
-    """mu({values <= t}) for every threshold."""
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    cw = np.concatenate([[0.0], np.cumsum(weights[order])])
-    idx = np.searchsorted(vs, thresholds, side="right")
-    return cw[idx]
+def _pow(x: np.ndarray, y: float) -> np.ndarray:
+    """x ** y entry by entry through the C library's pow, which rounds as
+    scalar float arithmetic does; numpy's vectorized pow can round
+    differently (it does on AVX-512 hosts)."""
+    return np.frompyfunc(math.pow, 2, 1)(x, y).astype(float)
+
+
+def _lq_norms(weights: np.ndarray, dev: np.ndarray, q: float) -> np.ndarray:
+    """The L^q(mu) norm of every row of ``dev``."""
+    return _pow(np.vecdot(dev ** q, weights), 1.0 / q)
 
 
 def _count_below(rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -253,20 +264,15 @@ def _mu_below(m_rows: np.ndarray, weights: np.ndarray, thresholds: np.ndarray) -
     return np.take_along_axis(cw, _count_below(m_rows, thresholds), axis=1)
 
 
-def _row_block(n: int) -> int:
-    """Subset rows per block: one (rows, n, n) float temporary fits _ROW_BUDGET."""
-    return max(1, _ROW_BUDGET // (8 * n * n))
-
-
 def _set_distance_rows(dist: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward point-to-set distances for each mask row.
 
-    Rows are built in blocks of ``_row_block(n)``; min is exact, so the
-    block boundaries change no value.
+    Rows are built in blocks whose (rows, n, n) temporary fits _ROW_BUDGET;
+    min is exact, so the block boundaries change no value.
     """
     m_fwd = np.empty(masks.shape)
     m_bwd = np.empty(masks.shape)
-    step = _row_block(len(dist))
+    step = _row_block(8 * dist.size)
     for lo in range(0, len(masks), step):
         sel = masks[lo:lo + step, :, None]
         m_fwd[lo:lo + step] = np.where(sel, dist, np.inf).min(axis=1)
@@ -309,7 +315,7 @@ def _family_groups(mm: MetricMeasureSpace, family: LipschitzFamily, min_mass: fl
 
     Ball prefixes are grouped at strict increases of the sorted center
     distances so that ties enter together; masses below ``min_mass`` are
-    dropped.  The level sets are built in blocks of ``_row_block(n)`` rows.
+    dropped.  The level sets are built in blocks of rows under _ROW_BUDGET.
     """
     dist = mm.dist
     w = mm.weights
@@ -322,18 +328,13 @@ def _family_groups(mm: MetricMeasureSpace, family: LipschitzFamily, min_mass: fl
             keep = masses >= min_mass
             if keep.any():
                 yield masses[keep], _ball_rows(dist, order, lengths[keep] - 1), n
-    level_masks = []
-    for f in family:
-        v = f.values
-        m = median(mm.measure, v)
-        level_masks.append(v <= m)
-        level_masks.append(v >= m)
-    if level_masks:
-        masks = np.array(level_masks)
-        masses = masks @ w
-        keep = (masses >= min_mass) & masks.any(axis=1)
-        if keep.any():
-            yield masses[keep], _mask_rows(dist, masks[keep]), _row_block(n)
+    F = family.values
+    m = _medians(w, F)[:, None]
+    masks = np.stack([F <= m, F >= m], axis=1).reshape(-1, n)
+    masses = masks @ w
+    keep = (masses >= min_mass) & masks.any(axis=1)
+    if keep.any():
+        yield masses[keep], _mask_rows(dist, masks[keep]), _row_block(8 * n * n)
 
 
 def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
@@ -379,11 +380,11 @@ class _SubsetRows:
 
 def _subset_rows(mm: MetricMeasureSpace, min_mass: float = 0.0) -> _SubsetRows:
     """The sorted rows of every subset of mass >= min_mass (n <= 16), each
-    block of ``_row_block(n)`` rows sorted as it is built."""
+    block of rows under _ROW_BUDGET sorted as it is built."""
     masses, build, _ = next(_exact_groups(mm, min_mass))
     ms = np.empty((2, len(masses), mm.n))
     order = np.empty(ms.shape, np.uint8)
-    step = _row_block(mm.n)
+    step = _row_block(8 * mm.n * mm.n)
     for lo in range(0, len(masses), step):
         for d, rows in enumerate(build(slice(lo, lo + step))):
             order[d, lo:lo + step] = idx = np.argsort(rows, axis=1)
@@ -539,22 +540,29 @@ def deviation_check(mm: MetricMeasureSpace, f, profile: ConcentrationProfile) ->
     if profile.strategy != "exact":
         raise ValueError("deviation_check requires an exact profile")
     v = as_field(f, mm.n)
-    w = mm.weights
     L = max(lipschitz_constant(mm.space, v), 1e-12)
-    m = median(mm.measure, v)
-    rs = L * profile.radii
-    rhs = profile.alphas
-    up = _upper_tails(w, v, m + rs)
-    lo = _lower_tails(w, v, m - rs)
-    two = up + lo  # the two tails are disjoint for r > 0
+    rs, margins = _deviation_margins(mm, v[None], np.array([L]), profile)
 
-    def _rep(lhs, bound):
-        margins = bound - lhs
+    def _rep(margins):
         k = int(np.argmin(margins))
         return CheckReport(bool(margins[k] >= -VERDICT_TOL), float(margins[k]),
-                           witness={"r": float(rs[k])})
+                           witness={"r": float(rs[0, k])})
 
-    return DeviationReport(_rep(up, rhs), _rep(lo, rhs), _rep(two, 2 * rhs), L)
+    return DeviationReport(*(_rep(mg[0]) for mg in margins), L)
+
+
+def _deviation_margins(mm: MetricMeasureSpace, rows: np.ndarray, L: np.ndarray,
+                       profile: ConcentrationProfile):
+    """The radii r = L s of every row f with constant L, and the margins of
+    its upper, lower and two-sided inequalities at those radii."""
+    w = mm.weights
+    m = _medians(w, rows)[:, None]
+    rs = L[:, None] * profile.radii
+    up = _row_tails(w, rows, m + rs)
+    lo = _row_tails(w, rows, m - rs, upper=False)
+    rhs = profile.alphas
+    # the two tails are disjoint for r > 0
+    return rs, (rhs - up, rhs - lo, 2 * rhs - (up + lo))
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +573,8 @@ def moment_norm(mm: MetricMeasureSpace, f, q: float) -> float:
     """L^q(mu) norm of f - mean(f)."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    v = as_field(f, mm.n)
-    dev = np.abs(v - mean(mm.measure, v))
-    return float((mm.weights @ dev ** q) ** (1.0 / q))
+    w = mm.weights
+    return float(_lq_norms(w, _deviations(w, as_field(f, mm.n)[None]), q)[0])
 
 
 def check_moment_concentration(mm: MetricMeasureSpace, family: LipschitzFamily,
@@ -581,9 +588,8 @@ def check_moment_concentration(mm: MetricMeasureSpace, family: LipschitzFamily,
         raise ValueError("p and q must be at least 1")
     if C <= 0:
         raise ValueError("C must be positive")
-    if len(family) == 0:
-        raise ValueError("empty family")
-    powers = np.array([moment_norm(mm, f, q) ** p for f in family])
+    w = mm.weights
+    powers = _pow(_lq_norms(w, _deviations(w, family.values), q), p)
     worst = int(np.argmax(powers))
     largest = float(q / powers[worst]) if powers[worst] > 0 else math.inf
     holds = bool(powers[worst] <= (q / C) * (1 + 1e-12))
@@ -596,18 +602,12 @@ def check_linear_tail_decay(mm: MetricMeasureSpace, family: LipschitzFamily,
     if C <= 0:
         raise ValueError("C must be positive")
     rs = np.asarray(r_grid, dtype=float)
-    worst = math.inf
-    witness = None
-    for k, f in enumerate(family):
-        v = f.values
-        dev = np.abs(v - mean(mm.measure, v))
-        tails = np.array([float(mm.weights[dev >= r].sum()) for r in rs])
-        margins = np.minimum(1.0, 1.0 / (C * rs)) - tails
-        j = int(np.argmin(margins))
-        if margins[j] < worst:
-            worst = float(margins[j])
-            witness = {"member": k, "r": float(rs[j])}
-    return CheckReport(bool(worst >= -VERDICT_TOL), worst, witness=witness)
+    w = mm.weights
+    margins = np.minimum(1.0, 1.0 / (C * rs)) - _row_tails(w, _deviations(w, family.values), rs)
+    k, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    worst = float(margins[k, j])
+    return CheckReport(bool(worst >= -VERDICT_TOL), worst,
+                       witness={"member": int(k), "r": float(rs[j])})
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +647,12 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
         front = _row_tops(ts[None, order], tv[None, order])
 
     # family members: full tail curves on the grid
-    for f in family:
-        dev = np.abs(f.values - mean(mm.measure, f.values))
-        add(radii[None, :], _upper_tails(w, dev, radii * (1 - 1e-9))[None, :])
+    tails = _row_tails(w, _deviations(w, family.values), radii * (1 - 1e-9))
+    add(np.broadcast_to(radii, tails.shape), tails)
 
     # a chunk's count table has a column per distinct value of its rows, at
     # most n rows + 1: chunks of sqrt(budget / 8n) rows keep it in the budget
-    chunk = max(1, math.isqrt(_ROW_BUDGET // (8 * mm.n)))
+    chunk = math.isqrt(_row_block(8 * mm.n))
     rows = _subset_rows(mm) if rows is None else rows
 
     # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
@@ -692,8 +691,7 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     def points():
         # the sample points again, chunk by chunk: the same products of the
         # masses and radii, bit for bit
-        if len(family):
-            yield radii
+        yield radii
         for lo in range(0, len(rows.masses), chunk):
             yield rows.masses[lo:lo + chunk, None] * radii[None, :]
 
@@ -758,12 +756,8 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
         radii = breakpoint_radii(mm.space)
     radii = np.asarray(radii, dtype=float)
 
-    hyp_margin = math.inf
-    beta_at_radii = b(radii)
-    for f in family:
-        dev = np.abs(f.values - mean(mm.measure, f.values))
-        tails = _upper_tails(mm.weights, dev, radii)
-        hyp_margin = min(hyp_margin, float(np.min(beta_at_radii - tails)))
+    w = mm.weights
+    hyp_margin = float(np.min(b(radii) - _row_tails(w, _deviations(w, family.values), radii)))
     hypothesis_ok = hyp_margin >= -VERDICT_TOL
     if not hypothesis_ok:
         return TailTransferReport(False, hyp_margin, False, None, None, True,

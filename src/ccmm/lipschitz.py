@@ -4,11 +4,13 @@ On an irreversible metric the Lipschitz condition is one-sided,
 f(z) - f(x) <= L d(x, z), so the constant is a maximum over ordered pairs.
 The generated families (distance cones plus inf-convolution regularizations
 of random fields) are the search space used by the concentration and
-observable-diameter suprema downstream.
+observable-diameter suprema downstream.  A family is one (m, n) stack of
+fields, and the per-field statistics here are row operations on a stack;
+the one-field functions are their one-row calls.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .quasimetric import (
     ProbabilityMeasure,
     QuasiMetricSpace,
     _frozen_array,
+    _row_block,
     diameter,
 )
 
@@ -25,7 +28,6 @@ __all__ = [
     "LipschitzFamily",
     "as_field",
     "lipschitz_constant",
-    "is_lipschitz",
     "median",
     "mean",
     "inf_convolution",
@@ -64,63 +66,90 @@ def as_field(f, n: int) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LipschitzFamily:
-    """A list of certified 1-Lipschitz fields with provenance tags.
+    """Certified 1-Lipschitz fields on ``space``: the rows of one read-only
+    (m, n) array ``values``, with one provenance tag per row.
 
+    Construction validates the stack (non-empty, 2-d, finite, one column per
+    point, one tag per row) and certifies every row once: its one-sided
+    Lipschitz constant, kept in ``lipschitz``, must be at most
+    1 + LIPSCHITZ_TOL, or a ValueError names the first member that fails.
     Tags are one of "distance-to-point", "negative-distance-from-point",
-    "inf-convolution", "user".
+    "inf-convolution", "user".  Iteration yields the rows.
     """
 
-    fields: tuple[ScalarField, ...]
+    space: QuasiMetricSpace
+    values: np.ndarray
     tags: tuple[str, ...]
+    lipschitz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.fields) != len(self.tags):
+        v = _frozen_array(self.values)
+        if v.size == 0:
+            raise ValueError("empty family")
+        if v.ndim != 2 or v.shape[1] != self.space.n:
+            raise ValueError(f"family has shape {v.shape}, expected (m, {self.space.n})")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("family has non-finite entries")
+        tags = tuple(self.tags)
+        if len(tags) != len(v):
             raise ValueError("one tag per field required")
+        L = _frozen_array(_lipschitz_constants(self.space.dist, v))
+        bad = np.flatnonzero(L > 1.0 + LIPSCHITZ_TOL)
+        if bad.size:
+            raise ValueError(f"family member {bad[0]} fails 1-Lipschitz certification")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "lipschitz", L)
 
     def __len__(self) -> int:
-        return len(self.fields)
+        return len(self.values)
 
     def __iter__(self):
-        return iter(self.fields)
+        return iter(self.values)
 
-    def matrix(self) -> np.ndarray:
-        """All members stacked as rows."""
-        return np.array([f.values for f in self.fields])
+
+def _lipschitz_constants(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's smallest L >= 0 with f(z) - f(x) <= L d(x, z) over ordered
+    pairs x != z, in blocks whose (rows, n, n) quotients fit _ROW_BUDGET; a
+    maximum is exact, so the blocks change no constant."""
+    m, n = rows.shape
+    out = np.empty(m)
+    diag = np.arange(n)
+    step = _row_block(8 * n * n)
+    buf = np.empty((min(step, m), n, n))  # one block's quotients at a time
+    for lo in range(0, m, step):
+        v = rows[lo:lo + step]
+        q = np.subtract(v[:, None, :], v[:, :, None], out=buf[:len(v)])  # f_k(z) - f_k(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q /= dist
+        q[:, diag, diag] = -np.inf
+        out[lo:lo + step] = q.max(axis=(1, 2))
+    return np.maximum(out, 0.0)
 
 
 def lipschitz_constant(space: QuasiMetricSpace, f) -> float:
     """Smallest L with f(z) - f(x) <= L d(x, z) over ordered pairs x != z."""
-    v = as_field(f, space.n)
-    if space.n < 2:
-        return 0.0
-    diff = v[None, :] - v[:, None]  # diff[x, z] = f(z) - f(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = diff / space.dist
-    np.fill_diagonal(q, -np.inf)
-    return max(0.0, float(q.max()))
+    return float(_lipschitz_constants(space.dist, as_field(f, space.n)[None])[0])
 
 
-def is_lipschitz(space: QuasiMetricSpace, f, L: float = 1.0,
-                 tol: float = LIPSCHITZ_TOL) -> bool:
-    return lipschitz_constant(space, f) <= L + tol
+def _medians(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Lower median of every row, from one stable sort of each row."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    ws = weights[order]
+    below = np.cumsum(ws, axis=1)              # mu(f <= vs[i])
+    above = 1.0 - below + ws                   # mu(f >= vs[i])
+    ok = (below >= 0.5 - 1e-15) & (above >= 0.5 - 1e-15)
+    # a row has no such index only through rounding of its cumulative sums
+    idx = np.where(ok.any(axis=1), ok.argmax(axis=1), np.abs(below - 0.5).argmin(axis=1))
+    return np.take_along_axis(rows, np.take_along_axis(order, idx[:, None], axis=1), axis=1)[:, 0]
 
 
 def median(measure: ProbabilityMeasure, f) -> float:
     """Lower median: the smallest attained value m with mu(f <= m) >= 1/2
     and mu(f >= m) >= 1/2."""
-    v = as_field(f, measure.n)
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    ws = measure.weights[order]
-    below = np.cumsum(ws)                      # mu(f <= vs[i])
-    above = 1.0 - below + ws                   # mu(f >= vs[i])
-    ok = (below >= 0.5 - 1e-15) & (above >= 0.5 - 1e-15)
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:  # only possible through rounding of the cumulative sums
-        idx = np.array([np.argmin(np.abs(below - 0.5))])
-    return float(vs[idx[0]])
+    return float(_medians(measure.weights, as_field(f, measure.n)[None])[0])
 
 
 def mean(measure: ProbabilityMeasure, f) -> float:
@@ -129,13 +158,28 @@ def mean(measure: ProbabilityMeasure, f) -> float:
     return float(measure.weights @ v)
 
 
+def _deviations(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|f - mean(f)| for every row f; ``np.vecdot`` takes each row's mean
+    with the same dot product as ``mean``, bit for bit."""
+    return np.abs(rows - np.vecdot(rows, weights)[:, None])
+
+
+def _inf_convolutions(dist: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """min_z (g(z) + d(z, x)) for every row g of ``raw``, in blocks whose
+    (rows, n, n) sums fit _ROW_BUDGET; a minimum is exact."""
+    out = np.empty(raw.shape)
+    step = _row_block(8 * raw.shape[1] ** 2)
+    for lo in range(0, len(raw), step):
+        out[lo:lo + step] = (raw[lo:lo + step, :, None] + dist).min(axis=1)
+    return out
+
+
 def inf_convolution(space: QuasiMetricSpace, g) -> ScalarField:
     """McShane-type 1-Lipschitz regularization f(x) = min_z (g(z) + d(z, x)).
 
     Fixed points of the construction are exactly the 1-Lipschitz fields.
     """
-    v = as_field(g, space.n)
-    return ScalarField((v[:, None] + space.dist).min(axis=0))
+    return ScalarField(_inf_convolutions(space.dist, as_field(g, space.n)[None])[0])
 
 
 def generate_family(mm: MetricMeasureSpace, count: int | None = None,
@@ -152,22 +196,9 @@ def generate_family(mm: MetricMeasureSpace, count: int | None = None,
         count = 2 * n
     if count < 2 * n:
         raise ValueError(f"count must be at least 2n = {2 * n}")
-    fields: list[ScalarField] = []
-    tags: list[str] = []
-    for p in range(n):
-        fields.append(ScalarField(mm.dist[p, :].copy()))
-        tags.append("distance-to-point")
-    for p in range(n):
-        fields.append(ScalarField(-mm.dist[:, p].copy()))
-        tags.append("negative-distance-from-point")
-    rng = np.random.default_rng(seed)
-    amp = diameter(mm.space)
-    for _ in range(count - 2 * n):
-        raw = rng.uniform(0.0, 1.0, n) * amp
-        fields.append(inf_convolution(mm.space, raw))
-        tags.append("inf-convolution")
-    fam = LipschitzFamily(tuple(fields), tuple(tags))
-    for f in fam.fields:
-        if not is_lipschitz(mm.space, f):
-            raise AssertionError("generated family member failed 1-Lipschitz certification")
-    return fam
+    k = count - 2 * n
+    raw = np.random.default_rng(seed).uniform(0.0, 1.0, (k, n)) * diameter(mm.space)
+    values = np.concatenate([mm.dist, -mm.dist.T, _inf_convolutions(mm.dist, raw)])
+    tags = (("distance-to-point",) * n + ("negative-distance-from-point",) * n
+            + ("inf-convolution",) * k)
+    return LipschitzFamily(mm.space, values, tags)

@@ -23,7 +23,7 @@ from .concentration import (
     _subset_masks,
     alpha_profile,
 )
-from .lipschitz import LipschitzFamily, as_field, generate_family, is_lipschitz
+from .lipschitz import LipschitzFamily, as_field, generate_family
 from .quasimetric import MetricMeasureSpace, ProbabilityMeasure
 
 __all__ = [
@@ -110,8 +110,8 @@ def partial_diameter(mm: MetricMeasureSpace, kappa: float,
     return best
 
 
-def _pardiams(values, weights: np.ndarray, kappas) -> np.ndarray:
-    """Pushforward partial diameter of every field of ``values`` at every kappa:
+def _pardiams(values: np.ndarray, weights: np.ndarray, kappas) -> np.ndarray:
+    """Pushforward partial diameter of every row of ``values`` at every kappa:
     from start i of a stably sorted row the window ends at the first j >= i
     with cw[j + 1] - cw[i] >= need, bisected on exactly that predicate, which
     is monotone in j, so j is the end an exact sliding window reaches."""
@@ -120,7 +120,7 @@ def _pardiams(values, weights: np.ndarray, kappas) -> np.ndarray:
     n, out = len(weights), np.empty((len(kappas), len(values)))
     step = max(1, _STACK_BUDGET // (8 * (n + 1)))
     for lo in range(0, len(values), step):
-        block = np.array(values[lo:lo + step])
+        block = values[lo:lo + step]
         order = np.argsort(block, axis=1, kind="stable")
         vs = np.take_along_axis(block, order, axis=1)
         cw = np.pad(np.cumsum(weights[order], axis=1), ((0, 0), (1, 0)))
@@ -141,25 +141,23 @@ def _pardiams(values, weights: np.ndarray, kappas) -> np.ndarray:
 def pushforward_partial_diameter(measure: ProbabilityMeasure, f, kappa: float) -> float:
     """Length of the shortest closed interval holding mass >= 1 - kappa of f,
     exact: for a discrete pushforward the optimum ends at attained values."""
-    return float(_pardiams([as_field(f, measure.n)], measure.weights, [kappa])[0, 0])
+    return float(_pardiams(as_field(f, measure.n)[None], measure.weights, [kappa])[0, 0])
 
 
 def observable_diameters(mm: MetricMeasureSpace, kappas, family: LipschitzFamily | None = None,
                          seed: int = 0) -> dict[float, ObsDiamResult]:
     """Largest pushforward partial diameter over a certified family, per kappa,
-    with the first member attaining it.  Each member is certified and sorted
-    once.  Lower bounds of the true observable diameters (the family replaces
-    the supremum over all 1-Lipschitz functions); a larger family can only
+    with the first member attaining it.  Each member is sorted once; a family
+    certified on another distance matrix is certified again on ``mm``'s.
+    Lower bounds of the true observable diameters (the family replaces the
+    supremum over all 1-Lipschitz functions); a larger family can only
     increase them."""
     kappas = [float(k) for k in kappas]
     if family is None:
         family = generate_family(mm, seed=seed)
-    if len(family) == 0:
-        raise ValueError("empty family")
-    for k, f in enumerate(family):
-        if not is_lipschitz(mm.space, f):
-            raise ValueError(f"family member {k} fails 1-Lipschitz certification")
-    vals = _pardiams([f.values for f in family], mm.weights, kappas)
+    elif not np.array_equal(family.space.dist, mm.dist):
+        family = LipschitzFamily(mm.space, family.values, family.tags)
+    vals = _pardiams(family.values, mm.weights, kappas)
     return {kappa: ObsDiamResult(kappa, float(row.max()), int(row.argmax()), len(family))
             for kappa, row in zip(kappas, vals)}
 

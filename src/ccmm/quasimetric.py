@@ -47,6 +47,17 @@ def snap_threshold(r: float | np.ndarray) -> float | np.ndarray:
     return r - SNAP_RTOL * np.maximum(1.0, r)
 
 
+# Bytes one block of rows may use: no blocked temporary (subset rows, family
+# certification and construction) is larger, so memory does not grow with
+# the number of rows.
+_ROW_BUDGET = 8 << 20
+
+
+def _row_block(row_bytes: int) -> int:
+    """Rows per block when each row's temporary takes ``row_bytes``."""
+    return max(1, _ROW_BUDGET // row_bytes)
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)

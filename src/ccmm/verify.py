@@ -21,23 +21,23 @@ from . import __version__
 from .concentration import (
     EXACT_MAX_N,
     VERDICT_TOL,
+    _deviation_margins,
+    _lq_norms,
+    _pow,
+    _row_tails,
     _subset_rows,
-    _upper_tails,
     alpha_profile,
-    deviation_check,
     enlargement_check_from_tail_bound,
     fit_profile,
     median_to_mean_tail_constants,
-    mean,
     moment_bound_from_normal_tails,
-    moment_norm,
     normal_equivalence_constants,
     tail_bound_from_first_moment,
     tail_bound_from_square_moments,
     tail_envelope,
 )
 from .io import space_hash
-from .lipschitz import generate_family
+from .lipschitz import _deviations, generate_family
 from .observable import (
     observable_diameters,
     obsdiam_bound_exponential,
@@ -99,6 +99,11 @@ def _check(margin: float, notes: str = "", witness: dict | None = None) -> Verif
 
 def _skip(reason: str) -> VerifyEntry:
     return VerifyEntry("skipped", None, reason)
+
+
+def _first_min(margins) -> tuple[int, ...]:
+    """The index of the smallest margin, the first one in row order."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(margins)), np.shape(margins)))
 
 
 class _SuiteContext:
@@ -164,15 +169,12 @@ class _SuiteContext:
 def _run_mf3(ctx: _SuiteContext) -> VerifyEntry:
     if not ctx.exact_ok:
         return _skip(f"exact profile infeasible for n = {ctx.mm.n} > {EXACT_MAX_N}")
-    worst = math.inf
-    witness = None
-    for k, f in enumerate(ctx.family):
-        rep = deviation_check(ctx.mm, f, ctx.profile)
-        m = min(rep.upper.margin, rep.lower.margin, rep.twosided.margin)
-        if m < worst:
-            worst = m
-            witness = {"member": k}
-    return _check(worst, "median deviation tails vs the doubled profile", witness)
+    fam = ctx.family
+    _, margins = _deviation_margins(ctx.mm, fam.values, np.maximum(fam.lipschitz, 1e-12),
+                                    ctx.profile)
+    worst = np.min([mg.min(axis=1) for mg in margins], axis=0)
+    k = int(np.argmin(worst))
+    return _check(worst[k], "median deviation tails vs the doubled profile", {"member": k})
 
 
 def _run_prop32_1(ctx: _SuiteContext) -> VerifyEntry:
@@ -207,67 +209,56 @@ def _run_thm33(ctx: _SuiteContext) -> VerifyEntry:
         return _skip(f"certified exact fit infeasible for n = {ctx.mm.n}")
     C2, c2 = _mean_tail_constants(ctx)
     rs = ctx.profile.radii
-    bound = C2 * np.exp(-c2 * rs ** 2)
-    worst = math.inf
-    witness = None
-    for k, f in enumerate(ctx.family):
-        dev = np.abs(f.values - mean(ctx.mm.measure, f.values))
-        margins = bound - _upper_tails(ctx.mm.weights, dev, rs)
-        j = int(np.argmin(margins))
-        if margins[j] < worst:
-            worst = float(margins[j])
-            witness = {"member": k, "r": float(rs[j])}
-    return _check(worst, "mean tails under the forward normal constants", witness)
+    w = ctx.mm.weights
+    margins = C2 * np.exp(-c2 * rs ** 2) - _row_tails(w, _deviations(w, ctx.family.values), rs)
+    k, j = _first_min(margins)
+    return _check(margins[k, j], "mean tails under the forward normal constants",
+                  {"member": k, "r": float(rs[j])})
 
 
 def _run_thm37(ctx: _SuiteContext) -> VerifyEntry:
     if not ctx.exact_ok:
         return _skip(f"certified exact fit infeasible for n = {ctx.mm.n}")
     C2, c2 = _mean_tail_constants(ctx)
-    worst = math.inf
-    witness = None
-    for q in (1.0, 2.0, 4.0, 8.0):
-        bound = moment_bound_from_normal_tails(C2, c2, q)
-        for k, f in enumerate(ctx.family):
-            m = bound - moment_norm(ctx.mm, f, q)
-            if m < worst:
-                worst = m
-                witness = {"member": k, "q": q}
-    return _check(worst, "moment norms under the normal-tail moment bound", witness)
+    w = ctx.mm.weights
+    dev = _deviations(w, ctx.family.values)
+    qs = (1.0, 2.0, 4.0, 8.0)
+    margins = np.array([moment_bound_from_normal_tails(C2, c2, q) - _lq_norms(w, dev, q)
+                        for q in qs])
+    i, k = _first_min(margins)
+    return _check(margins[i, k], "moment norms under the normal-tail moment bound",
+                  {"member": k, "q": qs[i]})
 
 
 def _run_thm38(ctx: _SuiteContext) -> VerifyEntry:
-    mm = ctx.mm
-    w = mm.weights
-    devs = [np.abs(f.values - mean(mm.measure, f.values)) for f in ctx.family]
+    w = ctx.mm.weights
+    dev = _deviations(w, ctx.family.values)
 
     @cache
-    def member_norms(q: float) -> tuple[float, ...]:
-        # moment_norm's arithmetic on the deviations, once per exponent
-        return tuple(float((w @ d ** q) ** (1.0 / q)) for d in devs)
+    def member_norms(q: float) -> np.ndarray:
+        return _lq_norms(w, dev, q)
 
     qs = (1.0, 2.0, 4.0, 8.0)
-    largest = {q: max(member_norms(q)) for q in qs}
+    largest = {q: float(member_norms(q).max()) for q in qs}
     if any(v == 0 for v in largest.values()):
         return VerifyEntry("pass", 0.0, "all-constant family, trivial")
     C_star = min(q / largest[q] ** 2 for q in qs)
     rs = ctx.profile.radii
-    tail_rows = [_upper_tails(mm.weights, dev, rs) for dev in devs]
+    tails = _row_tails(w, dev, rs)
     worst = math.inf
     skipped_pts = 0
     witness = None
     for j, r in enumerate(rs):
         regime, bound = tail_bound_from_square_moments(C_star, float(r))
         q_star = max(1.0, C_star * float(r) ** 2 / math.e)
-        for k, norm in enumerate(member_norms(q_star)):
-            # Chebyshev at the optimal exponent needs the moment premise there
-            if norm ** 2 > (q_star / C_star) * (1 + 1e-9):
-                skipped_pts += 1
-                continue
-            m = bound - float(tail_rows[k][j])
-            if m < worst:
-                worst = m
-                witness = {"member": k, "r": float(r), "regime": regime}
+        # Chebyshev at the optimal exponent needs the moment premise there
+        skip = _pow(member_norms(q_star), 2.0) > (q_star / C_star) * (1 + 1e-9)
+        skipped_pts += int(np.count_nonzero(skip))
+        margins = np.where(skip, math.inf, bound - tails[:, j])
+        k = int(np.argmin(margins))
+        if margins[k] < worst:
+            worst = float(margins[k])
+            witness = {"member": k, "r": float(r), "regime": regime}
     notes = "tail bounds from measured square-moment constants"
     if skipped_pts:
         notes += f"; {skipped_pts} points skipped (moment premise unmet at the optimal exponent)"
@@ -275,26 +266,20 @@ def _run_thm38(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_thm39(ctx: _SuiteContext) -> VerifyEntry:
-    mm = ctx.mm
-    first = max(moment_norm(mm, f, 1.0) for f in ctx.family)
+    w = ctx.mm.weights
+    dev = _deviations(w, ctx.family.values)
+    first = float(_lq_norms(w, dev, 1.0).max())
     if first == 0:
         return VerifyEntry("pass", 0.0, "all-constant family, trivial")
     rs = ctx.profile.radii
-    worst = math.inf
-    witness = None
-    tail_rows = [_upper_tails(mm.weights, np.abs(f.values - mean(mm.measure, f.values)), rs)
-                 for f in ctx.family]
-    for p in (1.0, 2.0, 4.0):
-        C_p = 1.0 / first ** p
-        bounds = np.minimum(1.0, np.array(
-            [tail_bound_from_first_moment(C_p, p, float(r)) for r in rs]))
-        for k, tails in enumerate(tail_rows):
-            margins = bounds - tails
-            j = int(np.argmin(margins))
-            if margins[j] < worst:
-                worst = float(margins[j])
-                witness = {"member": k, "p": p, "r": float(rs[j])}
-    return _check(worst, "linear tail decay from the measured first moment", witness)
+    tails = _row_tails(w, dev, rs)
+    ps = (1.0, 2.0, 4.0)
+    bounds = np.minimum(1.0, [[tail_bound_from_first_moment(1.0 / first ** p, p, float(r))
+                               for r in rs] for p in ps])
+    margins = bounds[:, None, :] - tails
+    i, k, j = _first_min(margins)
+    return _check(margins[i, k, j], "linear tail decay from the measured first moment",
+                  {"member": k, "p": ps[i], "r": float(rs[j])})
 
 
 def _run_thm41(ctx: _SuiteContext) -> VerifyEntry:
@@ -312,18 +297,13 @@ def _run_obsdiam_fit(ctx: _SuiteContext, model: str) -> VerifyEntry:
     if not fit.certified:
         return _skip("no certified fit")
     bound_fn = obsdiam_bound_normal if model == "normal" else obsdiam_bound_exponential
-    worst = math.inf
-    witness = None
-    for eps in EPS_GRID:
-        obs = ctx.obsdiam[eps]
-        m = bound_fn(fit.C, fit.c, eps) - obs.value
-        if m < worst:
-            worst = m
-            witness = {"epsilon": eps, "obsdiam": obs.value}
+    margins = [bound_fn(fit.C, fit.c, eps) - ctx.obsdiam[eps].value for eps in EPS_GRID]
+    j, = _first_min(margins)
     note = f"family observable diameter vs the {model}-fit closed form"
     if fit.degenerate:
         note += " (degenerate all-zero profile fit)"
-    return _check(worst, note, witness)
+    return _check(margins[j], note,
+                  {"epsilon": EPS_GRID[j], "obsdiam": ctx.obsdiam[EPS_GRID[j]].value})
 
 
 def _lem51_radii(ctx: _SuiteContext, scale: float) -> np.ndarray:
@@ -353,65 +333,55 @@ def _run_lem52(ctx: _SuiteContext) -> VerifyEntry:
         return _skip("isoperimetric hypothesis certificate unavailable")
     scale = ctx.lem51.scale
     sqrt_k = math.sqrt(ctx.K)
-    worst = math.inf
-    witness = None
-    for r, a in zip(ctx.profile.radii, ctx.profile.alphas):
-        shifted = max(float(r) - scale, 0.0)
-        bound = 1.0 - gaussian_phi(sqrt_k * shifted)
-        if bound - a < worst:
-            worst = bound - a
-            witness = {"r": float(r)}
+    rs = ctx.profile.radii
+    margins = [1.0 - gaussian_phi(sqrt_k * max(float(r) - scale, 0.0)) - a
+               for r, a in zip(rs, ctx.profile.alphas)]
+    j, = _first_min(margins)
     note = "Gaussian profile bound with one mesh step of slack"
     if ctx.profile.strategy == "family":
         note += "; family profile on the left (necessary-condition form)"
-    return _check(worst, note, witness)
+    return _check(margins[j], note, {"r": float(rs[j])})
 
 
 def _run_thm54(ctx: _SuiteContext) -> VerifyEntry:
     if ctx.K <= 0:
         return _skip("no positive curvature certificate")
-    worst = math.inf
-    witness = None
-    for r, a in zip(ctx.profile.radii, ctx.profile.alphas):
-        bound = normal_concentration_bound(ctx.K, float(r)) * 1.25
-        if bound - a < worst:
-            worst = bound - a
-            witness = {"r": float(r)}
+    rs = ctx.profile.radii
+    margins = [normal_concentration_bound(ctx.K, float(r)) * 1.25 - a
+               for r, a in zip(rs, ctx.profile.alphas)]
+    j, = _first_min(margins)
     note = "normal concentration bound with slack 0.25"
     if ctx.profile.strategy == "family":
         note += "; family profile on the left (necessary-condition form)"
-    return _check(worst, note, witness)
+    return _check(margins[j], note, {"r": float(rs[j])})
 
 
 def _run_cor55(ctx: _SuiteContext) -> VerifyEntry:
     if ctx.K <= 0:
         return _skip("no positive curvature certificate")
-    worst = math.inf
-    witness = None
-    for eps in EPS_GRID:
-        obs = ctx.obsdiam[eps]
-        m = obsdiam_bound_from_curvature(ctx.K, eps) - obs.value
-        if m < worst:
-            worst = m
-            witness = {"epsilon": eps}
-    return _check(worst, "family observable diameter vs the curvature bound", witness)
+    margins = [obsdiam_bound_from_curvature(ctx.K, eps) - ctx.obsdiam[eps].value
+               for eps in EPS_GRID]
+    j, = _first_min(margins)
+    return _check(margins[j], "family observable diameter vs the curvature bound",
+                  {"epsilon": EPS_GRID[j]})
 
 
 def _run_thm61(ctx: _SuiteContext) -> VerifyEntry:
-    lam = ctx.eigen.value
-    worst = math.inf
-    witness = None
-    for r, a in zip(ctx.profile.radii, ctx.profile.alphas):
-        m = alpha_bound_from_spectral_gap(lam, float(r)) - a
-        if m < worst:
-            worst = m
-            witness = {"r": float(r)}
-    if worst >= -VERDICT_TOL:
-        return VerifyEntry("pass", float(worst),
+    rs = ctx.profile.radii
+    margins = [alpha_bound_from_spectral_gap(ctx.eigen.value, float(r)) - a
+               for r, a in zip(rs, ctx.profile.alphas)]
+    j, = _first_min(margins)
+    return _estimated(margins[j], {"r": float(rs[j])})
+
+
+def _estimated(margin: float, witness: dict) -> VerifyEntry:
+    """The entry of a check strengthened by the estimated eigenvalue, an
+    upper bound of the true one: a negative margin proves nothing."""
+    if margin >= -VERDICT_TOL:
+        return VerifyEntry("pass", float(margin),
                            "strengthened bound with the estimated eigenvalue")
-    return VerifyEntry("inconclusive", float(worst),
-                       "estimated eigenvalue overshoots; tighten the estimate",
-                       witness)
+    return VerifyEntry("inconclusive", float(margin),
+                       "estimated eigenvalue overshoots; tighten the estimate", witness)
 
 
 def _run_gm(ctx: _SuiteContext) -> VerifyEntry:
@@ -436,21 +406,11 @@ def _run_gm(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_cor62(ctx: _SuiteContext) -> VerifyEntry:
-    lam = ctx.eigen.value
-    worst = math.inf
-    witness = None
-    for eps in EPS_GRID:
-        obs = ctx.obsdiam[eps]
-        m = obsdiam_bound_from_spectral_gap(lam, eps) - obs.value
-        if m < worst:
-            worst = m
-            witness = {"epsilon": eps, "obsdiam": obs.value}
-    if worst >= -VERDICT_TOL:
-        return VerifyEntry("pass", float(worst),
-                           "strengthened bound with the estimated eigenvalue")
-    return VerifyEntry("inconclusive", float(worst),
-                       "estimated eigenvalue overshoots; tighten the estimate",
-                       witness)
+    margins = [obsdiam_bound_from_spectral_gap(ctx.eigen.value, eps) - ctx.obsdiam[eps].value
+               for eps in EPS_GRID]
+    j, = _first_min(margins)
+    return _estimated(margins[j], {"epsilon": EPS_GRID[j],
+                                   "obsdiam": ctx.obsdiam[EPS_GRID[j]].value})
 
 
 def _run_thm63(ctx: _SuiteContext) -> VerifyEntry:

@@ -409,3 +409,159 @@ def descend_plain(dist, w, f0):
             best_f = f.copy()
         eta *= 0.9
     return best_val, best_f
+
+
+# ---------------------------------------------------------------------------
+# a test family read member by member, as the suite read it before the
+# family became one (m, n) stack
+# ---------------------------------------------------------------------------
+
+def generate_family_plain(mm, count, seed):
+    """Distance cones, then one inf-convolution of a random field per draw;
+    the member rows and their tags."""
+    n = mm.n
+    rows = [mm.dist[p, :] for p in range(n)] + [-mm.dist[:, p] for p in range(n)]
+    rng = np.random.default_rng(seed)
+    amp = float(mm.dist.max())
+    for _ in range(count - 2 * n):
+        raw = rng.uniform(0.0, 1.0, n) * amp
+        rows.append((raw[:, None] + mm.dist).min(axis=0))
+    tags = (["distance-to-point"] * n + ["negative-distance-from-point"] * n
+            + ["inf-convolution"] * (count - 2 * n))
+    return np.array(rows), tags
+
+
+def upper_tails_plain(weights, values, thresholds):
+    """mu(values >= t) per threshold, from one stable sort of the values."""
+    order = np.argsort(values, kind="stable")
+    cw = np.concatenate([[0.0], np.cumsum(weights[order])])
+    return cw[-1] - cw[np.searchsorted(values[order], thresholds, side="left")]
+
+
+def lower_tails_plain(weights, values, thresholds):
+    """mu(values <= t) per threshold, from one stable sort of the values."""
+    order = np.argsort(values, kind="stable")
+    cw = np.concatenate([[0.0], np.cumsum(weights[order])])
+    return cw[np.searchsorted(values[order], thresholds, side="right")]
+
+
+def median_plain(weights, values):
+    """The lower median, the first sorted value holding half the mass on
+    both sides."""
+    order = np.argsort(values, kind="stable")
+    ws = weights[order]
+    below = np.cumsum(ws)
+    above = 1.0 - below + ws
+    ok = np.nonzero((below >= 0.5 - 1e-15) & (above >= 0.5 - 1e-15))[0]
+    i = ok[0] if ok.size else int(np.argmin(np.abs(below - 0.5)))
+    return float(values[order][i])
+
+
+def deviations_plain(weights, values):
+    return np.abs(values - float(weights @ values))
+
+
+def moment_norm_plain(weights, values, q):
+    return float((weights @ deviations_plain(weights, values) ** q) ** (1.0 / q))
+
+
+def family_tails_plain(weights, rows, thresholds):
+    """mu(|f - mean f| >= t) per member f and threshold t."""
+    return np.array([upper_tails_plain(weights, deviations_plain(weights, v), thresholds)
+                     for v in rows])
+
+
+def transfer_hypothesis_plain(weights, rows, beta_at_radii, radii):
+    """The worst beta(r) - mu(|f - mean f| >= r) over the members."""
+    worst = math.inf
+    for v in rows:
+        tails = upper_tails_plain(weights, deviations_plain(weights, v), radii)
+        worst = min(worst, float(np.min(beta_at_radii - tails)))
+    return worst
+
+
+def mf3_plain(mm, rows, profile):
+    """The worst median-deviation margin and its member."""
+    w, rhs = mm.weights, profile.alphas
+    worst, witness = math.inf, None
+    for k, v in enumerate(rows):
+        L = max(lipschitz_constant_bruteforce(mm.space, v), 1e-12)
+        m = median_plain(w, v)
+        rs = L * profile.radii
+        up = upper_tails_plain(w, v, m + rs)
+        lo = lower_tails_plain(w, v, m - rs)
+        margin = min(float(np.min(rhs - up)), float(np.min(rhs - lo)),
+                     float(np.min(2 * rhs - (up + lo))))
+        if margin < worst:
+            worst, witness = margin, {"member": k}
+    return worst, witness
+
+
+def thm33_plain(mm, rows, rs, C2, c2):
+    """The worst mean-tail margin under C2 exp(-c2 r^2), with its member and
+    radius."""
+    bound = C2 * np.exp(-c2 * rs ** 2)
+    worst, witness = math.inf, None
+    for k, v in enumerate(rows):
+        margins = bound - upper_tails_plain(mm.weights, deviations_plain(mm.weights, v), rs)
+        j = int(np.argmin(margins))
+        if margins[j] < worst:
+            worst, witness = float(margins[j]), {"member": k, "r": float(rs[j])}
+    return worst, witness
+
+
+def thm37_plain(mm, rows, bounds):
+    """The worst bounds[q] - ||f - mean f||_q, with its member and q."""
+    worst, witness = math.inf, None
+    for q, bound in bounds.items():
+        for k, v in enumerate(rows):
+            margin = bound - moment_norm_plain(mm.weights, v, q)
+            if margin < worst:
+                worst, witness = margin, {"member": k, "q": q}
+    return worst, witness
+
+
+def thm38_plain(mm, rows, rs, square_moment_tail):
+    """(margin, witness, notes) of the square-moment tail check, member by
+    member at every radius; ``square_moment_tail(C, r)`` is the bound."""
+    w = mm.weights
+    qs = (1.0, 2.0, 4.0, 8.0)
+    largest = {q: max(moment_norm_plain(w, v, q) for v in rows) for q in qs}
+    if any(v == 0 for v in largest.values()):
+        return 0.0, None, "all-constant family, trivial"
+    C_star = min(q / largest[q] ** 2 for q in qs)
+    worst, witness, skipped = math.inf, None, 0
+    for r in rs:
+        regime, bound = square_moment_tail(C_star, float(r))
+        q_star = max(1.0, C_star * float(r) ** 2 / math.e)
+        for k, v in enumerate(rows):
+            if moment_norm_plain(w, v, q_star) ** 2 > (q_star / C_star) * (1 + 1e-9):
+                skipped += 1
+                continue
+            tail = upper_tails_plain(w, deviations_plain(w, v), np.array([r]))[0]
+            if bound - float(tail) < worst:
+                worst = bound - float(tail)
+                witness = {"member": k, "r": float(r), "regime": regime}
+    notes = "tail bounds from measured square-moment constants"
+    if skipped:
+        notes += f"; {skipped} points skipped (moment premise unmet at the optimal exponent)"
+    return (worst if worst < math.inf else 0.0), witness, notes
+
+
+def thm39_plain(mm, rows, rs, first_moment_tail):
+    """(margin, witness) of the linear tail check from the first moment;
+    ``first_moment_tail(C, p, r)`` is the bound."""
+    w = mm.weights
+    first = max(moment_norm_plain(w, v, 1.0) for v in rows)
+    if first == 0:
+        return 0.0, None
+    worst, witness = math.inf, None
+    for p in (1.0, 2.0, 4.0):
+        C_p = 1.0 / first ** p
+        bounds = np.minimum(1.0, np.array([first_moment_tail(C_p, p, float(r)) for r in rs]))
+        for k, v in enumerate(rows):
+            margins = bounds - upper_tails_plain(w, deviations_plain(w, v), rs)
+            j = int(np.argmin(margins))
+            if margins[j] < worst:
+                worst, witness = float(margins[j]), {"member": k, "p": p, "r": float(rs[j])}
+    return worst, witness

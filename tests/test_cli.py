@@ -124,6 +124,34 @@ def test_obsdiam_command(tmp_path, space_file):
     assert doc["kappa"] == 0.4
 
 
+@pytest.mark.parametrize("case, message", [
+    ("not-lipschitz", "family member 0 fails 1-Lipschitz certification"),
+    ("short-member", None),
+    ("ragged", None),
+    ("empty", "empty family"),
+    ("tag-count", "one tag per field required"),
+])
+def test_obsdiam_family_errors_are_usage_errors(tmp_path, space_file, case, message):
+    n = load_space(space_file).n
+    flat = [0.0] * n
+    doc = {
+        "not-lipschitz": {"fields": [[0.0] * (n - 1) + [100.0]]},
+        "short-member": {"fields": [flat[:-1]]},
+        "ragged": {"fields": [flat, flat[:-1]]},
+        "empty": {"fields": []},
+        "tag-count": {"fields": [flat], "tags": ["user", "user"]},
+    }[case]
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(doc))
+    res = run_cli("obsdiam", str(space_file), "--kappa", "0.4", "--family", str(fam))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    if message is not None:
+        assert lines[0] == f"error: {message}"
+
+
 def test_isoperim_command(tmp_path, space_file):
     out = tmp_path / "iso.csv"
     res = run_cli("isoperim", str(space_file), "--out", str(out))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccmm import build_space, catalog_entry, concentration
+from ccmm import build_space, catalog_entry, concentration, quasimetric
 from ccmm.concentration import (
     ConcentrationProfile,
     SampledDecreasing,
@@ -194,23 +194,24 @@ def test_check_moment_concentration_reports_largest():
 
 
 def test_moment_constant_two_point_hand_value():
-    # single field (0, 2): deviation norm 1, so the largest constant is
-    # q / norm^p = 2; constant-only families admit every constant
-    mm = two_point_uniform()
-    from ccmm.lipschitz import LipschitzFamily, ScalarField
-    fam = LipschitzFamily((ScalarField(np.array([0.0, 2.0])),), ("user",))
+    # single field (0, 2), 1-Lipschitz at distance 2: deviation norm 1, so
+    # the largest constant is q / norm^p = 2; constant-only families admit
+    # every constant
+    mm = MetricMeasureSpace.with_uniform(validate([[0, 2], [2, 0]]))
+    from ccmm.lipschitz import LipschitzFamily
+    fam = LipschitzFamily(mm.space, [[0.0, 2.0]], ("user",))
     rep = check_moment_concentration(mm, fam, p=2, q=2, C=1.0)
     assert rep.holds
     assert rep.largest_constant == pytest.approx(2.0, rel=1e-12)
-    flat = LipschitzFamily((ScalarField(np.array([3.0, 3.0])),), ("user",))
+    flat = LipschitzFamily(mm.space, [[3.0, 3.0]], ("user",))
     rep = check_moment_concentration(mm, flat, p=2, q=2, C=1e12)
     assert rep.holds and rep.largest_constant == math.inf
 
 
 def test_linear_tail_decay_equality_case():
     mm = two_point_uniform()
-    from ccmm.lipschitz import LipschitzFamily, ScalarField
-    fam = LipschitzFamily((ScalarField(np.array([0.0, 1.0])),), ("user",))
+    from ccmm.lipschitz import LipschitzFamily
+    fam = LipschitzFamily(mm.space, [[0.0, 1.0]], ("user",))
     # f = (0, 2) scaled: use raw grid check at C = 1, r = 1 on values (0, 2)
     rep = check_linear_tail_decay(mm, fam, C=2.0, r_grid=[0.5])
     # mu(|f - 1/2| >= 1/2) = 1 <= 1/(2 * 0.5) = 1, equality
@@ -364,7 +365,7 @@ def test_tail_envelope_never_rises():
 def one_row_blocks(monkeypatch):
     """Shrink the row budget below one row, so every blocked scan builds one
     row per block."""
-    monkeypatch.setattr(concentration, "_ROW_BUDGET", 1)
+    monkeypatch.setattr(quasimetric, "_ROW_BUDGET", 1)
 
 
 def test_set_distance_rows_blocks_match_one_block(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccmm import observable
 from ccmm.concentration import alpha_profile
-from ccmm.lipschitz import LipschitzFamily, ScalarField, generate_family
+from ccmm.lipschitz import LipschitzFamily, generate_family
 from ccmm.observable import (
     alpha_inverse,
     observable_diameter,
@@ -106,7 +106,7 @@ def test_observable_diameter_two_point():
     res = observable_diameter(mm, 0.4, fam)
     assert res.value == 1.0
     assert res.family_size == len(fam)
-    constant_only = LipschitzFamily((ScalarField(np.zeros(2)),), ("user",))
+    constant_only = LipschitzFamily(mm.space, np.zeros((1, 2)), ("user",))
     assert observable_diameter(mm, 0.4, constant_only).value == 0.0
 
 
@@ -121,9 +121,12 @@ def test_observable_diameter_monotone_in_family():
 
 def test_observable_diameter_rejects_bad_member():
     mm = two_point_uniform()
-    bad = LipschitzFamily((ScalarField(np.array([0.0, 5.0])),), ("user",))
-    with pytest.raises(ValueError, match="certification"):
-        observable_diameter(mm, 0.5, bad)
+    with pytest.raises(ValueError, match="family member 0 fails 1-Lipschitz certification"):
+        LipschitzFamily(mm.space, [[0.0, 5.0]], ("user",))
+    # certified on a space with longer distances, so certified again on mm's
+    wide = LipschitzFamily(validate([[0, 5], [5, 0]]), [[0.0, 1.0], [0.0, 5.0]], ("user",) * 2)
+    with pytest.raises(ValueError, match="family member 1 fails 1-Lipschitz certification"):
+        observable_diameter(mm, 0.5, wide)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +143,7 @@ def test_observable_diameters_match_the_sliding_window(n, members, seed):
     bases = rng.uniform(0.0, 4.0, 3)
     pool = np.concatenate([bases, np.nextafter(bases, 5.0), np.nextafter(bases, -1.0)])
     values = rng.choice(pool, size=(members, n))
-    fam = LipschitzFamily(tuple(ScalarField(v) for v in values), ("user",) * members)
+    fam = LipschitzFamily(mm.space, values, ("user",) * members)
     # kappas near 0 and 1, and ones whose mass bar lands within an ulp of the
     # mass of a window of the first member
     cw = np.concatenate([[0.0], np.cumsum(mm.weights[np.argsort(values[0], kind="stable")])])
