@@ -626,6 +626,14 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     :func:`enlargement_check_from_tail_bound` therefore exercises the full
     transfer with a hypothesis that genuinely holds.  Its values never
     rise, and it reads the sorted subset ``rows`` when given.
+
+    The cones are read in event form: a row's tail at rho is set by a few
+    counts that change only where rho, or the thresholds built from it,
+    cross one of the row's values.  Each row is evaluated at the ends of
+    the stretches between those crossings, and a stretch is split further
+    only where its ends disagree or lie near a crossing, so a row costs a
+    few evaluations rather than one per radius.  The envelope is the same,
+    bit for bit, as evaluating every row at every radius.
     """
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"tail envelope enumeration requires n <= {EXACT_MAX_N}")
@@ -636,64 +644,20 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     # ascending radii make every sample row below ascend in s
     radii = np.sort(np.asarray(radii, dtype=float))
     w = mm.weights
+
     # the front: the samples (s, v) no other at or past s covers, ascending
-    # in s; each row is cut to its tops and merged at once
-    front = (np.empty(0), np.empty(0))
-
-    def add(s, v):
-        nonlocal front
-        ts, tv = (np.append(f, t) for f, t in zip(front, _row_tops(s, v)))
-        order = np.lexsort((tv, ts))  # one row ascending in s, ties by v
-        front = _row_tops(ts[None, order], tv[None, order])
-
-    # family members: full tail curves on the grid
+    # in s, from the family members' full tail curves on the grid first
     tails = _row_tails(w, _deviations(w, family.values), radii * (1 - 1e-9))
-    add(np.broadcast_to(radii, tails.shape), tails)
-
-    # a chunk's count table has a column per distinct value of its rows, at
-    # most n rows + 1: chunks of sqrt(budget / 8n) rows keep it in the budget
-    chunk = math.isqrt(_row_block(8 * mm.n))
-    rows = _subset_rows(mm) if rows is None else rows
+    front = _merge_front((np.empty(0), np.empty(0)),
+                         np.broadcast_to(radii, tails.shape).ravel(), tails.ravel())
 
     # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
     # tail at mass(A) rho) per (A, rho); the reversed cones have the same
     # centered deviations, so both directions reduce to this computation
-    for masses, *dirs in rows.blocks(chunk):
-        s = masses[:, None] * radii[None, :]
-        # relative and absolute shrink: the absolute part covers the
-        # membership snap and mean rounding for tiny-mass subsets
-        thr = s * (1 - 1e-9) - 1e-12 * np.maximum(1.0, radii)[None, :]
-        for ms, ws, cw in dirs:
-            cwm = np.concatenate([np.zeros((len(ms), 1)),
-                                  np.cumsum(ws * ms, axis=1)], axis=1)
-            # every value of a row is a cut, so the count below the first cut
-            # >= q counts the values < q, and below the first cut > q those <= q
-            cuts = np.append(np.unique(ms), np.inf)
-            table = _count_below(ms, cuts)
-            # each row's mass below each cut, flat: one gather per query
-            cw_at = np.take_along_axis(cw, table, axis=1)
-            offsets = len(cuts) * np.arange(len(ms))[:, None]
-
-            def below(q, side="left"):
-                return cw_at.ravel()[np.searchsorted(cuts, q, side) + offsets]
-
-            # mean of min(m, rho) from the prefix sums below rho
-            kr = np.searchsorted(cuts, radii)
-            mu_lt = cw_at[:, kr]
-            mean_f = (np.take_along_axis(cwm, table[:, kr], axis=1)
-                      + radii[None, :] * (1.0 - mu_lt))
-            hi = mean_f + thr
-            lo_thr = mean_f - thr
-            up = np.where(hi > radii[None, :], 0.0, 1.0 - below(hi))
-            down = np.where(lo_thr >= radii[None, :], 1.0, below(lo_thr, "right"))
-            add(s, up + down)
-
-    def points():
-        # the sample points again, chunk by chunk: the same products of the
-        # masses and radii, bit for bit
-        yield radii
-        for lo in range(0, len(rows.masses), chunk):
-            yield rows.masses[lo:lo + chunk, None] * radii[None, :]
+    rows = _subset_rows(mm) if rows is None else rows
+    for masses, *dirs in rows.blocks(_row_block(_CONE_ROW_BYTES * (mm.n + 2))):
+        ms, ws, cw = (np.concatenate(parts) for parts in zip(*dirs))
+        front = _cone_front(front, np.tile(masses, 2), ms, ws, cw, radii)
 
     # t -> max{v : s >= t} changes value only at the first sample point past
     # a front sample, the last excepted: the envelope keeps it only there and
@@ -701,31 +665,219 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     ts, tv = front
     if not len(ts):
         return SampledDecreasing(np.empty(0), np.empty(0))
-    first, after = np.inf, np.full(len(ts) - 1, np.inf)
-    for p in points():
-        p = np.sort(p[p > 0])
-        if len(p):
-            first = min(first, p[0])
-            k = np.searchsorted(p, ts[:-1], side="right")
-            hit = k < len(p)
-            after[hit] = np.minimum(after[hit], p[k[hit]])
+    past = _first_points_past(np.append(0.0, ts[:-1]), radii, np.unique(rows.masses))
+    first, after = past[0], past[1:]
     # first reads the first front sample and after[j] the (j + 1)-th, so no
     # value repeats
     starts = np.unique(np.append(after[after < np.inf], first))
     return SampledDecreasing(starts, tv[np.searchsorted(ts, starts, side="left")])
 
 
-def _row_tops(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The samples (s, v) of rows ascending in s that can set the envelope.
+# bytes per subset of the cone kernel, over n + 2 stretches per row
+_CONE_ROW_BYTES = 512
 
-    Only a sample with s > 0 above every later one of its row can: a later
-    sample of at least its value covers it.
+# (row, radius) pairs up to which a block of cones is read at every radius
+_CONE_GRID_PAIRS = 4096
+
+# the fields of the cone kernel's readings, stacked
+_S, _V, _KEY, _MARGIN, _RHO, _HI, _LO, _KA, _KB = range(9)
+
+
+def _cone_thresholds(mass, rho, below, below_sum):
+    """s, hi and lo of rows of mass ``mass`` at radii ``rho``, from the mass
+    and the weighted sum of each row's values below rho: the float formula
+    of the whole-grid scan, which every sample of the envelope reads."""
+    s = mass * rho
+    # relative and absolute shrink: the absolute part covers the
+    # membership snap and mean rounding for tiny-mass subsets
+    thr = s * (1 - 1e-9) - 1e-12 * np.maximum(1.0, rho)
+    # mean of min(m, rho) from the prefix sums below rho
+    mean_f = below_sum + rho * (1.0 - below)
+    return s, mean_f + thr, mean_f - thr
+
+
+def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np.ndarray,
+                ws: np.ndarray, cw: np.ndarray, radii: np.ndarray):
+    """``front`` with the samples (s, v) = (mass rho, tail at mass rho) of the
+    truncated cones of sorted rows ``ms`` at ascending ``radii`` merged in.
+
+    With c = #{values < rho}, the tail is (0 if hi > rho else 1 - mu(< hi))
+    + (1 if lo >= rho else mu(<= lo)), hi and lo being the row's mean of
+    min(m, rho) plus and minus the shrunk s: it reads two counts and two
+    flags.  On a stretch of radii with one c, all on one side of 1, hi and
+    lo are affine in rho in exact arithmetic, so each count and flag moves
+    one way there.  The formula rounds by less than 1e-15 of the scale
+    rho + 1e-12 max(1, rho); a margin of 1e-13 of it separates a float
+    comparison from the exact one.
+
+    Both ends of every stretch are read.  A first end is read with the
+    counts of the stretch before it and counted only where they miss the
+    margin.  Ends that agree, each past the margin from every cut, hold
+    the same tail at every radius between them.  Where they differ, the
+    ends' counts bound the tail between them, and a stretch the front
+    already covers is dropped.  In the rest the ends place each crossing
+    of a cut; two readings past the margin confirm it, and the tail is read
+    just before each crossing.  Any other stretch is read at every radius.
     """
-    v = np.where(s > 0, v, -np.inf)
-    later = np.full_like(v, -np.inf)
-    later[:, :-1] = np.maximum.accumulate(v[:, :0:-1], axis=1)[:, ::-1]
-    top = v > later
-    return s[top], v[top]
+    R, (m, n) = len(radii), ms.shape
+    # flat rows, indexed row * width + k: one gather per lookup
+    cwf = cw.ravel()
+    cwm = np.concatenate([np.zeros((m, 1)), np.cumsum(ws * ms, axis=1)], axis=1).ravel()
+    # each row between -inf and +inf: every threshold has neighbours in it
+    pad = np.full((m, 1), np.inf)
+    msp = np.concatenate([-pad, ms, pad], axis=1).ravel()
+    cols = np.ascontiguousarray(ms.T)
+
+    def thresholds(r, j, c):
+        """rho, s, hi and lo at rows r and radius indices j, with c values
+        of the row below rho."""
+        rho, rc = radii[j], r * (n + 1) + c
+        return (rho, *_cone_thresholds(masses[r], rho, cwf[rc], cwm[rc]))
+
+    def read(r, rho, hi, lo, ka, kb):
+        """The tail with ka values below hi and kb at most lo, its counts and
+        flags as one key, and the distance from hi and lo to the cuts around
+        them, which is negative if a count is wrong."""
+        up_zero, down_one = hi > rho, lo >= rho
+        v = (np.where(up_zero, 0.0, 1.0 - cwf[r * (n + 1) + ka])
+             + np.where(down_one, 1.0, cwf[r * (n + 1) + kb]))
+        key = np.where(up_zero, -1, ka) * (n + 2) + np.where(down_one, -1, kb)
+        pa, pb = r * (n + 2) + ka, r * (n + 2) + kb
+        margin = np.minimum(np.abs(hi - rho), np.abs(lo - rho))
+        for gap in (hi - msp[pa], msp[pa + 1] - hi, lo - msp[pb], msp[pb + 1] - lo):
+            np.minimum(margin, gap, out=margin)
+        return v, key, margin
+
+    def tails(r, j, c):
+        """The fields at rows r and radius indices j, counted over the rows."""
+        rho, s, hi, lo = thresholds(r, j, c)
+        ka = np.zeros(hi.shape, dtype=np.intp)  # values below hi
+        kb = np.zeros(hi.shape, dtype=np.intp)  # values at most lo
+        for col in cols:
+            x = col[r]
+            ka += x < hi
+            kb += x <= lo
+        return np.stack(np.broadcast_arrays(s, *read(r, rho, hi, lo, ka, kb),
+                                            rho, hi, lo, ka, kb))
+
+    cross = np.searchsorted(radii, ms, side="right")  # c = #{cross <= j}
+    # radii <= 0 give s <= 0, which never reaches the front
+    j0, j1 = np.searchsorted(radii, [0.0, 1.0], side="right")
+    if m * R <= _CONE_GRID_PAIRS:
+        # a block this small takes fewer numpy calls read at every radius
+        j = np.arange(j0, R)
+        got = tails(np.arange(m)[:, None], j, (cross[:, :, None] <= j).sum(axis=1))
+        return _merge_front(front, got[_S].ravel(), got[_V].ravel())
+
+    # stretches [first, last] of rows r: c changes where rho passes a row
+    # value, the shrink where rho passes 1
+    j1 = max(j0, j1)
+    bounds = np.sort(np.concatenate([np.clip(cross, j0, R), np.tile([j0, j1, R], (m, 1))],
+                                    axis=1), axis=1)
+    r, k = np.nonzero(bounds[:, 1:] > bounds[:, :-1])
+    first, last = bounds[r, k], bounds[r, k + 1] - 1
+    # bounds before a stretch: its row's values below it, j0, and j1 if passed
+    c = k - (first >= j1)
+    tol = 1e-13 * (radii + 1e-12 * np.maximum(1.0, radii))[last]
+
+    b = tails(r, last, c)
+    front = _merge_front(front, b[_S], b[_V])
+    # a first end is read with the counts of the stretch before it (c for a
+    # row's first), and counted only where they miss the margin
+    rho, s, hi, lo = thresholds(r, first, c)
+    after = np.append(False, r[1:] == r[:-1])
+    ka, kb = (np.where(after, np.roll(b[f], 1), c).astype(np.intp) for f in (_KA, _KB))
+    a = np.stack([s, *read(r, rho, hi, lo, ka, kb), rho, hi, lo, ka, kb])
+    recount = np.nonzero(~(a[_MARGIN] > tol))[0]
+    a[:, recount] = tails(r[recount], first[recount], c[recount])
+
+    safe = (a[_MARGIN] > tol) & (b[_MARGIN] > tol)
+    # between two safe ends the tail is at most the one with the fewest
+    # values below hi and the most at most lo, or with a flag's 0 or 1
+    up_zero = (a[_HI] > a[_RHO]) | (b[_HI] > b[_RHO])
+    down_one = (a[_LO] >= a[_RHO]) | (b[_LO] >= b[_RHO])
+    ka, kb = np.minimum(a[_KA], b[_KA]), np.maximum(a[_KB], b[_KB])
+    up = 1.0 - cwf[r * (n + 1) + ka.astype(np.intp)]
+    top = (np.where(up_zero, np.maximum(up, 0.0), up)
+           + np.where(down_one, 1.0, cwf[r * (n + 1) + kb.astype(np.intp)]))
+    ts, tv = front
+    covered = top <= np.append(tv, -np.inf)[np.searchsorted(ts, b[_S], side="left")]
+    open_ = safe & (a[_KEY] != b[_KEY]) & ~covered
+    # a stretch whose flags keep theirs is read at its crossings of the cuts
+    # between the ends' counts of hi, and of lo
+    flips = ((a[_HI] > a[_RHO]) != (b[_HI] > b[_RHO])) | ((a[_LO] >= a[_RHO]) != (b[_LO] >= b[_RHO]))
+    cut = np.nonzero(open_ & ~flips)[0]
+    a, b = a[:, cut], b[:, cut]
+    num = np.abs(b[_KA:] - a[_KA:]).astype(np.intp)  # (2, stretches)
+    g = np.repeat(np.tile(np.arange(len(cut)), 2), num.ravel())
+    kind = np.repeat([0, 1], num.sum(axis=1))
+    nth = np.arange(len(g)) - np.repeat(np.cumsum(num.ravel()) - num.ravel(), num.ravel())
+    x = ms[r[cut][g], np.minimum(a[_KA:], b[_KA:]).astype(np.intp)[kind, g] + nth]
+    fa, fb, ra, rb = a[_HI + kind, g], b[_HI + kind, g], a[_RHO, g], b[_RHO, g]
+    g = cut[g]
+    # affine between the ends: the first radius past the crossing
+    k = np.clip(np.searchsorted(radii, ra + (x - fa) * (rb - ra) / (fb - fa), side="right"),
+                first[g] + 1, last[g])
+    ok = np.ones(len(g), dtype=bool)
+    for j, f_end in ((k - 1, fa), (k, fb)):
+        _, _, hi, lo = thresholds(r[g], j, c[g])
+        f = np.where(kind == 0, hi, lo)
+        ok &= (np.abs(f - x) > tol[g]) & ((f > x) == (f_end > x))
+    missed = np.zeros(len(r), dtype=bool)
+    missed[g[~ok]] = True
+    keep = ~missed[g]
+    # the tail just before each confirmed crossing, and at every radius of
+    # the other open stretches and the unsafe ones
+    whole = np.nonzero(~safe | (open_ & (flips | missed)))[0]
+    num = last[whole] - first[whole] + 1
+    at = np.repeat(whole, num)
+    j = first[at] + np.arange(len(at)) - np.repeat(np.cumsum(num) - num, num)
+    got = tails(np.append(r[at], r[g[keep]]), np.append(j, k[keep] - 1),
+                np.append(c[at], c[g[keep]]))
+    return _merge_front(front, got[_S], got[_V])
+
+
+def _merge_front(front: tuple[np.ndarray, np.ndarray], s: np.ndarray,
+                 v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The front of ``front``'s samples and the samples (s, v) with s > 0:
+    each sample above every other at or past its s."""
+    ts, tv = front
+    # a front sample at or past s of at least v covers (s, v)
+    k = np.searchsorted(ts, s, side="left")
+    new = (s > 0) & (v > np.append(tv, -np.inf)[k])
+    ts, tv = np.append(ts, s[new]), np.append(tv, v[new])
+    order = np.lexsort((tv, ts))  # ascending in s, ties by v
+    ts, tv = ts[order], tv[order]
+    # the front keeps the samples above every later one
+    top = tv > np.append(np.maximum.accumulate(tv[::-1])[-2::-1], -np.inf)
+    return ts[top], tv[top]
+
+
+def _first_points_past(t: np.ndarray, radii: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """The smallest sample point above each t >= 0, inf if none.
+
+    The sample points are the radii and the products mass * radius.  For one
+    radius the products never fall as the mass grows, so the first product
+    past t lies at the first of the sorted distinct ``masses`` whose product
+    exceeds t: a search for t / radius lands next to it, and steps over
+    single masses find it, computed as the same float product.
+    """
+    best = np.append(radii, np.inf)[np.searchsorted(radii, t, side="right")]
+    pos = radii[radii > 0]
+    M = len(masses)
+    step = _row_block(32 * len(pos))
+    for lo in range(0, len(t), step):
+        tb = t[lo:lo + step, None]
+        k = np.searchsorted(masses, tb / pos, side="right")
+        while True:
+            down = (k > 0) & (masses[np.maximum(k - 1, 0)] * pos > tb)
+            up = (k < M) & (masses[np.minimum(k, M - 1)] * pos <= tb)
+            if not (down.any() or up.any()):
+                break
+            k += up.astype(np.intp) - down
+        prod = np.where(k < M, masses[np.minimum(k, M - 1)] * pos, np.inf)
+        best[lo:lo + step] = np.minimum(best[lo:lo + step], prod.min(axis=1, initial=np.inf))
+    return best
 
 
 def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,

@@ -253,7 +253,8 @@ def validate(
     The directed triangle inequality is checked exactly by default
     (``rel_tol=0``); pass a relative tolerance for spaces assembled from
     floating-point sums.  With ``sampled=True`` only 10*n^2 random triples
-    are tested, for matrices too large for the O(n^3) scan.
+    are tested, for matrices too large for the O(n^3) scan; they are drawn
+    in blocks under the row budget.
 
     Raises ValueError for malformed input (non-square, NaN, negative).
     """
@@ -279,14 +280,18 @@ def validate(
     if sampled and n > 2:
         rng = np.random.default_rng(seed)
         m = 10 * n * n
-        ii = rng.integers(0, n, m)
-        jj = rng.integers(0, n, m)
-        kk = rng.integers(0, n, m)
-        bad = d[ii, kk] > d[ii, jj] + d[jj, kk] + slack
-        for i, j, k in zip(ii[bad], jj[bad], kk[bad]):
-            triangles.append((int(i), int(j), int(k)))
-            if len(triangles) >= max_report:
-                truncated = True
+        # triples drawn block by block, three indices and three distances
+        # each; drawn row by row, they are the same triples at any block size
+        step = _row_block(64)
+        for lo in range(0, m, step):
+            ii, jj, kk = rng.integers(0, n, (min(step, m - lo), 3)).T
+            bad = d[ii, kk] > d[ii, jj] + d[jj, kk] + slack
+            for i, j, k in zip(ii[bad], jj[bad], kk[bad]):
+                triangles.append((int(i), int(j), int(k)))
+                if len(triangles) >= max_report:
+                    truncated = True
+                    break
+            if truncated:
                 break
     else:
         for j in range(n):

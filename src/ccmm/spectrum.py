@@ -53,9 +53,12 @@ def _positive(dist: np.ndarray) -> np.ndarray:
 
 
 def _fill_diagonal(q: np.ndarray, value: float) -> None:
-    """Set q[..., i, i] = value in a matrix or a stack of square matrices."""
-    d = np.arange(q.shape[-1])
-    q[..., d, d] = value
+    """Set q[..., i, i] = value in a contiguous matrix or stack of square
+    matrices, through a strided view of the diagonal."""
+    diagonal = q.reshape(*q.shape[:-2], -1)[..., ::q.shape[-1] + 1]
+    # a copy would take the value and leave q as it was
+    assert np.may_share_memory(diagonal, q)
+    diagonal[...] = value
 
 
 def _slopes(dpos: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -565,3 +565,120 @@ def thm39_plain(mm, rows, rs, first_moment_tail):
             if margins[j] < worst:
                 worst, witness = float(margins[j]), {"member": k, "p": p, "r": float(rs[j])}
     return worst, witness
+
+
+# ---------------------------------------------------------------------------
+# the tail envelope on the whole grid: every subset row at every radius
+# ---------------------------------------------------------------------------
+
+def tail_envelope_plain(mm, family=None, radii=None, seed=0, rows=None):
+    """The measured mean-deviation tail envelope, with every (subset row,
+    radius) pair evaluated: each block's rows at all radii, cut to their
+    tops, and the first sample point past each front sample found by
+    sorting every block's products of masses and radii."""
+    from ccmm.concentration import (
+        EXACT_MAX_N,
+        SampledDecreasing,
+        _count_below,
+        _row_tails,
+        _subset_rows,
+    )
+    from ccmm.lipschitz import _deviations, generate_family
+    from ccmm.quasimetric import _row_block, breakpoint_radii
+
+    if mm.n > EXACT_MAX_N:
+        raise ValueError(f"tail envelope enumeration requires n <= {EXACT_MAX_N}")
+    if family is None:
+        family = generate_family(mm, count=2 * mm.n + 8, seed=seed)
+    if radii is None:
+        radii = breakpoint_radii(mm.space)
+    # ascending radii make every sample row below ascend in s
+    radii = np.sort(np.asarray(radii, dtype=float))
+    w = mm.weights
+    # the front: the samples (s, v) no other at or past s covers, ascending
+    # in s; each row is cut to its tops and merged at once
+    front = (np.empty(0), np.empty(0))
+
+    def add(s, v):
+        nonlocal front
+        ts, tv = (np.append(f, t) for f, t in zip(front, row_tops_plain(s, v)))
+        order = np.lexsort((tv, ts))  # one row ascending in s, ties by v
+        front = row_tops_plain(ts[None, order], tv[None, order])
+
+    # family members: full tail curves on the grid
+    tails = _row_tails(w, _deviations(w, family.values), radii * (1 - 1e-9))
+    add(np.broadcast_to(radii, tails.shape), tails)
+
+    # a chunk's count table has a column per distinct value of its rows, at
+    # most n rows + 1: chunks of sqrt(budget / 8n) rows keep it in the budget
+    chunk = math.isqrt(_row_block(8 * mm.n))
+    rows = _subset_rows(mm) if rows is None else rows
+
+    # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
+    # tail at mass(A) rho) per (A, rho); the reversed cones have the same
+    # centered deviations, so both directions reduce to this computation
+    for masses, *dirs in rows.blocks(chunk):
+        s = masses[:, None] * radii[None, :]
+        # relative and absolute shrink: the absolute part covers the
+        # membership snap and mean rounding for tiny-mass subsets
+        thr = s * (1 - 1e-9) - 1e-12 * np.maximum(1.0, radii)[None, :]
+        for ms, ws, cw in dirs:
+            cwm = np.concatenate([np.zeros((len(ms), 1)),
+                                  np.cumsum(ws * ms, axis=1)], axis=1)
+            # every value of a row is a cut, so the count below the first cut
+            # >= q counts the values < q, and below the first cut > q those <= q
+            cuts = np.append(np.unique(ms), np.inf)
+            table = _count_below(ms, cuts)
+            # each row's mass below each cut, flat: one gather per query
+            cw_at = np.take_along_axis(cw, table, axis=1)
+            offsets = len(cuts) * np.arange(len(ms))[:, None]
+
+            def below(q, side="left"):
+                return cw_at.ravel()[np.searchsorted(cuts, q, side) + offsets]
+
+            # mean of min(m, rho) from the prefix sums below rho
+            kr = np.searchsorted(cuts, radii)
+            mu_lt = cw_at[:, kr]
+            mean_f = (np.take_along_axis(cwm, table[:, kr], axis=1)
+                      + radii[None, :] * (1.0 - mu_lt))
+            hi = mean_f + thr
+            lo_thr = mean_f - thr
+            up = np.where(hi > radii[None, :], 0.0, 1.0 - below(hi))
+            down = np.where(lo_thr >= radii[None, :], 1.0, below(lo_thr, "right"))
+            add(s, up + down)
+
+    def points():
+        # the sample points again, chunk by chunk: the same products of the
+        # masses and radii, bit for bit
+        yield radii
+        for lo in range(0, len(rows.masses), chunk):
+            yield rows.masses[lo:lo + chunk, None] * radii[None, :]
+
+    # t -> max{v : s >= t} changes value only at the first sample point past
+    # a front sample, the last excepted: the envelope keeps it only there and
+    # at the first point of all, with its value unchanged at every point
+    ts, tv = front
+    if not len(ts):
+        return SampledDecreasing(np.empty(0), np.empty(0))
+    first, after = np.inf, np.full(len(ts) - 1, np.inf)
+    for p in points():
+        p = np.sort(p[p > 0])
+        if len(p):
+            first = min(first, p[0])
+            k = np.searchsorted(p, ts[:-1], side="right")
+            hit = k < len(p)
+            after[hit] = np.minimum(after[hit], p[k[hit]])
+    # first reads the first front sample and after[j] the (j + 1)-th, so no
+    # value repeats
+    starts = np.unique(np.append(after[after < np.inf], first))
+    return SampledDecreasing(starts, tv[np.searchsorted(ts, starts, side="left")])
+
+
+def row_tops_plain(s, v):
+    """The samples (s, v) of rows ascending in s that can set the envelope:
+    those with s > 0 above every later one of their row."""
+    v = np.where(s > 0, v, -np.inf)
+    later = np.full_like(v, -np.inf)
+    later[:, :-1] = np.maximum.accumulate(v[:, :0:-1], axis=1)[:, ::-1]
+    top = v > later
+    return s[top], v[top]

@@ -41,7 +41,13 @@ from ccmm.quasimetric import (
     snap_threshold,
     validate,
 )
-from oracles import alpha_bruteforce, alpha_curve_plain, mu_below_plain, transfer_margins_plain
+from oracles import (
+    alpha_bruteforce,
+    alpha_curve_plain,
+    mu_below_plain,
+    tail_envelope_plain,
+    transfer_margins_plain,
+)
 
 
 def two_point_uniform():
@@ -351,6 +357,56 @@ def test_transfer_margins_match_the_grid_inside_a_segment():
         assert (rep.enlargement_margin, rep.alpha_margin) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(1.0, 1.9), min_size=1, max_size=3), st.integers(2, 7),
+       st.sampled_from([0.3, 0.6, 1.0, 3.0]), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans(), st.booleans())
+def test_tail_envelope_matches_the_whole_grid(bases, n, scale, seed, tiny, given_family,
+                                              whole_grid):
+    rng = np.random.default_rng(seed)
+    # each base with neighbours one and two ulps and two snap tolerances
+    # away; off-diagonal distances in [scale, 2 scale) are a quasi-metric,
+    # and the scales put the radii below 1, across it and above it
+    ties = np.array([u for t in bases for u in (t, np.nextafter(t, 2.0),
+                                                np.nextafter(np.nextafter(t, 2.0), 2.0),
+                                                t * (1 - 2e-12), t * (1 + 2e-12))]) * scale
+    dist = rng.choice(ties, size=(n, n))
+    np.fill_diagonal(dist, 0.0)
+    # points of zero weight, and with ``tiny`` subsets of mass below 1e-9
+    w = rng.random(n) * (rng.random(n) < 0.7)
+    w[0] += 0.1
+    if tiny:
+        w[rng.integers(1, n)] = 1e-11
+    mm = MetricMeasureSpace(validate(dist), ProbabilityMeasure(w / w.sum()))
+    # shuffled radii, with row values and ulp-near ties among them
+    radii = breakpoint_radii(mm.space)
+    radii = rng.permutation(np.concatenate([radii, rng.choice(ties, 3)]))
+    fam = generate_family(mm, count=2 * n + 4, seed=seed % 1000) if given_family else None
+    want = tail_envelope_plain(mm, family=fam, radii=radii, seed=seed % 7)
+    with pytest.MonkeyPatch.context() as patch:
+        if not whole_grid:  # read at the stretch ends, however small the space
+            patch.setattr(concentration, "_CONE_GRID_PAIRS", 0)
+        got = tail_envelope(mm, family=fam, radii=radii, seed=seed % 7)
+    assert same_envelope(got, want)
+
+
+def test_tail_envelope_reads_at_most_a_quarter_of_the_grid(monkeypatch):
+    mm = random_mm_space(0, n_low=12, n_high=12)
+    pairs = []
+    real = concentration._cone_thresholds
+
+    def counted(mass, rho, *rest):
+        pairs.append(np.broadcast(mass, rho).size)
+        return real(mass, rho, *rest)
+
+    monkeypatch.setattr(concentration, "_cone_thresholds", counted)
+    env = tail_envelope(mm)
+    assert same_envelope(env, tail_envelope_plain(mm))
+    # every subset's two rows at every radius, against the pairs read
+    grid = 2 * (2 ** mm.n - 1) * len(breakpoint_radii(mm.space))
+    assert 0 < sum(pairs) <= grid / 4, (sum(pairs), grid)
+
+
 def test_tail_envelope_never_rises():
     # the transfer check reads the envelope at segment ends only on this
     for seed in range(60):
@@ -423,13 +479,21 @@ def test_ball_rows_match_prefix_minima_over_every_point(monkeypatch, min_mass):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def same_envelope(got, want):
+    return np.array_equal(got.rs, want.rs) and np.array_equal(got.values, want.values)
+
+
 def test_tail_envelope_in_blocks_matches_one_block(monkeypatch):
     spaces = [random_mm_space(seed, n_low=6, n_high=8) for seed in range(4)]
     whole = [tail_envelope(mm) for mm in spaces]
     one_row_blocks(monkeypatch)
     for mm, env in zip(spaces, whole):
-        got = tail_envelope(mm)
-        assert np.array_equal(got.rs, env.rs) and np.array_equal(got.values, env.values)
+        assert same_envelope(tail_envelope(mm), env)
+        assert same_envelope(tail_envelope_plain(mm), env)
+    # one-row blocks read at their stretch ends, not at every radius
+    monkeypatch.setattr(concentration, "_CONE_GRID_PAIRS", 0)
+    for mm, env in zip(spaces, whole):
+        assert same_envelope(tail_envelope(mm), env)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ rows built in blocks, against 584 MB and 181 MB when every row was built at
 once.  The full suite on a random n = 16 space, whose 65535 subsets' sorted
 rows one run shares, peaked at 99 MB, against 147 MB when the exact profile,
 the tail envelope and the transfer check each built them and the envelope
-kept every row's tops.  Each bound is the measured peak plus about 40 MB of
-headroom.
+kept every row's tops.  Sampled validation of a 1024-point matrix, the
+check ``io.load_space`` makes above 2000 points, peaked at 97 MB with its
+triples drawn in blocks, against 556 MB when all 10 n^2 were drawn at once.
+Each bound is the measured peak plus about 40 MB of headroom.
 """
 import os
 import subprocess
@@ -25,6 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 T2_FAMILY_PROFILE_MB = 120     # measured 75.7 MB
 G1_ENLARGEMENT_CHECK_MB = 110  # measured 71.2 MB
 N16_VERIFY_MB = 140            # measured 98.7 MB
+SAMPLED_VALIDATE_MB = 140      # measured 97.2 MB
 
 LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
 
@@ -78,3 +81,12 @@ def test_verify_all_on_sixteen_points_peak_rss():
         run_verify(random_mm_space(0, n_low=16, n_high=16), sections=sorted(SECTIONS))
         """)
     assert peak <= N16_VERIFY_MB, peak
+
+
+def test_sampled_validation_peak_rss():
+    peak = peak_rss_mb("""
+        from ccmm.quasimetric import QuasiMetricSpace, random_mm_space, validate
+        d = random_mm_space(0, n_low=1024, n_high=1024).dist
+        assert isinstance(validate(d, rel_tol=1e-12, sampled=True), QuasiMetricSpace)
+        """)
+    assert peak <= SAMPLED_VALIDATE_MB, peak

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccmm import quasimetric
 from ccmm.quasimetric import (
     MetricMeasureSpace,
     PointSet,
@@ -61,6 +62,22 @@ def test_validate_sampled_mode_finds_gross_violation():
     report = validate(d, sampled=True, seed=1)
     assert isinstance(report, ViolationReport)
     assert report.triangles
+
+
+def test_validate_sampled_mode_finds_a_planted_violation(monkeypatch):
+    # every triple (0, j, 1) breaks the triangle inequality, about one
+    # sampled triple in n^2: some ten of the 10 n^2 sampled ones
+    n = 30
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    d[0, 1] = 10.0
+    report = validate(d, sampled=True, seed=3)
+    assert isinstance(report, ViolationReport)
+    assert report.triangles
+    assert all((i, k) == (0, 1) for i, _, k in report.triangles)
+    # the triples are drawn in blocks: seven to a block, they are the same
+    monkeypatch.setattr(quasimetric, "_ROW_BUDGET", 64 * 7)
+    assert validate(d, sampled=True, seed=3) == report
 
 
 def test_from_digraph_directed_cycle():
