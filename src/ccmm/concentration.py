@@ -627,13 +627,15 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     transfer with a hypothesis that genuinely holds.  Its values never
     rise, and it reads the sorted subset ``rows`` when given.
 
-    The cones are read in event form: a row's tail at rho is set by a few
-    counts that change only where rho, or the thresholds built from it,
-    cross one of the row's values.  Each row is evaluated at the ends of
-    the stretches between those crossings, and a stretch is split further
-    only where its ends disagree or lie near a crossing, so a row costs a
-    few evaluations rather than one per radius.  The envelope is the same,
-    bit for bit, as evaluating every row at every radius.
+    The cones are read in event form (:func:`_cone_front`): a row's tail at
+    rho is set by two counts and two flags, which change only where rho, or
+    the thresholds built from it, cross one of the row's values.  Each row
+    is read at the ends of the stretches between the crossings of rho,
+    stretches the front already covers are dropped, and the crossings of
+    the thresholds inside the rest are placed and confirmed, so a row costs
+    a few readings rather than one per radius.  The first sample point past
+    each front sample comes from a search over the sorted masses.  The
+    envelope is the same, bit for bit, as reading every row at every radius.
     """
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"tail envelope enumeration requires n <= {EXACT_MAX_N}")
@@ -648,8 +650,10 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     # the front: the samples (s, v) no other at or past s covers, ascending
     # in s, from the family members' full tail curves on the grid first
     tails = _row_tails(w, _deviations(w, family.values), radii * (1 - 1e-9))
+    # a tail curve never rises: only its samples above the next can be tops
+    tops = np.append(tails[:, :-1] > tails[:, 1:], np.ones((len(tails), 1), bool), axis=1)
     front = _merge_front((np.empty(0), np.empty(0)),
-                         np.broadcast_to(radii, tails.shape).ravel(), tails.ravel())
+                         np.broadcast_to(radii, tails.shape)[tops], tails[tops])
 
     # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
     # tail at mass(A) rho) per (A, rho); the reversed cones have the same
@@ -677,7 +681,7 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
 _CONE_ROW_BYTES = 512
 
 # (row, radius) pairs up to which a block of cones is read at every radius
-_CONE_GRID_PAIRS = 4096
+_CONE_GRID_PAIRS = 16384
 
 # the fields of the cone kernel's readings, stacked
 _S, _V, _KEY, _MARGIN, _RHO, _HI, _LO, _KA, _KB = range(9)
@@ -734,31 +738,42 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
         rho, rc = radii[j], r * (n + 1) + c
         return (rho, *_cone_thresholds(masses[r], rho, cwf[rc], cwm[rc]))
 
-    def read(r, rho, hi, lo, ka, kb):
-        """The tail with ka values below hi and kb at most lo, its counts and
-        flags as one key, and the distance from hi and lo to the cuts around
-        them, which is negative if a count is wrong."""
-        up_zero, down_one = hi > rho, lo >= rho
-        v = (np.where(up_zero, 0.0, 1.0 - cwf[r * (n + 1) + ka])
-             + np.where(down_one, 1.0, cwf[r * (n + 1) + kb]))
-        key = np.where(up_zero, -1, ka) * (n + 2) + np.where(down_one, -1, kb)
-        pa, pb = r * (n + 2) + ka, r * (n + 2) + kb
-        margin = np.minimum(np.abs(hi - rho), np.abs(lo - rho))
-        for gap in (hi - msp[pa], msp[pa + 1] - hi, lo - msp[pb], msp[pb + 1] - lo):
-            np.minimum(margin, gap, out=margin)
-        return v, key, margin
-
-    def tails(r, j, c):
-        """The fields at rows r and radius indices j, counted over the rows."""
+    def counted(r, j, c):
+        """rho, s, hi and lo at rows r and radius indices j, and the counts
+        of each row's values below hi and at most lo."""
         rho, s, hi, lo = thresholds(r, j, c)
-        ka = np.zeros(hi.shape, dtype=np.intp)  # values below hi
-        kb = np.zeros(hi.shape, dtype=np.intp)  # values at most lo
+        ka = np.zeros(hi.shape, dtype=np.intp)
+        kb = np.zeros(hi.shape, dtype=np.intp)
         for col in cols:
             x = col[r]
             ka += x < hi
             kb += x <= lo
-        return np.stack(np.broadcast_arrays(s, *read(r, rho, hi, lo, ka, kb),
-                                            rho, hi, lo, ka, kb))
+        return rho, s, hi, lo, ka, kb
+
+    def tail(r, rho, hi, lo, ka, kb):
+        """The tail with ka values below hi and kb at most lo."""
+        return (np.where(hi > rho, 0.0, 1.0 - cwf[r * (n + 1) + ka])
+                + np.where(lo >= rho, 1.0, cwf[r * (n + 1) + kb]))
+
+    def read(r, rho, hi, lo, ka, kb):
+        """The tail, its counts and flags as one key, and the distance from
+        hi and lo to the cuts around them, negative if a count is wrong."""
+        key = np.where(hi > rho, -1, ka) * (n + 2) + np.where(lo >= rho, -1, kb)
+        pa, pb = r * (n + 2) + ka, r * (n + 2) + kb
+        margin = np.minimum(np.abs(hi - rho), np.abs(lo - rho))
+        for gap in (hi - msp[pa], msp[pa + 1] - hi, lo - msp[pb], msp[pb + 1] - lo):
+            np.minimum(margin, gap, out=margin)
+        return tail(r, rho, hi, lo, ka, kb), key, margin
+
+    def tails(r, j, c):
+        """The fields at rows r and radius indices j, counted over the rows."""
+        rho, s, hi, lo, ka, kb = counted(r, j, c)
+        return np.stack([s, *read(r, rho, hi, lo, ka, kb), rho, hi, lo, ka, kb])
+
+    def samples(r, j, c):
+        """(s, v) at rows r and radius indices j."""
+        rho, s, hi, lo, ka, kb = counted(r, j, c)
+        return s, tail(r, rho, hi, lo, ka, kb)
 
     cross = np.searchsorted(radii, ms, side="right")  # c = #{cross <= j}
     # radii <= 0 give s <= 0, which never reaches the front
@@ -766,86 +781,113 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
     if m * R <= _CONE_GRID_PAIRS:
         # a block this small takes fewer numpy calls read at every radius
         j = np.arange(j0, R)
-        got = tails(np.arange(m)[:, None], j, (cross[:, :, None] <= j).sum(axis=1))
-        return _merge_front(front, got[_S].ravel(), got[_V].ravel())
+        s, v = samples(np.arange(m)[:, None], j, (cross[:, :, None] <= j).sum(axis=1))
+        return _merge_front(front, s.ravel(), v.ravel())
 
-    # stretches [first, last] of rows r: c changes where rho passes a row
-    # value, the shrink where rho passes 1
-    j1 = max(j0, j1)
-    bounds = np.sort(np.concatenate([np.clip(cross, j0, R), np.tile([j0, j1, R], (m, 1))],
-                                    axis=1), axis=1)
-    r, k = np.nonzero(bounds[:, 1:] > bounds[:, :-1])
-    first, last = bounds[r, k], bounds[r, k + 1] - 1
-    # bounds before a stretch: its row's values below it, j0, and j1 if passed
-    c = k - (first >= j1)
+    # stretches [first, last] of rows r, with c values below every radius of
+    # one: c changes where rho passes a row value
+    bounds = np.concatenate([np.full((m, 1), j0), np.clip(cross, j0, R), np.full((m, 1), R)],
+                            axis=1)
+    r, c = np.nonzero(bounds[:, 1:] > bounds[:, :-1])
+    first, last = bounds[r, c], bounds[r, c + 1] - 1
     tol = 1e-13 * (radii + 1e-12 * np.maximum(1.0, radii))[last]
 
     b = tails(r, last, c)
     front = _merge_front(front, b[_S], b[_V])
-    # a first end is read with the counts of the stretch before it (c for a
-    # row's first), and counted only where they miss the margin
-    rho, s, hi, lo = thresholds(r, first, c)
+    # on a stretch hi rises (with mass past 1e-11), hi - rho and lo - rho
+    # fall, and lo has slope 1 - mu(< rho) - mass (1 - 1e-9), 1e-12 more past
+    # rho = 1; each is off by at most 1e-15.  Where lo's slopes keep their
+    # sign from the previous stretch on, the previous stretch's last radius
+    # is this one's other end; a row's first stretch, a turn of lo and a
+    # tiny mass read the stretch's own first radius instead, with the counts
+    # of the previous end (c at a row's first), counted only where those
+    # miss the margin.  A stretch whose lo turns at rho = 1 is read whole
     after = np.append(False, r[1:] == r[:-1])
-    ka, kb = (np.where(after, np.roll(b[f], 1), c).astype(np.intp) for f in (_KA, _KB))
-    a = np.stack([s, *read(r, rho, hi, lo, ka, kb), rho, hi, lo, ka, kb])
-    recount = np.nonzero(~(a[_MARGIN] > tol))[0]
+    slope = 1.0 - cwf[r * (n + 1) + c] - masses[r] * (1 - 1e-9)
+    below, past = (np.sign(x) * (np.abs(x) > 1e-15) for x in (slope, slope + 1e-12))
+    way_first = np.where(first < j1, below, past)
+    way_last = np.where(last < j1, below, past)
+    tiny = masses[r] < 1e-11
+    bends = (way_first * way_last < 0) | (tiny & (first < j1) & (last >= j1))
+    own = np.nonzero(~after | (way_first * np.roll(way_last, 1) < 0) | tiny)[0]
+    a = np.empty_like(b)
+    a[:, 1:] = b[:, :-1]
+    rho, s, hi, lo = thresholds(r[own], first[own], c[own])
+    ka, kb = (np.where(after[own], a[f, own], c[own]).astype(np.intp) for f in (_KA, _KB))
+    a[:, own] = np.stack([s, *read(r[own], rho, hi, lo, ka, kb), rho, hi, lo, ka, kb])
+    recount = own[~(a[_MARGIN, own] > tol[own])]
     a[:, recount] = tails(r[recount], first[recount], c[recount])
+    start = first - 1
+    start[own] += 1
 
-    safe = (a[_MARGIN] > tol) & (b[_MARGIN] > tol)
-    # between two safe ends the tail is at most the one with the fewest
-    # values below hi and the most at most lo, or with a flag's 0 or 1
-    up_zero = (a[_HI] > a[_RHO]) | (b[_HI] > b[_RHO])
-    down_one = (a[_LO] >= a[_RHO]) | (b[_LO] >= b[_RHO])
-    ka, kb = np.minimum(a[_KA], b[_KA]), np.maximum(a[_KB], b[_KB])
-    up = 1.0 - cwf[r * (n + 1) + ka.astype(np.intp)]
-    top = (np.where(up_zero, np.maximum(up, 0.0), up)
-           + np.where(down_one, 1.0, cwf[r * (n + 1) + kb.astype(np.intp)]))
-    ts, tv = front
-    covered = top <= np.append(tv, -np.inf)[np.searchsorted(ts, b[_S], side="left")]
-    open_ = safe & (a[_KEY] != b[_KEY]) & ~covered
+    safe = (a[_MARGIN] > tol) & (b[_MARGIN] > tol) & ~bends
+    # between two safe ends that differ the tail is at most the one with
+    # the fewest values below hi and the most at most lo, or with a flag's
+    # 0 or 1; a stretch the front is that high at is covered
+    i = np.nonzero(safe & (a[_KEY] != b[_KEY]))[0]
+    (rho_a, hi_a, lo_a, ka_a, kb_a), (rho_b, hi_b, lo_b, ka_b, kb_b) = (
+        [e[f, i] for f in (_RHO, _HI, _LO, _KA, _KB)] for e in (a, b))
+    up_zero, down_one = (hi_a > rho_a, hi_b > rho_b), (lo_a >= rho_a, lo_b >= rho_b)
+    rk = r[i] * (n + 1)
+    up = 1.0 - cwf[rk + np.minimum(ka_a, ka_b).astype(np.intp)]
+    top = (np.where(up_zero[0] | up_zero[1], np.maximum(up, 0.0), up)
+           + np.where(down_one[0] | down_one[1], 1.0,
+                      cwf[rk + np.maximum(kb_a, kb_b).astype(np.intp)]))
+    open_ = top > _front_height(front, b[_S, i])
     # a stretch whose flags keep theirs is read at its crossings of the cuts
     # between the ends' counts of hi, and of lo
-    flips = ((a[_HI] > a[_RHO]) != (b[_HI] > b[_RHO])) | ((a[_LO] >= a[_RHO]) != (b[_LO] >= b[_RHO]))
-    cut = np.nonzero(open_ & ~flips)[0]
+    flips = (up_zero[0] != up_zero[1]) | (down_one[0] != down_one[1])
+    cut = i[open_ & ~flips]
     a, b = a[:, cut], b[:, cut]
     num = np.abs(b[_KA:] - a[_KA:]).astype(np.intp)  # (2, stretches)
     g = np.repeat(np.tile(np.arange(len(cut)), 2), num.ravel())
     kind = np.repeat([0, 1], num.sum(axis=1))
     nth = np.arange(len(g)) - np.repeat(np.cumsum(num.ravel()) - num.ravel(), num.ravel())
     x = ms[r[cut][g], np.minimum(a[_KA:], b[_KA:]).astype(np.intp)[kind, g] + nth]
-    fa, fb, ra, rb = a[_HI + kind, g], b[_HI + kind, g], a[_RHO, g], b[_RHO, g]
-    g = cut[g]
-    # affine between the ends: the first radius past the crossing
-    k = np.clip(np.searchsorted(radii, ra + (x - fa) * (rb - ra) / (fb - fa), side="right"),
-                first[g] + 1, last[g])
+    fa, fb, rb = a[_HI + kind, g], b[_HI + kind, g], b[_RHO, g]
+    # hi and lo are affine on the stretch: with their values at its first
+    # radius, they place each crossing at the first radius past it
+    rf, _, hf, lf = thresholds(r[cut], first[cut], c[cut])
+    ff, rf, g = np.stack([hf, lf])[kind, g], rf[g], cut[g]
+    k = np.searchsorted(radii, rf + (x - ff) * (rb - rf) / np.where(fb == ff, 1.0, fb - ff),
+                        side="right")
+    k = np.clip(k, start[g] + 1, last[g])
+    c_before = np.where(k > first[g], c[g], c[g - 1])
     ok = np.ones(len(g), dtype=bool)
-    for j, f_end in ((k - 1, fa), (k, fb)):
-        _, _, hi, lo = thresholds(r[g], j, c[g])
+    for j, cj, f_end in ((k - 1, c_before, fa), (k, c[g], fb)):
+        _, _, hi, lo = thresholds(r[g], j, cj)
         f = np.where(kind == 0, hi, lo)
         ok &= (np.abs(f - x) > tol[g]) & ((f > x) == (f_end > x))
     missed = np.zeros(len(r), dtype=bool)
     missed[g[~ok]] = True
     keep = ~missed[g]
     # the tail just before each confirmed crossing, and at every radius of
-    # the other open stretches and the unsafe ones
-    whole = np.nonzero(~safe | (open_ & (flips | missed)))[0]
-    num = last[whole] - first[whole] + 1
-    at = np.repeat(whole, num)
-    j = first[at] + np.arange(len(at)) - np.repeat(np.cumsum(num) - num, num)
-    got = tails(np.append(r[at], r[g[keep]]), np.append(j, k[keep] - 1),
-                np.append(c[at], c[g[keep]]))
-    return _merge_front(front, got[_S], got[_V])
+    # the other open stretches and the unsafe ones, a budget's worth of
+    # stretches at a time
+    front = _merge_front(front, *samples(r[g[keep]], k[keep] - 1, c_before[keep]))
+    whole = np.concatenate([np.nonzero(~safe)[0], i[open_ & flips], cut[missed[cut]]])
+    step = _row_block(_CONE_ROW_BYTES * R)
+    for part in (whole[lo:lo + step] for lo in range(0, len(whole), step)):
+        num = last[part] - first[part] + 1
+        at = np.repeat(part, num)
+        j = first[at] + np.arange(len(at)) - np.repeat(np.cumsum(num) - num, num)
+        front = _merge_front(front, *samples(r[at], j, c[at]))
+    return front
+
+
+def _front_height(front: tuple[np.ndarray, np.ndarray], s: np.ndarray) -> np.ndarray:
+    """The largest value of a front sample at or past each s, -inf if none:
+    a sample (s, v) with v at most that is covered."""
+    ts, tv = front
+    return np.append(tv, -np.inf)[np.searchsorted(ts, s, side="left")]
 
 
 def _merge_front(front: tuple[np.ndarray, np.ndarray], s: np.ndarray,
                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The front of ``front``'s samples and the samples (s, v) with s > 0:
     each sample above every other at or past its s."""
-    ts, tv = front
-    # a front sample at or past s of at least v covers (s, v)
-    k = np.searchsorted(ts, s, side="left")
-    new = (s > 0) & (v > np.append(tv, -np.inf)[k])
-    ts, tv = np.append(ts, s[new]), np.append(tv, v[new])
+    new = (s > 0) & (v > _front_height(front, s))
+    ts, tv = np.append(front[0], s[new]), np.append(front[1], v[new])
     order = np.lexsort((tv, ts))  # ascending in s, ties by v
     ts, tv = ts[order], tv[order]
     # the front keeps the samples above every later one
