@@ -708,20 +708,21 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
     With c = #{values < rho}, the tail is (0 if hi > rho else 1 - mu(< hi))
     + (1 if lo >= rho else mu(<= lo)), hi and lo being the row's mean of
     min(m, rho) plus and minus the shrunk s: it reads two counts and two
-    flags.  On a stretch of radii with one c, all on one side of 1, hi and
-    lo are affine in rho in exact arithmetic, so each count and flag moves
-    one way there.  The formula rounds by less than 1e-15 of the scale
-    rho + 1e-12 max(1, rho); a margin of 1e-13 of it separates a float
-    comparison from the exact one.
+    flags.  On a stretch of radii with one c, hi and lo are affine in rho in
+    exact arithmetic on either side of rho = 1, where the absolute shrink
+    bends, so each count and flag moves one way there unless lo turns at 1.
+    The formula rounds by less than 1e-15 of the scale rho + 1e-12 max(1,
+    rho); a margin of 1e-13 of it separates a float comparison from the
+    exact one.
 
-    Both ends of every stretch are read.  A first end is read with the
-    counts of the stretch before it and counted only where they miss the
-    margin.  Ends that agree, each past the margin from every cut, hold
-    the same tail at every radius between them.  Where they differ, the
-    ends' counts bound the tail between them, and a stretch the front
-    already covers is dropped.  In the rest the ends place each crossing
-    of a cut; two readings past the margin confirm it, and the tail is read
-    just before each crossing.  Any other stretch is read at every radius.
+    A stretch is read at its last radius, and at the previous stretch's
+    last or, where that could hide a turn, at its own first.  Ends that
+    agree, each past the margin from every cut, hold the same tail at every
+    radius between them.  Where they differ, the ends' counts bound the tail
+    between them, and a stretch the front already covers is dropped.  In the
+    rest the ends place each crossing of a cut; two readings past the margin
+    confirm it, and the tail is read just before each crossing.  Any other
+    stretch is read at every radius.
     """
     R, (m, n) = len(radii), ms.shape
     # flat rows, indexed row * width + k: one gather per lookup
@@ -794,14 +795,17 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
 
     b = tails(r, last, c)
     front = _merge_front(front, b[_S], b[_V])
-    # on a stretch hi rises (with mass past 1e-11), hi - rho and lo - rho
-    # fall, and lo has slope 1 - mu(< rho) - mass (1 - 1e-9), 1e-12 more past
-    # rho = 1; each is off by at most 1e-15.  Where lo's slopes keep their
-    # sign from the previous stretch on, the previous stretch's last radius
-    # is this one's other end; a row's first stretch, a turn of lo and a
-    # tiny mass read the stretch's own first radius instead, with the counts
-    # of the previous end (c at a row's first), counted only where those
-    # miss the margin.  A stretch whose lo turns at rho = 1 is read whole
+    # Across the step in c from the previous stretch, the functions keep
+    # their direction: hi rises once the mass passes 1e-11; hi - rho and
+    # lo - rho fall (mu(< rho) holds the set's own mass), or rise with a
+    # slope under 1e-15, which moves them far less than the margin; lo has
+    # slope 1 - mu(< rho) - mass (1 - 1e-9), 1e-12 more past rho = 1, known
+    # to within 1e-15.  Where lo's slope keeps its sign, the previous
+    # stretch's last radius is this stretch's other end.  A row's first
+    # stretch, a turn of lo and a tiny mass read the stretch's own first
+    # radius instead, with the counts of the previous end (c at a row's
+    # first), counted only where those miss the margin.  A stretch whose lo
+    # turns at rho = 1 inside it is read whole.
     after = np.append(False, r[1:] == r[:-1])
     slope = 1.0 - cwf[r * (n + 1) + c] - masses[r] * (1 - 1e-9)
     below, past = (np.sign(x) * (np.abs(x) > 1e-15) for x in (slope, slope + 1e-12))
