@@ -390,6 +390,30 @@ def test_tail_envelope_matches_the_whole_grid(bases, n, scale, seed, tiny, given
     assert same_envelope(got, want)
 
 
+def test_cone_front_reads_a_stretch_whose_ends_sit_on_a_cut(monkeypatch):
+    # one row: the set's point of mass m at 0, a value x of weight w, and a
+    # value past every radius; x makes lo = x at r0 in exact arithmetic, and
+    # the radii are r0 and its nearest floats.  On them the float lo falls on
+    # either side of x: both ends count x as above lo, one radius inside as
+    # at most lo, and its tail, larger than the ends', sets the front
+    m, w, r0 = 0.30426198884343914, 0.19246114309947948, 0.4284978517983858
+    x = (r0 * (1 - m - w - m * (1 - 1e-9)) + 1e-12) / (1 - w)
+    radii = [r0]
+    for _ in range(3):
+        radii = [np.nextafter(radii[0], 0.0), *radii, np.nextafter(radii[-1], 1.0)]
+    ms, ws = np.array([[0.0, x, 1.5 * r0]]), np.array([[m, w, 1 - m - w]])
+    cw = np.append(0.0, np.cumsum(ws))[None]
+    cw[:, -1] = 1.0
+    fronts = []
+    for grid_pairs in (10**9, 0):  # every radius, then the stretch ends
+        monkeypatch.setattr(concentration, "_CONE_GRID_PAIRS", grid_pairs)
+        fronts.append(concentration._cone_front((np.empty(0), np.empty(0)), np.array([m]),
+                                                ms, ws, cw, np.array(radii)))
+    (s, v), (s_ends, v_ends) = fronts
+    assert len(s) == 2 and v[0] > v[1] and s[0] < m * radii[-1]
+    assert np.array_equal(s_ends, s) and np.array_equal(v_ends, v)
+
+
 def test_tail_envelope_reads_at_most_a_quarter_of_the_grid(monkeypatch):
     mm = random_mm_space(0, n_low=12, n_high=12)
     pairs = []
