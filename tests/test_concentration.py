@@ -357,6 +357,10 @@ def test_transfer_margins_match_the_grid_inside_a_segment():
         assert (rep.enlargement_margin, rep.alpha_margin) == want
 
 
+def same_envelope(got, want):
+    return np.array_equal(got.rs, want.rs) and np.array_equal(got.values, want.values)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(1.0, 1.9), min_size=1, max_size=3), st.integers(2, 7),
        st.sampled_from([0.3, 0.6, 1.0, 3.0]), st.integers(0, 2**32 - 1),
@@ -501,10 +505,6 @@ def test_ball_rows_match_prefix_minima_over_every_point(monkeypatch, min_mass):
                     np.minimum.accumulate(dist.T[order, :], axis=0)[ends[sel]])
             got = real(dist, order, ends)(sel)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def same_envelope(got, want):
-    return np.array_equal(got.rs, want.rs) and np.array_equal(got.values, want.values)
 
 
 def test_tail_envelope_in_blocks_matches_one_block(monkeypatch):
