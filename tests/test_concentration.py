@@ -418,6 +418,33 @@ def test_cone_front_reads_a_stretch_whose_ends_sit_on_a_cut(monkeypatch):
     assert np.array_equal(s_ends, s) and np.array_equal(v_ends, v)
 
 
+def test_cone_front_reads_a_crossing_among_ulp_near_radii(monkeypatch):
+    # one row: the set's point of mass m at 0, values a and x, and one past
+    # every radius; x makes hi = x at r0 in exact arithmetic.  The stretch
+    # runs from 0.98 r0 to 1.02 r0, both ends well clear of every cut, and
+    # holds r0 and its nearest floats, on which the float hi falls on either
+    # side of x.  Placed by interpolation, the crossing lands among them, so
+    # its readings miss the margin and the stretch is read whole
+    m, wa, w, r0 = 0.3, 0.3, 0.2, 0.33235842142899386
+    a = 0.1 * r0
+    x = (wa * a + r0 * (1 - m - wa - w + m * (1 - 1e-9)) - 1e-12) / (1 - w)
+    radii = [r0]
+    for _ in range(4):
+        radii = [np.nextafter(radii[0], 0.0), *radii, np.nextafter(radii[-1], 1.0)]
+    radii = np.array([0.98 * r0, *radii, 1.02 * r0])
+    ms, ws = np.array([[0.0, a, x, 1.5 * r0]]), np.array([[m, wa, w, 1 - m - wa - w]])
+    cw = np.append(0.0, np.cumsum(ws))[None]
+    cw[:, -1] = 1.0
+    fronts = []
+    for grid_pairs in (10**9, 0):  # every radius, then the stretch ends
+        monkeypatch.setattr(concentration, "_CONE_GRID_PAIRS", grid_pairs)
+        fronts.append(concentration._cone_front((np.empty(0), np.empty(0)), np.array([m]),
+                                                ms, ws, cw, radii))
+    (s, v), (s_ends, v_ends) = fronts
+    assert len(s) == 2 and m * radii[0] < s[0] < m * radii[-2]
+    assert np.array_equal(s_ends, s) and np.array_equal(v_ends, v)
+
+
 def test_tail_envelope_reads_at_most_a_quarter_of_the_grid(monkeypatch):
     mm = random_mm_space(0, n_low=12, n_high=12)
     pairs = []
