@@ -871,7 +871,8 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
     front = _merge_front(front, *samples(r[g[keep]], k[keep] - 1, c_before[keep]))
     whole = np.concatenate([np.nonzero(~safe)[0], i[open_ & flips], cut[missed[cut]]])
     step = _row_block(_CONE_ROW_BYTES * R)
-    for part in (whole[lo:lo + step] for lo in range(0, len(whole), step)):
+    for w0 in range(0, len(whole), step):
+        part = whole[w0:w0 + step]
         num = last[part] - first[part] + 1
         at = np.repeat(part, num)
         j = first[at] + np.arange(len(at)) - np.repeat(np.cumsum(num) - num, num)
