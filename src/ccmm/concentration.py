@@ -639,12 +639,15 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     """
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"tail envelope enumeration requires n <= {EXACT_MAX_N}")
-    if family is None:
-        family = generate_family(mm, count=2 * mm.n + 8, seed=seed)
     if radii is None:
         radii = breakpoint_radii(mm.space)
     # ascending radii make every sample row below ascend in s
     radii = np.sort(np.asarray(radii, dtype=float))
+    if not len(radii):
+        # sampled nowhere: the trivial bound 1 everywhere
+        return SampledDecreasing(np.empty(0), np.empty(0))
+    if family is None:
+        family = generate_family(mm, count=2 * mm.n + 8, seed=seed)
     w = mm.weights
 
     # the front: the samples (s, v) no other at or past s covers, ascending

@@ -137,7 +137,7 @@ class LatLongSphere:
 
     def displacement(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         d = q - p
-        d[1] = (d[1] + math.pi) % (2.0 * math.pi) - math.pi
+        d[..., 1] = (d[..., 1] + math.pi) % (2.0 * math.pi) - math.pi
         return d
 
     def neighbor_offsets(self) -> list[tuple[int, ...]]:
@@ -201,10 +201,40 @@ class CatalogEntry:
     note: str
 
 
-def _randers_norm_checked(a_mat: np.ndarray, b_vec: np.ndarray, x: np.ndarray) -> None:
-    norm2 = float(b_vec @ np.linalg.solve(a_mat, b_vec))
-    if norm2 >= 1.0:
-        raise ValueError(f"one-form norm reaches {math.sqrt(norm2):.6g} >= 1 at point {x.tolist()}")
+def _chord_lengths(spec: RandersSpec, P: np.ndarray, Q: np.ndarray,
+                   subdivisions: int = 16) -> np.ndarray:
+    """Composite-midpoint quadrature of F along every straight chord P[k] -> Q[k].
+
+    The metric and the one-form are read once per midpoint, chord by chord;
+    one batched solve checks the one-form norms, and each chord's terms are
+    added left to right from 0.0, as a loop over its midpoints adds them.
+    Aborts naming the first midpoint, in that order, where the one-form
+    reaches unit norm.
+    """
+    V = Q - P
+    t = (np.arange(subdivisions) + 0.5) / subdivisions
+    X = (P[:, None, :] + t[:, None] * V[:, None, :]).reshape(-1, P.shape[1])
+    A = np.array([spec.riemannian(x) for x in X], dtype=float)
+    B = np.array([spec.one_form(x) for x in X], dtype=float)
+    # each point's matrix and covector, shaped as np.atleast_2d and
+    # np.atleast_1d shape one
+    A = A.reshape(len(X), *np.atleast_2d(A[0]).shape)
+    B = B.reshape(len(X), *np.atleast_1d(B[0]).shape)
+    norm2 = np.vecdot(B, np.linalg.solve(A, B[..., None])[..., 0])
+    bad = np.flatnonzero(norm2 >= 1.0)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"one-form norm reaches {math.sqrt(norm2[k]):.6g} >= 1 "
+                         f"at point {X[k].tolist()}")
+    Vx = np.repeat(V, subdivisions, axis=0)
+    vav = np.vecdot(np.matmul(Vx[:, None, :], A)[:, 0, :], Vx)
+    if (vav < 0).any():
+        raise ValueError(f"metric is not positive definite at point {X[np.argmax(vav < 0)].tolist()}")
+    terms = (np.sqrt(vav) + np.vecdot(B, Vx)).reshape(len(V), subdivisions)
+    acc = np.zeros(len(V))
+    for j in range(subdivisions):
+        acc += terms[:, j]
+    return acc / subdivisions
 
 
 def finsler_length(spec: RandersSpec, polyline, subdivisions: int = 16) -> float:
@@ -217,20 +247,12 @@ def finsler_length(spec: RandersSpec, polyline, subdivisions: int = 16) -> float
     """
     if subdivisions < 1:
         raise ValueError("subdivisions must be at least 1")
-    pts = [np.asarray(p, dtype=float) for p in polyline]
+    pts = np.array([np.asarray(p, dtype=float) for p in polyline])
     if len(pts) < 2:
         raise ValueError("polyline needs at least two points")
     total = 0.0
-    for p, q in zip(pts, pts[1:]):
-        v = q - p
-        acc = 0.0
-        for j in range(subdivisions):
-            x = p + (j + 0.5) / subdivisions * v
-            a_mat = np.atleast_2d(np.asarray(spec.riemannian(x), dtype=float))
-            b_vec = np.atleast_1d(np.asarray(spec.one_form(x), dtype=float))
-            _randers_norm_checked(a_mat, b_vec, x)
-            acc += math.sqrt(float(v @ a_mat @ v)) + float(b_vec @ v)
-        total += acc / subdivisions
+    for length in _chord_lengths(spec, pts[:-1], pts[1:], subdivisions).tolist():
+        total += length
     return total
 
 
@@ -246,29 +268,21 @@ def stencil_chordal_bound(domain: Domain) -> float:
     return 1.0 / math.cos(math.pi / 8.0)
 
 
-def _grid_neighbors(domain: Domain, resolution: int) -> list[tuple[int, int]]:
+def _grid_neighbors(domain: Domain, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stencil edges (i, j) of the sample grid as two index arrays, in
+    ascending i and, for each i, in the domain's offset order."""
     shape = domain.grid_shape(resolution)
-    wraps = domain.wraps()
-    strides = np.ones(len(shape), dtype=int)
-    for ax in range(len(shape) - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * shape[ax + 1]
-    pairs = []
-    for flat in range(int(np.prod(shape))):
-        idx = np.unravel_index(flat, shape)
-        for off in domain.neighbor_offsets():
-            tgt = []
-            ok = True
-            for ax, (i, o) in enumerate(zip(idx, off)):
-                j = i + o
-                if wraps[ax]:
-                    j %= shape[ax]
-                elif not (0 <= j < shape[ax]):
-                    ok = False
-                    break
-                tgt.append(j)
-            if ok:
-                pairs.append((flat, int(np.ravel_multi_index(tuple(tgt), shape))))
-    return pairs
+    offsets = np.array(domain.neighbor_offsets())
+    # tgt[ax, i, k]: the axis-ax grid index of point i moved by offset k
+    tgt = np.indices(shape).reshape(len(shape), -1, 1) + offsets.T[:, None, :]
+    ok = np.ones(tgt.shape[1:], dtype=bool)
+    for ax, (size, wraps) in enumerate(zip(shape, domain.wraps())):
+        if wraps:
+            tgt[ax] %= size
+        else:
+            ok &= (tgt[ax] >= 0) & (tgt[ax] < size)
+    src = np.broadcast_to(np.arange(ok.shape[0])[:, None], ok.shape)
+    return src[ok], np.ravel_multi_index(tuple(tgt), shape, mode="clip")[ok]
 
 
 def build_space(entry: CatalogEntry, resolution: int | None = None) -> MetricMeasureSpace:
@@ -286,13 +300,10 @@ def build_space(entry: CatalogEntry, resolution: int | None = None) -> MetricMea
     domain = spec.domain
     points = domain.sample(res)
     n = len(points)
-    edges = []
-    for i, j in _grid_neighbors(domain, res):
-        p = points[i]
-        disp = domain.displacement(p.copy(), points[j].copy())
-        w = finsler_length(spec, [p, p + disp])
-        edges.append((i, j, w))
-    space = from_digraph(edges, n)
+    src, dst = _grid_neighbors(domain, res)
+    P = points[src]
+    lengths = _chord_lengths(spec, P, P + domain.displacement(P, points[dst]))
+    space = from_digraph(zip(src.tolist(), dst.tolist(), lengths.tolist()), n)
     dens = np.empty(n)
     for i, x in enumerate(points):
         a_mat = np.atleast_2d(np.asarray(spec.riemannian(x), dtype=float))

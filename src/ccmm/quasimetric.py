@@ -54,8 +54,9 @@ _ROW_BUDGET = 8 << 20
 
 
 def _row_block(row_bytes: int) -> int:
-    """Rows per block when each row's temporary takes ``row_bytes``."""
-    return max(1, _ROW_BUDGET // row_bytes)
+    """Rows per block when each row's temporary takes ``row_bytes``; a row
+    of no bytes, such as one over an empty grid, counts as one."""
+    return max(1, _ROW_BUDGET // max(1, row_bytes))
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:

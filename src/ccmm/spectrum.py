@@ -302,8 +302,8 @@ def _subgradient(invd: np.ndarray, w: np.ndarray, F: np.ndarray,
     at every row of F.
 
     Each active point x moves 2 w(x) s(x) / d(x, z) from x to its argmax
-    target z; ``np.add.at`` applies the moves of a row in ascending x,
-    target first.
+    target z; ``np.bincount`` adds the moves of a row from 0.0 in
+    ascending x, target first.
     """
     k, n = F.shape
     q = np.subtract(F[:, None, :], F[:, :, None], out=buf[:k])
@@ -314,10 +314,9 @@ def _subgradient(invd: np.ndarray, w: np.ndarray, F: np.ndarray,
     row, x = np.nonzero(s > 0)
     target = arg[row, x]
     coef = 2.0 * w[x] * s[row, x] * invd[x, target]
-    grad = np.zeros((k, n))
-    np.add.at(grad.reshape(-1), np.column_stack((row * n + target, row * n + x)).ravel(),
-              np.column_stack((coef, -coef)).ravel())
-    return grad
+    moves = np.column_stack((row * n + target, row * n + x)).ravel()
+    return np.bincount(moves, np.column_stack((coef, -coef)).ravel(),
+                       minlength=k * n).reshape(k, n)
 
 
 def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, F0: np.ndarray,

@@ -682,3 +682,48 @@ def row_tops_plain(s, v):
     later[:, :-1] = np.maximum.accumulate(v[:, :0:-1], axis=1)[:, ::-1]
     top = v > later
     return s[top], v[top]
+
+
+def finsler_length_plain(spec, polyline, subdivisions=16):
+    """Composite-midpoint quadrature of F along straight coordinate chords,
+    one metric solve and one product per midpoint, chord after chord."""
+    pts = [np.asarray(p, dtype=float) for p in polyline]
+    total = 0.0
+    for p, q in zip(pts, pts[1:]):
+        v = q - p
+        acc = 0.0
+        for j in range(subdivisions):
+            x = p + (j + 0.5) / subdivisions * v
+            a_mat = np.atleast_2d(np.asarray(spec.riemannian(x), dtype=float))
+            b_vec = np.atleast_1d(np.asarray(spec.one_form(x), dtype=float))
+            norm2 = float(b_vec @ np.linalg.solve(a_mat, b_vec))
+            if norm2 >= 1.0:
+                raise ValueError(f"one-form norm reaches {math.sqrt(norm2):.6g} >= 1 "
+                                 f"at point {x.tolist()}")
+            acc += math.sqrt(float(v @ a_mat @ v)) + float(b_vec @ v)
+        total += acc / subdivisions
+    return total
+
+
+def grid_neighbors_plain(domain, resolution):
+    """The stencil edges (i, j) of the sample grid, by a loop over the points
+    in flat order and, for each, over the domain's offsets."""
+    shape = domain.grid_shape(resolution)
+    wraps = domain.wraps()
+    pairs = []
+    for flat in range(int(np.prod(shape))):
+        idx = np.unravel_index(flat, shape)
+        for off in domain.neighbor_offsets():
+            tgt = []
+            ok = True
+            for ax, (i, o) in enumerate(zip(idx, off)):
+                j = i + o
+                if wraps[ax]:
+                    j %= shape[ax]
+                elif not (0 <= j < shape[ax]):
+                    ok = False
+                    break
+                tgt.append(j)
+            if ok:
+                pairs.append((flat, int(np.ravel_multi_index(tuple(tgt), shape))))
+    return pairs

@@ -27,6 +27,7 @@ from ccmm.concentration import (
     _candidate_chunks,
     _count_below,
     _mu_below,
+    _row_tails,
     _set_distance_rows,
     _subset_masks,
 )
@@ -460,6 +461,22 @@ def test_tail_envelope_reads_at_most_a_quarter_of_the_grid(monkeypatch):
     # every subset's two rows at every radius, against the pairs read
     grid = 2 * (2 ** mm.n - 1) * len(breakpoint_radii(mm.space))
     assert 0 < sum(pairs) <= grid / 4, (sum(pairs), grid)
+
+
+def test_empty_threshold_grid_reads_no_tails():
+    mm = random_mm_space(0, 6, 6)
+    rows = generate_family(mm, count=12, seed=0).values
+    for thresholds in (np.empty(0), np.empty((len(rows), 0))):
+        for upper in (True, False):
+            tails = _row_tails(mm.weights, rows, thresholds, upper=upper)
+            assert tails.shape == (len(rows), 0)
+
+
+def test_tail_envelope_on_no_radii_is_the_trivial_bound():
+    mm = random_mm_space(0, 6, 6)
+    env = tail_envelope(mm, radii=np.array([]))
+    assert env.rs.shape == env.values.shape == (0,)
+    assert env(0.5) == 1.0
 
 
 def test_tail_envelope_never_rises():
