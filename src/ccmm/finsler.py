@@ -209,7 +209,7 @@ def _chord_lengths(spec: RandersSpec, P: np.ndarray, Q: np.ndarray,
     one batched solve checks the one-form norms, and each chord's terms are
     added left to right from 0.0, as a loop over its midpoints adds them.
     Aborts naming the first midpoint, in that order, where the one-form
-    reaches unit norm.
+    reaches unit norm, and otherwise the first where v a v < 0.
     """
     V = Q - P
     t = (np.arange(subdivisions) + 0.5) / subdivisions
