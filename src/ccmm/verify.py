@@ -212,8 +212,9 @@ def _run_thm33(ctx: _SuiteContext) -> VerifyEntry:
     w = ctx.mm.weights
     margins = C2 * np.exp(-c2 * rs ** 2) - _row_tails(w, _deviations(w, ctx.family.values), rs)
     k, j = _first_min(margins)
-    return _check(margins[k, j], "mean tails under the forward normal constants",
-                  {"member": k, "r": float(rs[j])})
+    # no witness when every margin is infinite, as in a member loop from inf
+    witness = {"member": k, "r": float(rs[j])} if margins[k, j] < math.inf else None
+    return _check(margins[k, j], "mean tails under the forward normal constants", witness)
 
 
 def _run_thm37(ctx: _SuiteContext) -> VerifyEntry:
@@ -226,8 +227,8 @@ def _run_thm37(ctx: _SuiteContext) -> VerifyEntry:
     margins = np.array([moment_bound_from_normal_tails(C2, c2, q) - _lq_norms(w, dev, q)
                         for q in qs])
     i, k = _first_min(margins)
-    return _check(margins[i, k], "moment norms under the normal-tail moment bound",
-                  {"member": k, "q": qs[i]})
+    witness = {"member": k, "q": qs[i]} if margins[i, k] < math.inf else None
+    return _check(margins[i, k], "moment norms under the normal-tail moment bound", witness)
 
 
 def _run_thm38(ctx: _SuiteContext) -> VerifyEntry:

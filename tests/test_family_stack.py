@@ -5,7 +5,7 @@ replaced (``tests/oracles.py``): margins and witnesses must be equal, and
 members and tails bit for bit.
 """
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccmm import quasimetric, verify
 from ccmm.concentration import (
@@ -113,6 +113,7 @@ def check_stack_against_loops(seed):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(199)  # infinite normal constants: every thm33 margin is inf, no witness
 def test_stacked_readers_match_the_member_loops(seed):
     check_stack_against_loops(seed)
 
