@@ -362,20 +362,21 @@ def _candidate_chunks(mm: MetricMeasureSpace, strategy: str,
 
 @dataclass(frozen=True)
 class _SubsetRows:
-    """Every subset's rows, sorted once: per direction the sorted rows and
-    their sort order, which rebuilds a block's prefix masses bit for bit."""
+    """Every subset's rows, sorted once: per direction the sorted rows, their
+    weights and prefix masses, as _prefix_masses gives them.  A row's prefix
+    masses do not depend on the rows built with it, so a block's are slices."""
 
     masses: np.ndarray
-    weights: np.ndarray
     ms: np.ndarray
-    order: np.ndarray
+    ws: np.ndarray
+    cw: np.ndarray
 
     def blocks(self, size: int, min_mass: float = 0.0):
         """(masses, fwd, bwd) per block of sets of mass >= min_mass."""
         for lo in range(0, len(self.masses), size):
             keep = np.flatnonzero(self.masses[lo:lo + size] >= min_mass) + lo
-            yield (self.masses[keep], *(_with_prefix(ms[keep], self.weights[o[keep]])
-                                        for ms, o in zip(self.ms, self.order)))
+            yield (self.masses[keep], *((ms[keep], ws[keep], cw[keep])
+                                        for ms, ws, cw in zip(self.ms, self.ws, self.cw)))
 
 
 def _subset_rows(mm: MetricMeasureSpace, min_mass: float = 0.0) -> _SubsetRows:
@@ -383,13 +384,14 @@ def _subset_rows(mm: MetricMeasureSpace, min_mass: float = 0.0) -> _SubsetRows:
     block of rows under _ROW_BUDGET sorted as it is built."""
     masses, build, _ = next(_exact_groups(mm, min_mass))
     ms = np.empty((2, len(masses), mm.n))
-    order = np.empty(ms.shape, np.uint8)
+    ws = np.empty(ms.shape)
+    cw = np.empty((2, len(masses), mm.n + 1))
     step = _row_block(8 * mm.n * mm.n)
     for lo in range(0, len(masses), step):
-        for d, rows in enumerate(build(slice(lo, lo + step))):
-            order[d, lo:lo + step] = idx = np.argsort(rows, axis=1)
-            ms[d, lo:lo + step] = np.take_along_axis(rows, idx, axis=1)
-    return _SubsetRows(masses, mm.weights, ms, order)
+        sl = slice(lo, lo + step)
+        for d, rows in enumerate(build(sl)):
+            ms[d, sl], ws[d, sl], cw[d, sl] = _prefix_masses(rows, mm.weights)
+    return _SubsetRows(masses, ms, ws, cw)
 
 
 def _sorted_chunks(mm: MetricMeasureSpace, strategy: str, family: LipschitzFamily | None,

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 __all__ = [
     "QuasiMetricSpace",
@@ -48,8 +46,8 @@ def snap_threshold(r: float | np.ndarray) -> float | np.ndarray:
 
 
 # Bytes one block of rows may use: no blocked temporary (subset rows, family
-# certification and construction) is larger, so memory does not grow with
-# the number of rows.
+# certification and construction, the shortest-path closure) is larger, so
+# memory does not grow with the number of rows.
 _ROW_BUDGET = 8 << 20
 
 
@@ -317,41 +315,101 @@ def from_digraph(edges: Iterable[tuple[int, int, float]], n: int,
                  labels: Sequence[str] | None = None) -> QuasiMetricSpace:
     """Shortest-directed-path metric of a strongly connected weighted digraph.
 
-    ``edges`` are (i, j, weight) triples with weight > 0; parallel edges keep
-    the cheapest weight.  Raises ValueError naming an unreachable pair if the
+    ``edges`` are (i, j, weight) triples with weight > 0; self-loops are
+    skipped and parallel edges keep the cheapest weight.  Raises ValueError
+    naming the first bad edge in input order, or an unreachable pair if the
     digraph is not strongly connected.
     """
-    rows, cols, vals = [], [], []
-    for i, j, w in edges:
-        i, j, w = int(i), int(j), float(w)
-        if not (0 <= i < n and 0 <= j < n):
+    e = np.array(list(edges), dtype=float).reshape(-1, 3)
+    ij = np.trunc(e[:, :2])  # int() of each index, as a float
+    w = e[:, 2]
+    outside = ~np.all((ij >= 0) & (ij < n), axis=1)
+    loop = ij[:, 0] == ij[:, 1]
+    bad = outside | (~loop & ~((w > 0) & np.isfinite(w)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = int(e[k, 0]), int(e[k, 1])
+        if outside[k]:
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        if i == j:
-            continue
-        if not (w > 0) or not np.isfinite(w):
-            raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
-        rows.append(i)
-        cols.append(j)
-        vals.append(w)
-    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    # duplicate entries are summed by CSR construction; keep the min instead
-    dup = {}
-    for i, j, w in zip(rows, cols, vals):
-        key = (i, j)
-        if key not in dup or w < dup[key]:
-            dup[key] = w
-    if len(dup) != len(vals):
-        rows = [i for i, _ in dup]
-        cols = [j for _, j in dup]
-        vals = [dup[k] for k in dup]
-        graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    dist = _dijkstra(graph, directed=True)
-    unreachable = np.argwhere(np.isinf(dist))
-    if unreachable.size:
-        i, j = unreachable[0]
-        raise ValueError(f"digraph is not strongly connected: no path from {int(i)} to {int(j)}")
-    np.fill_diagonal(dist, 0.0)
+        raise ValueError(f"edge ({i}, {j}) has nonpositive weight {float(w[k])}")
+    key = (ij[~loop, 0] * n + ij[~loop, 1]).astype(np.intp)
+    w = w[~loop]
+    # sorted by edge, cheapest first: each edge's first entry is kept, and
+    # the kept edges come grouped by tail
+    order = np.lexsort((w, key))
+    key, w = key[order], w[order]
+    first = np.diff(key, prepend=-1) != 0
+    tail, head = np.divmod(key[first], n)
+    starts = np.searchsorted(tail, np.arange(n + 1))
+    dist = np.empty((n, n))
+    step = _row_block(8 * n)
+    for lo in range(0, n, step):
+        block = dist[lo:lo + step]
+        _close_rows(block, lo, starts, head, w[first])
+        missing = np.isinf(block)
+        if missing.any():
+            i, j = divmod(int(missing.argmax()), n)
+            raise ValueError(f"digraph is not strongly connected: "
+                             f"no path from {lo + i} to {j}")
     return QuasiMetricSpace(dist, tuple(labels) if labels is not None else None)
+
+
+def _close_rows(block: np.ndarray, lo: int, starts: np.ndarray, heads: np.ndarray,
+                w: np.ndarray) -> None:
+    """Shortest-path distances from sources lo, lo + 1, ... into ``block``.
+
+    The edges out of u are heads[starts[u]:starts[u + 1]], with weights w.
+    An entry is pending from its first finite value until it is settled,
+    when its out-edges are relaxed, once.  Each round settles the pending
+    entries of at most fl(m + least weight), m their row's smallest pending
+    value: rounding is monotone and fl(d + w) >= d, so every later
+    candidate in the row is at least that sum, and only a smaller one would
+    replace an entry.  A candidate is fl(d(u) + w(u, v)), as in Dijkstra's
+    method, and every order of such relaxations, run to the end, yields the
+    same floats: the greatest d with d(v) = min(start(v), min_u fl(d(u) +
+    w(u, v))), start being 0 at the source and inf elsewhere.
+    """
+    rows, n = block.shape
+    flat = block.reshape(-1)
+    flat.fill(np.inf)
+    pending = np.arange(rows) * (n + 1) + lo
+    flat[pending] = 0.0
+    degree = np.diff(starts)
+    least = float(w.min()) if len(w) else 0.0
+    # relaxations per chunk: the frontier's expansion is cut at multiples of
+    # ``step`` without splitting an entry's edges, so a chunk holds fewer
+    # than step + max degree of them
+    step = max(1, _row_block(8) - int(degree.max(initial=0)))
+    while len(pending):
+        vals = flat[pending]
+        row = pending // n
+        floor = np.full(rows, np.inf)
+        np.minimum.at(floor, row, vals)
+        settle = vals <= (floor + least)[row]
+        frontier, pending = pending[settle], pending[~settle]
+        tail = frontier % n
+        counts = degree[tail]
+        ends = np.cumsum(counts)
+        # out-edge k of frontier entry e sits at ends[e] - counts[e] + k of
+        # the frontier's expansion, and is edge starts[tail[e]] + k
+        shift = starts[tail] - (ends - counts)
+        cuts = [0, *np.searchsorted(ends, np.arange(step, ends[-1], step), "right"),
+                len(frontier)]
+        fresh = []
+        for a, b in zip(cuts, cuts[1:]):
+            if a == b:
+                continue
+            edge = np.repeat(shift[a:b], counts[a:b])
+            edge += np.arange(ends[a] - counts[a], ends[b - 1])
+            target = np.repeat(frontier[a:b] - tail[a:b], counts[a:b]) + heads[edge]
+            cand = np.repeat(flat[frontier[a:b]], counts[a:b]) + w[edge]
+            old = flat[target]
+            better = cand < old
+            target = target[better]
+            fresh.append(target[old[better] == np.inf])
+            np.minimum.at(flat, target, cand[better])
+        fresh = np.sort(np.concatenate(fresh))
+        pending = np.concatenate([pending, fresh[np.diff(fresh, prepend=-1) != 0]])
 
 
 def _min_forward(space: QuasiMetricSpace, idx: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ code paths, so agreement is meaningful.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -727,3 +728,27 @@ def grid_neighbors_plain(domain, resolution):
             if ok:
                 pairs.append((flat, int(np.ravel_multi_index(tuple(tgt), shape))))
     return pairs
+
+
+def shortest_paths_plain(edges, n):
+    """Directed shortest-path distances by Dijkstra's method with a heap,
+    one source at a time; unreachable pairs stay inf.  A path's length is
+    summed left to right from its source, one edge at a time, and every
+    edge is relaxed, self-loops and parallel edges included."""
+    out = [[] for _ in range(n)]
+    for i, j, w in edges:
+        out[int(i)].append((int(j), float(w)))
+    dist = np.full((n, n), math.inf)
+    for s in range(n):
+        d = dist[s]
+        d[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > d[u]:
+                continue
+            for v, w in out[u]:
+                if du + w < d[v]:
+                    d[v] = du + w
+                    heapq.heappush(heap, (d[v], v))
+    return dist

@@ -298,3 +298,43 @@ def test_threads_is_a_verify_option_only(space_file):
     res = run_cli("alpha", str(space_file), "--threads", "2")
     assert res.returncode == 2
     assert "unrecognized arguments: --threads" in res.stderr
+
+
+# An interpreter that refuses every scipy import, then runs the CLI on its
+# arguments; importing ccmm.cli must leave no scipy module behind.
+_WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("the scipy guard is not in place")
+import ccmm.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"import ccmm.cli loaded {loaded}")
+sys.exit(ccmm.cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_imports_and_verifies_without_scipy(tmp_path):
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps({
+        "n": 5, "dist": None,
+        "edges": [[0, 1, 0.5], [1, 2, 0.75], [2, 3, 1.0], [3, 4, 0.5], [4, 0, 1.25],
+                  [2, 0, 0.5], [0, 3, 1.5], [3, 1, 0.25], [0, 1, 0.625]],
+        "measure": [0.1, 0.3, 0.2, 0.25, 0.15]}))
+    guarded = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, "verify", "all",
+                              str(path)], capture_output=True, text=True)
+    plain = run_cli("verify", "all", str(path))
+    assert guarded.returncode == plain.returncode == 0, guarded.stderr
+    assert guarded.stdout == plain.stdout
+    assert json.loads(guarded.stdout)["meta"]["n"] == 5

@@ -18,6 +18,7 @@ from ccmm.quasimetric import (
     reverse,
     validate,
 )
+from oracles import shortest_paths_plain
 
 
 def test_validate_symmetric_two_point():
@@ -115,6 +116,139 @@ def test_from_digraph_output_validates_exactly():
                 edges.append((int(i), int(j), float(rng.integers(1, 16)) / 8))
         space = from_digraph(edges, n)
         assert isinstance(validate(space.dist, rel_tol=0.0), QuasiMetricSpace)
+
+
+def _raises_exactly(message, edges, n):
+    with pytest.raises(ValueError) as info:
+        from_digraph(edges, n)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((-1, 0, 1.0), "edge (-1, 0) out of range for n=3"),
+    ((0, -2, 1.0), "edge (0, -2) out of range for n=3"),
+    ((3, 0, 1.0), "edge (3, 0) out of range for n=3"),
+    ((0, 7, 1.0), "edge (0, 7) out of range for n=3"),
+    ((5, 5, 1.0), "edge (5, 5) out of range for n=3"),  # a self-loop is range-checked
+])
+def test_from_digraph_out_of_range_message(edge, message):
+    cycle = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
+    _raises_exactly(message, cycle[:1] + [edge] + cycle[1:], 3)
+
+
+@pytest.mark.parametrize("weight, shown", [
+    (0.0, "0.0"), (0, "0.0"), (-1.5, "-1.5"), (float("nan"), "nan"),
+    (float("inf"), "inf"), (-float("inf"), "-inf"),
+])
+def test_from_digraph_bad_weight_message(weight, shown):
+    _raises_exactly(f"edge (1, 0) has nonpositive weight {shown}",
+                    [(0, 1, 1.0), (1, 0, weight)], 2)
+
+
+def test_from_digraph_names_the_first_bad_edge_in_input_order():
+    _raises_exactly("edge (1, 0) has nonpositive weight 0.0",
+                    [(0, 1, 1.0), (1, 0, 0.0), (5, 0, 1.0), (0, 1, -1.0)], 2)
+    _raises_exactly("edge (0, 5) out of range for n=2",
+                    [(0, 1, 1.0), (0, 5, 1.0), (1, 0, 0.0), (0, 1, float("nan"))], 2)
+    # an edge both out of range and badly weighted is named for its range
+    _raises_exactly("edge (2, 0) out of range for n=2",
+                    [(0, 1, 1.0), (2, 0, -1.0), (1, 0, 0.0)], 2)
+
+
+def test_from_digraph_skips_self_loops_silently():
+    loops = [(0, 0, 0.0), (1, 1, float("nan")), (0, 0, -2.0), (1, 1, float("inf"))]
+    space = from_digraph(loops + [(0, 1, 1.0), (1, 0, 2.0), (0, 0, 0.5)], 2)
+    assert space.dist.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+
+
+def test_from_digraph_parallel_edges_keep_the_cheapest():
+    for edges in ([(0, 1, 3.0), (0, 1, 1.0), (0, 1, 2.0), (1, 0, 1.0)],
+                  [(1, 0, 1.0), (0, 1, 1.0), (0, 1, 2.0), (0, 1, 3.0)]):
+        assert from_digraph(edges, 2).dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    # a dearer parallel edge never replaces a cheaper path through a third point
+    space = from_digraph([(0, 2, 5.0), (0, 1, 1.0), (1, 2, 1.0), (0, 2, 4.0),
+                          (2, 0, 1.0), (1, 0, 7.0)], 3)
+    assert space.dist.tolist() == [[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]]
+
+
+def test_from_digraph_accepts_a_generator():
+    space = from_digraph(((i, (i + 1) % 4, 0.5 * (i + 1)) for i in range(4)), 4)
+    assert space.dist[0].tolist() == [0.0, 0.5, 1.5, 3.0]
+    assert space.dist[3].tolist() == [2.0, 2.5, 3.5, 0.0]
+
+
+def test_from_digraph_single_point_and_no_edges():
+    assert from_digraph([], 1).dist.tolist() == [[0.0]]
+    assert from_digraph([(0, 0, 1.0)], 1).dist.tolist() == [[0.0]]
+    assert from_digraph(iter(()), 1, labels=["a"]).labels == ("a",)
+    _raises_exactly("digraph is not strongly connected: no path from 0 to 1", [], 2)
+
+
+def test_from_digraph_unreachable_pair_message():
+    # the first unreachable pair in row-major order is named
+    _raises_exactly("digraph is not strongly connected: no path from 2 to 0",
+                    [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)], 3)
+    _raises_exactly("digraph is not strongly connected: no path from 0 to 2",
+                    [(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)], 4)
+
+
+# weights whose path sums tie to within an ulp (0.1 + 0.2 is one ulp above
+# 0.3), and weights below half an ulp of a unit path, so fl(d + w) == d
+_NEAR_TIES = (0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0, 1.0 + 2.0 ** -52,
+              2.0, 2.0 ** -54, 1e-17, 1e-300)
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(1, 9))
+    weight = st.sampled_from(_NEAR_TIES) | st.floats(1e-3, 4.0)
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, weight), max_size=3 * n))
+    if draw(st.booleans()):
+        # a chain whose every shortcut is dearer, so 0 -> n - 1 takes n - 1 hops
+        edges += [(i, i + 1, 1.0) for i in range(n - 1)]
+        edges += [(i, j, float(j - i) + 0.5) for i in range(n) for j in range(i + 2, n)]
+    if edges and draw(st.booleans()):
+        # duplicates of drawn edges, with weights of their own
+        picks = draw(st.lists(st.sampled_from(edges), max_size=n))
+        edges += [(i, j, draw(weight)) for i, j, _ in picks]
+    if draw(st.booleans()):  # a cycle through every point: strongly connected
+        edges += [(i, (i + 1) % n, draw(weight)) for i in range(n)]
+    return draw(st.permutations(edges)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs())
+def test_from_digraph_matches_plain_dijkstra(graph):
+    edges, n = graph
+    want = shortest_paths_plain(edges, n)
+    unreachable = np.argwhere(np.isinf(want))
+    if unreachable.size:
+        i, j = unreachable[0]
+        _raises_exactly(f"digraph is not strongly connected: no path from {i} to {j}",
+                        edges, n)
+    else:
+        assert np.array_equal(from_digraph(edges, n).dist, want)
+
+
+def test_from_digraph_one_source_row_per_block(monkeypatch):
+    cases = [random_mm_space(seed, 3, 30).dist for seed in range(6)]
+    graphs = []
+    for dist in cases:  # complete digraphs, plus a ring of one-ulp ties
+        n = len(dist)
+        graphs.append(([(i, j, dist[i, j]) for i in range(n) for j in range(n)], n))
+    ring = [(i, (i + 1) % 12, 0.1) for i in range(12)] + [(i, (i + 3) % 12, 0.30000000000000004)
+                                                         for i in range(12)]
+    graphs.append((ring, 12))
+    before = [from_digraph(edges, n).dist for edges, n in graphs]
+    # one source row per block and one frontier entry per chunk of relaxations
+    monkeypatch.setattr(quasimetric, "_ROW_BUDGET", 1)
+    for (edges, n), dist in zip(graphs, before):
+        after = from_digraph(edges, n).dist
+        assert np.array_equal(after, dist)
+        assert np.array_equal(after, shortest_paths_plain(edges, n))
+    _raises_exactly("digraph is not strongly connected: no path from 2 to 0",
+                    [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)], 3)
 
 
 def test_forward_neighborhood_strictness():
