@@ -342,7 +342,8 @@ def from_digraph(edges: Iterable[tuple[int, int, float]], n: int,
     tail, head = np.divmod(key[first], n)
     starts = np.searchsorted(tail, np.arange(n + 1))
     dist = np.empty((n, n))
-    step = _row_block(8 * n)
+    # a block's pending entries and their arrays take under 64 bytes each
+    step = _row_block(64 * n)
     for lo in range(0, n, step):
         block = dist[lo:lo + step]
         _close_rows(block, lo, starts, head, w[first])
@@ -376,10 +377,10 @@ def _close_rows(block: np.ndarray, lo: int, starts: np.ndarray, heads: np.ndarra
     flat[pending] = 0.0
     degree = np.diff(starts)
     least = float(w.min()) if len(w) else 0.0
-    # relaxations per chunk: the frontier's expansion is cut at multiples of
-    # ``step`` without splitting an entry's edges, so a chunk holds fewer
-    # than step + max degree of them
-    step = max(1, _row_block(8) - int(degree.max(initial=0)))
+    # relaxations per chunk, whose arrays take under 64 bytes each: the
+    # frontier's expansion is cut at multiples of ``step`` without splitting
+    # an entry's edges, so a chunk holds fewer than step + max degree of them
+    step = max(1, _row_block(64) - int(degree.max(initial=0)))
     while len(pending):
         vals = flat[pending]
         row = pending // n

@@ -1,4 +1,6 @@
 """Spaces, validation, shortest-path construction, neighborhoods."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +251,36 @@ def test_from_digraph_one_source_row_per_block(monkeypatch):
         assert np.array_equal(after, shortest_paths_plain(edges, n))
     _raises_exactly("digraph is not strongly connected: no path from 2 to 0",
                     [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)], 3)
+
+
+def test_closure_temporaries_stay_near_the_row_budget(monkeypatch):
+    # a complete digraph: the first rounds relax whole rows of a block at
+    # once, the largest frontier expansion a block can have
+    dist = random_mm_space(0, 150, 150).dist
+    n = len(dist)
+    edges = [(i, j, dist[i, j]) for i in range(n) for j in range(n)]
+    want = from_digraph(edges, n).dist
+    budget = 1 << 16
+    monkeypatch.setattr(quasimetric, "_ROW_BUDGET", budget)
+    close, peaks = quasimetric._close_rows, []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        close(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(quasimetric, "_close_rows", traced)
+    tracemalloc.start()
+    try:
+        got = from_digraph(edges, n).dist
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert len(peaks) > 1
+    # every block's arrays together, frontier chunks included (about 1.3
+    # budgets measured; sizing each array alone to the budget gave 10)
+    assert max(peaks) <= 2 * budget, max(peaks) / budget
 
 
 def test_forward_neighborhood_strictness():
