@@ -9,9 +9,12 @@ exactly on the two-sided breakpoint grid rather than on an r-mesh.
 Two strategies are available: "exact" enumerates all subsets (n <= 16),
 "family" restricts to metric balls and median sub/superlevel sets of a
 1-Lipschitz family, which yields a certified lower bound of alpha.
-Each candidate row is sorted once; its mass below the breakpoint grid is
-constant between consecutive row values, so alpha and the transfer margins
-are read off the row's n + 1 segment ends, never off a (rows, radii) table.
+Each candidate row is sorted once, stably; its mass below the breakpoint
+grid is constant between consecutive row values, so alpha and the transfer
+margins are read off the row's n + 1 segment ends, never off a (rows,
+radii) table.  The family readers (median and mean tails, moments) slice
+the family's one sorted stack, and every whole-row mass or tail is read
+off sorted prefix masses at counts from one exact integer kernel.
 
 The module also carries the explicit constants that convert between
 concentration decay, median and mean deviation tails, moment bounds, and
@@ -21,21 +24,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .lipschitz import (
     LipschitzFamily,
     _deviations,
-    _medians,
+    _FamilyStack,
     as_field,
     generate_family,
     lipschitz_constant,
 )
 from .quasimetric import (
     MetricMeasureSpace,
+    _count_below,
+    _mass_below,
     _row_block,
+    _sorted_rows,
+    _stable_order,
     breakpoint_radii,
     snap_threshold,
 )
@@ -187,29 +194,6 @@ def _subset_masks(n: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
 
 
-def _row_tails(weights: np.ndarray, rows: np.ndarray, thresholds: np.ndarray,
-               upper: bool = True) -> np.ndarray:
-    """mu(f >= t), or mu(f <= t) unless ``upper``, for every row f of
-    ``rows`` and every threshold t of its row of ``thresholds`` (a 1-d grid
-    serves every row).
-
-    Each row's prefix masses are summed in its stable sort order, and the
-    points below each threshold are counted exactly, in blocks of rows whose
-    (rows, thresholds, n) comparison fits _ROW_BUDGET.
-    """
-    m, n = rows.shape
-    ts = np.broadcast_to(thresholds, (m, np.shape(thresholds)[-1]))
-    cw = np.zeros((m, n + 1))
-    np.cumsum(weights[np.argsort(rows, axis=1, kind="stable")], axis=1, out=cw[:, 1:])
-    count = np.empty(ts.shape, dtype=np.intp)
-    step = _row_block(ts.shape[1] * n)
-    for lo in range(0, m, step):
-        v, t = rows[lo:lo + step, None, :], ts[lo:lo + step, :, None]
-        count[lo:lo + step] = np.count_nonzero(v < t if upper else v <= t, axis=2)
-    below = np.take_along_axis(cw, count, axis=1)
-    return cw[:, -1:] - below if upper else below
-
-
 def _pow(x: np.ndarray, y: float) -> np.ndarray:
     """x ** y entry by entry through the C library's pow, which rounds as
     scalar float arithmetic does; numpy's vectorized pow can round
@@ -222,46 +206,12 @@ def _lq_norms(weights: np.ndarray, dev: np.ndarray, q: float) -> np.ndarray:
     return _pow(np.vecdot(dev ** q, weights), 1.0 / q)
 
 
-def _count_below(rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """#{x : rows[r, x] < cuts[i]} for every row r and cut i, in any cut order.
-
-    Each entry's place among the sorted cuts is found once; a per-row
-    histogram of the places, summed up, counts the entries below every cut.
-    The counting is integer throughout, so no rounding can move an entry
-    across a cut.
-    """
-    R, B = len(rows), len(cuts)
-    order = np.argsort(cuts, kind="stable")
-    # an entry is below the k-th smallest cut iff at most k cuts are <= it
-    place = np.searchsorted(cuts[order], rows, side="right")
-    place += (B + 1) * np.arange(R)[:, None]
-    counts = np.bincount(place.ravel(), minlength=R * (B + 1)).reshape(R, B + 1)
-    np.cumsum(counts, axis=1, out=counts)
-    return counts[:, np.argsort(order)]
-
-
 def _prefix_masses(rows: np.ndarray, weights: np.ndarray):
-    """Sorted rows, their weights, and cw[r, k] = mass of row r's k smallest."""
-    order = np.argsort(rows, axis=1)
-    return _with_prefix(np.take_along_axis(rows, order, axis=1), weights[order])
-
-
-def _with_prefix(ms: np.ndarray, ws: np.ndarray):
-    """(ms, ws, cw) of rows already sorted, with their weights."""
-    cw = np.concatenate([np.zeros((len(ms), 1)), np.cumsum(ws, axis=1)], axis=1)
-    cw[:, -1] = 1.0  # the full space has mass one by definition, not by cumsum
+    """Set-distance rows as _sorted_rows gives them, but with the whole row
+    of mass one by definition, not by cumsum."""
+    ms, ws, cw = _sorted_rows(rows, weights, _stable_order(rows))
+    cw[:, -1] = 1.0
     return ms, ws, cw
-
-
-def _mu_below(m_rows: np.ndarray, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """mu({x : m(x) < t}) for every row of m_rows and every threshold.
-
-    Rows are independent point-to-set distance vectors; thresholds may come
-    in any order.  The points below each threshold are counted exactly and
-    their mass read off the row's prefix masses.
-    """
-    _, _, cw = _prefix_masses(m_rows, weights)
-    return np.take_along_axis(cw, _count_below(m_rows, thresholds), axis=1)
 
 
 def _set_distance_rows(dist: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +279,7 @@ def _family_groups(mm: MetricMeasureSpace, family: LipschitzFamily, min_mass: fl
             if keep.any():
                 yield masses[keep], _ball_rows(dist, order, lengths[keep] - 1), n
     F = family.values
-    m = _medians(w, F)[:, None]
+    m = family._stacked(w).medians[:, None]
     masks = np.stack([F <= m, F >= m], axis=1).reshape(-1, n)
     masses = masks @ w
     keep = (masses >= min_mass) & masks.any(axis=1)
@@ -345,19 +295,6 @@ def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
         fam = family if family is not None else generate_family(mm, seed=seed)
         return _family_groups(mm, fam, min_mass)
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _chunks(groups) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (masses, m_fwd, m_bwd) over every set of the groups, in order."""
-    for masses, build, block in groups:
-        for lo in range(0, len(masses), block):
-            sl = slice(lo, lo + block)
-            yield masses[sl], *build(sl)
-
-
-def _candidate_chunks(mm: MetricMeasureSpace, strategy: str,
-                      family: LipschitzFamily | None, min_mass: float, seed: int):
-    return _chunks(_candidate_groups(mm, strategy, family, min_mass, seed))
 
 
 @dataclass(frozen=True)
@@ -379,10 +316,10 @@ class _SubsetRows:
                                         for ms, ws, cw in zip(self.ms, self.ws, self.cw)))
 
 
-def _subset_rows(mm: MetricMeasureSpace, min_mass: float = 0.0) -> _SubsetRows:
-    """The sorted rows of every subset of mass >= min_mass (n <= 16), each
-    block of rows under _ROW_BUDGET sorted as it is built."""
-    masses, build, _ = next(_exact_groups(mm, min_mass))
+def _subset_rows(mm: MetricMeasureSpace) -> _SubsetRows:
+    """The sorted rows of every nonempty subset (n <= 16), each block of rows
+    under _ROW_BUDGET sorted as it is built."""
+    masses, build, _ = next(_exact_groups(mm, 0.0))
     ms = np.empty((2, len(masses), mm.n))
     ws = np.empty(ms.shape)
     cw = np.empty((2, len(masses), mm.n + 1))
@@ -397,12 +334,14 @@ def _subset_rows(mm: MetricMeasureSpace, min_mass: float = 0.0) -> _SubsetRows:
 def _sorted_chunks(mm: MetricMeasureSpace, strategy: str, family: LipschitzFamily | None,
                    min_mass: float, seed: int, rows: _SubsetRows | None = None):
     """(masses, fwd, bwd) per chunk of candidates of mass >= min_mass, each
-    direction as _prefix_masses gives it; exact scans read ``rows`` if given."""
-    if strategy == "exact":
-        rows = _subset_rows(mm, min_mass) if rows is None else rows
+    direction as _prefix_masses gives it, in scan order; exact scans read
+    ``rows`` if given, and otherwise build and sort one chunk at a time."""
+    if strategy == "exact" and rows is not None:
         return rows.blocks(_SUBSET_CHUNK, min_mass)
-    return ((masses, *(_prefix_masses(m, mm.weights) for m in (f, b)))
-            for masses, f, b in _candidate_chunks(mm, strategy, family, min_mass, seed))
+    return ((masses[lo:lo + block],
+             *(_prefix_masses(m, mm.weights) for m in build(slice(lo, lo + block))))
+            for masses, build, block in _candidate_groups(mm, strategy, family, min_mass, seed)
+            for lo in range(0, len(masses), block))
 
 
 def _curve(order: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -543,7 +482,7 @@ def deviation_check(mm: MetricMeasureSpace, f, profile: ConcentrationProfile) ->
         raise ValueError("deviation_check requires an exact profile")
     v = as_field(f, mm.n)
     L = max(lipschitz_constant(mm.space, v), 1e-12)
-    rs, margins = _deviation_margins(mm, v[None], np.array([L]), profile)
+    rs, margins = _deviation_margins(_FamilyStack(v[None], mm.weights), np.array([L]), profile)
 
     def _rep(margins):
         k = int(np.argmin(margins))
@@ -553,15 +492,15 @@ def deviation_check(mm: MetricMeasureSpace, f, profile: ConcentrationProfile) ->
     return DeviationReport(*(_rep(mg[0]) for mg in margins), L)
 
 
-def _deviation_margins(mm: MetricMeasureSpace, rows: np.ndarray, L: np.ndarray,
-                       profile: ConcentrationProfile):
-    """The radii r = L s of every row f with constant L, and the margins of
-    its upper, lower and two-sided inequalities at those radii."""
-    w = mm.weights
-    m = _medians(w, rows)[:, None]
+def _deviation_margins(stack: _FamilyStack, L: np.ndarray, profile: ConcentrationProfile):
+    """The radii r = L s of every row f of ``stack`` with constant L, and the
+    margins of its upper, lower and two-sided inequalities at those radii."""
+    rows = vs, _, cw = stack.values
+    m = stack.medians[:, None]
     rs = L[:, None] * profile.radii
-    up = _row_tails(w, rows, m + rs)
-    lo = _row_tails(w, rows, m - rs, upper=False)
+    up = cw[:, -1:] - _mass_below(rows, m + rs)
+    # mu(f <= t) is the mass of the values not above t
+    lo = np.take_along_axis(cw, vs.shape[1] - _count_below(-vs, -(m - rs)), axis=1)
     rhs = profile.alphas
     # the two tails are disjoint for r > 0
     return rs, (rhs - up, rhs - lo, 2 * rhs - (up + lo))
@@ -579,6 +518,13 @@ def moment_norm(mm: MetricMeasureSpace, f, q: float) -> float:
     return float(_lq_norms(w, _deviations(w, as_field(f, mm.n)[None]), q)[0])
 
 
+def _moment_powers(mm: MetricMeasureSpace, family: LipschitzFamily, p: float,
+                   q: float) -> np.ndarray:
+    """||f - mean f||_q^p of every member, from the family's stacked deviations."""
+    w = mm.weights
+    return _pow(_lq_norms(w, family._stacked(w).dev, q), p)
+
+
 def check_moment_concentration(mm: MetricMeasureSpace, family: LipschitzFamily,
                                p: float, q: float, C: float) -> MomentReport:
     """Does every family member satisfy ||f - mean||_q^p <= q / C?
@@ -590,8 +536,7 @@ def check_moment_concentration(mm: MetricMeasureSpace, family: LipschitzFamily,
         raise ValueError("p and q must be at least 1")
     if C <= 0:
         raise ValueError("C must be positive")
-    w = mm.weights
-    powers = _pow(_lq_norms(w, _deviations(w, family.values), q), p)
+    powers = _moment_powers(mm, family, p, q)
     worst = int(np.argmax(powers))
     largest = float(q / powers[worst]) if powers[worst] > 0 else math.inf
     holds = bool(powers[worst] <= (q / C) * (1 + 1e-12))
@@ -604,8 +549,7 @@ def check_linear_tail_decay(mm: MetricMeasureSpace, family: LipschitzFamily,
     if C <= 0:
         raise ValueError("C must be positive")
     rs = np.asarray(r_grid, dtype=float)
-    w = mm.weights
-    margins = np.minimum(1.0, 1.0 / (C * rs)) - _row_tails(w, _deviations(w, family.values), rs)
+    margins = np.minimum(1.0, 1.0 / (C * rs)) - family._stacked(mm.weights).tails(rs)
     k, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
     worst = float(margins[k, j])
     return CheckReport(bool(worst >= -VERDICT_TOL), worst,
@@ -650,11 +594,10 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
         return SampledDecreasing(np.empty(0), np.empty(0))
     if family is None:
         family = generate_family(mm, count=2 * mm.n + 8, seed=seed)
-    w = mm.weights
 
     # the front: the samples (s, v) no other at or past s covers, ascending
     # in s, from the family members' full tail curves on the grid first
-    tails = _row_tails(w, _deviations(w, family.values), radii * (1 - 1e-9))
+    tails = family._stacked(mm.weights).tails(radii * (1 - 1e-9))
     # a tail curve never rises: only its samples above the next can be tops
     tops = np.append(tails[:, :-1] > tails[:, 1:], np.ones((len(tails), 1), bool), axis=1)
     front = _merge_front((np.empty(0), np.empty(0)),
@@ -960,8 +903,7 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
         radii = breakpoint_radii(mm.space)
     radii = np.asarray(radii, dtype=float)
 
-    w = mm.weights
-    hyp_margin = float(np.min(b(radii) - _row_tails(w, _deviations(w, family.values), radii)))
+    hyp_margin = float(np.min(b(radii) - family._stacked(mm.weights).tails(radii)))
     hypothesis_ok = hyp_margin >= -VERDICT_TOL
     if not hypothesis_ok:
         return TailTransferReport(False, hyp_margin, False, None, None, True,
@@ -978,7 +920,8 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
     ends = np.zeros(B + 1)  # the exact alpha curve's events, from mass >= 1/2
     for masses, *dirs in _sorted_chunks(mm, "exact", None, 0.0, seed, rows):
         half = masses >= 0.5
-        for ms, _, cw in dirs:
+        for side in dirs:
+            ms, _, cw = side
             e = np.searchsorted(ts, ms, "right")
             np.maximum.at(ends, e[half].ravel(), (1.0 - cw[half, :-1]).ravel())
             if at_ends:  # segment i covers [e[i - 1], e[i]), the last one [e[n - 1], B)
@@ -987,7 +930,7 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
                 ks = np.minimum([first, last - 1], B - 1)
                 margins = (b(masses[:, None] * rs[ks]).min(axis=0) - (1.0 - cw))[last > first]
             else:
-                mu = np.take_along_axis(cw, _count_below(ms, snap_threshold(radii)), axis=1)
+                mu = _mass_below(side, snap_threshold(radii))
                 margins = b(masses[:, None] * radii[None, :]) - (1.0 - mu)
             enl_margin = min(enl_margin, float(np.min(margins, initial=math.inf)))
     alpha_margin = float(np.min(b(radii / 2.0) - _curve(order, ends)))

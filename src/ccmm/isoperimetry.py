@@ -17,13 +17,13 @@ import numpy as np
 from .concentration import (
     EXACT_MAX_N,
     VERDICT_TOL,
-    _candidate_chunks,
     _candidate_groups,
-    _mu_below,
+    _prefix_masses,
     _set_distance_rows,
+    _sorted_chunks,
 )
 from .lipschitz import LipschitzFamily
-from .quasimetric import MetricMeasureSpace, as_pointset, snap_threshold
+from .quasimetric import MetricMeasureSpace, _mass_below, as_pointset, snap_threshold
 
 __all__ = [
     "MinkowskiContent",
@@ -68,12 +68,12 @@ def mesh_scale(mm: MetricMeasureSpace) -> float:
     return float(d[d > 0].min()) * (1.0 + 1e-9)
 
 
-def _content_rows(mm: MetricMeasureSpace, masses: np.ndarray, m_fwd: np.ndarray,
-                  m_bwd: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward contents (mu(B(E, scale)) - mu(E)) / scale per row."""
+def _content_rows(masses: np.ndarray, fwd, bwd, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward contents (mu(B(E, scale)) - mu(E)) / scale per
+    row, from each direction's rows as _prefix_masses gives them."""
     thr = np.array([snap_threshold(scale)])
-    return tuple(np.maximum(_mu_below(m, mm.weights, thr)[:, 0] - masses, 0.0) / scale
-                 for m in (m_fwd, m_bwd))
+    return tuple(np.maximum(_mass_below(rows, thr)[:, 0] - masses, 0.0) / scale
+                 for rows in (fwd, bwd))
 
 
 def minkowski_content(mm: MetricMeasureSpace, E, scale: float) -> MinkowskiContent:
@@ -90,9 +90,9 @@ def minkowski_content(mm: MetricMeasureSpace, E, scale: float) -> MinkowskiConte
     if len(ps) == mm.n:
         return MinkowskiContent(0.0, 0.0, float(scale))
     idx = ps.array()
-    m_fwd, m_bwd = _set_distance_rows(mm.dist, np.isin(np.arange(mm.n), idx)[None, :])
+    rows = _set_distance_rows(mm.dist, np.isin(np.arange(mm.n), idx)[None, :])
     mE = np.array([float(mm.weights[idx].sum())])
-    fwd, bwd = _content_rows(mm, mE, m_fwd, m_bwd, float(scale))
+    fwd, bwd = _content_rows(mE, *(_prefix_masses(m, mm.weights) for m in rows), float(scale))
     return MinkowskiContent(float(fwd[0]), float(bwd[0]), float(scale))
 
 
@@ -109,10 +109,9 @@ def isoperimetric_profile(mm: MetricMeasureSpace, scale: float,
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    chunks = _candidate_chunks(mm, strategy, family, 0.0, seed)
     best: dict[float, float] = {0.0: 0.0, 1.0: 0.0}
-    for masses, m_fwd, m_bwd in chunks:
-        contents = np.minimum(*_content_rows(mm, masses, m_fwd, m_bwd, float(scale)))
+    for masses, fwd, bwd in _sorted_chunks(mm, strategy, family, 0.0, seed):
+        contents = np.minimum(*_content_rows(masses, fwd, bwd, float(scale)))
         for mass, cont in zip(masses, contents):
             key = round(float(mass), 12)
             if key >= 1.0 - 1e-12:
@@ -212,11 +211,12 @@ def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
     sqrt_k = math.sqrt(K)
     subsets = "exact" if mm.n <= EXACT_MAX_N else "family"
     groups = _candidate_groups(mm, subsets, family, 0.0, seed)
-    masses, m_fwd, m_bwd, total = _strided_rows(groups)
+    masses, *rows, total = _strided_rows(groups)
     if total > _MAX_SUBSETS:
         subsets += f" (strided to {len(masses)} rows)"
 
-    contents = np.minimum(*_content_rows(mm, masses, m_fwd, m_bwd, float(scale)))
+    fwd, bwd = (_prefix_masses(m, mm.weights) for m in rows)
+    contents = np.minimum(*_content_rows(masses, fwd, bwd, float(scale)))
     bases = np.array([gaussian_phi_inv(min(max(float(m), 1e-300), 1.0 - 1e-15))
                       for m in masses])
     targets = sqrt_k * INV_SQRT_2PI * np.exp(-0.5 * bases ** 2)
@@ -228,9 +228,7 @@ def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
         return Lemma51Report(False, hyp_margin, False, None, True, subsets, float(scale))
 
     thresholds = snap_threshold(rs)
-    mu_f = _mu_below(m_fwd, mm.weights, thresholds)
-    mu_b = _mu_below(m_bwd, mm.weights, thresholds)
-    lhs = np.minimum(mu_f, mu_b)
+    lhs = np.minimum(_mass_below(fwd, thresholds), _mass_below(bwd, thresholds))
     shifted = bases[:, None] / sqrt_k + rs[None, :] - float(scale)
     rhs = np.array([[gaussian_phi(sqrt_k * t) for t in row] for row in shifted])
     concl_margin = float(np.min(lhs - rhs)) if lhs.size else 0.0

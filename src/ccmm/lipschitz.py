@@ -6,7 +6,9 @@ The generated families (distance cones plus inf-convolution regularizations
 of random fields) are the search space used by the concentration and
 observable-diameter suprema downstream.  A family is one (m, n) stack of
 fields, and the per-field statistics here are row operations on a stack;
-the one-field functions are their one-row calls.
+the one-field functions are their one-row calls.  A family keeps its rows
+sorted for the measure last asked (:class:`_FamilyStack`), so every median,
+partial diameter, tail and moment reader of one run slices one stable sort.
 """
 from __future__ import annotations
 
@@ -19,7 +21,10 @@ from .quasimetric import (
     ProbabilityMeasure,
     QuasiMetricSpace,
     _frozen_array,
+    _mass_below,
     _row_block,
+    _sorted_rows,
+    _stable_order,
     diameter,
 )
 
@@ -83,6 +88,7 @@ class LipschitzFamily:
     values: np.ndarray
     tags: tuple[str, ...]
     lipschitz: np.ndarray = field(init=False, repr=False)
+    _stack: _FamilyStack | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         v = _frozen_array(self.values)
@@ -109,6 +115,58 @@ class LipschitzFamily:
     def __iter__(self):
         return iter(self.values)
 
+    def _stacked(self, weights: np.ndarray) -> _FamilyStack:
+        """The rows sorted for ``weights``, kept until another measure asks."""
+        stack = self._stack
+        if stack is None or not np.array_equal(stack.weights, weights):
+            stack = _FamilyStack(self.values, weights)
+            object.__setattr__(self, "_stack", stack)
+        return stack
+
+
+class _FamilyStack:
+    """Rows of fields on one measure, each sorted once, stably.
+
+    It keeps the sort order of every field and of its deviations
+    |f - mean f|, the deviations ``dev`` in point order, whose moments sum
+    in that order, the lower ``medians`` (the first sorted value v of each
+    row with mu(f <= v) >= 1/2 and mu(f >= v) >= 1/2) and the tail table of
+    the last grid read.  Sorted rows and prefix masses are gathered from
+    the kept order when read, the same bits at every read, so a stack kept
+    for a whole run holds little more than the deviations.
+    """
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray):
+        self.rows, self.weights, self._tails = rows, weights, None
+        self.order = _stable_order(rows)
+        self.dev = _deviations(weights, rows)
+        self.dev_order = _stable_order(self.dev)
+        vs, ws, cw = self.values
+        below = cw[:, 1:]                          # mu(f <= vs[i])
+        above = 1.0 - below + ws                   # mu(f >= vs[i])
+        ok = (below >= 0.5 - 1e-15) & (above >= 0.5 - 1e-15)
+        # a row has no such index only through rounding of its cumulative sums
+        idx = np.where(ok.any(axis=1), ok.argmax(axis=1), np.abs(below - 0.5).argmin(axis=1))
+        self.medians = np.take_along_axis(vs, idx[:, None], axis=1)[:, 0]
+
+    @property
+    def values(self):
+        """(sorted rows, their weights, prefix masses) as _sorted_rows gives
+        them: a row's last prefix mass is its own cumsum total."""
+        return _sorted_rows(self.rows, self.weights, self.order)
+
+    def tails(self, ts: np.ndarray) -> np.ndarray:
+        """mu(|f - mean f| >= t) of every row at every t of ``ts``: the row's
+        cumsum total less its mass below t.  The read-only table of the last
+        grid asked is kept, so the readers of one grid share it."""
+        memo = self._tails
+        if memo is None or not np.array_equal(memo[0], ts):
+            devs = _sorted_rows(self.dev, self.weights, self.dev_order)
+            table = devs[2][:, -1:] - _mass_below(devs, ts)
+            table.setflags(write=False)
+            memo = self._tails = (np.array(ts), table)
+        return memo[1]
+
 
 def _lipschitz_constants(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each row's smallest L >= 0 with f(z) - f(x) <= L d(x, z) over ordered
@@ -134,22 +192,10 @@ def lipschitz_constant(space: QuasiMetricSpace, f) -> float:
     return float(_lipschitz_constants(space.dist, as_field(f, space.n)[None])[0])
 
 
-def _medians(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Lower median of every row, from one stable sort of each row."""
-    order = np.argsort(rows, axis=1, kind="stable")
-    ws = weights[order]
-    below = np.cumsum(ws, axis=1)              # mu(f <= vs[i])
-    above = 1.0 - below + ws                   # mu(f >= vs[i])
-    ok = (below >= 0.5 - 1e-15) & (above >= 0.5 - 1e-15)
-    # a row has no such index only through rounding of its cumulative sums
-    idx = np.where(ok.any(axis=1), ok.argmax(axis=1), np.abs(below - 0.5).argmin(axis=1))
-    return np.take_along_axis(rows, np.take_along_axis(order, idx[:, None], axis=1), axis=1)[:, 0]
-
-
 def median(measure: ProbabilityMeasure, f) -> float:
     """Lower median: the smallest attained value m with mu(f <= m) >= 1/2
     and mu(f >= m) >= 1/2."""
-    return float(_medians(measure.weights, as_field(f, measure.n)[None])[0])
+    return float(_FamilyStack(as_field(f, measure.n)[None], measure.weights).medians[0])
 
 
 def mean(measure: ProbabilityMeasure, f) -> float:

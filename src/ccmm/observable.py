@@ -23,7 +23,7 @@ from .concentration import (
     _subset_masks,
     alpha_profile,
 )
-from .lipschitz import LipschitzFamily, as_field, generate_family
+from .lipschitz import LipschitzFamily, _FamilyStack, as_field, generate_family
 from .quasimetric import MetricMeasureSpace, ProbabilityMeasure
 
 __all__ = [
@@ -110,20 +110,19 @@ def partial_diameter(mm: MetricMeasureSpace, kappa: float,
     return best
 
 
-def _pardiams(values: np.ndarray, weights: np.ndarray, kappas) -> np.ndarray:
-    """Pushforward partial diameter of every row of ``values`` at every kappa:
-    from start i of a stably sorted row the window ends at the first j >= i
-    with cw[j + 1] - cw[i] >= need, bisected on exactly that predicate, which
-    is monotone in j, so j is the end an exact sliding window reaches."""
+def _pardiams(rows, kappas) -> np.ndarray:
+    """Pushforward partial diameter of every row of ``rows`` = (stably sorted
+    values, weights, prefix masses cw) at every kappa: from start i the
+    window ends at the first j >= i with cw[j + 1] - cw[i] >= need, bisected
+    on exactly that predicate, which is monotone in j, so j is the end an
+    exact sliding window reaches."""
     if not all(0.0 < k < 1.0 for k in kappas):
         raise ValueError("kappa must lie strictly between 0 and 1")
-    n, out = len(weights), np.empty((len(kappas), len(values)))
+    values, _, prefix = rows
+    (m, n), out = values.shape, np.empty((len(kappas), len(values)))
     step = max(1, _STACK_BUDGET // (8 * (n + 1)))
-    for lo in range(0, len(values), step):
-        block = values[lo:lo + step]
-        order = np.argsort(block, axis=1, kind="stable")
-        vs = np.take_along_axis(block, order, axis=1)
-        cw = np.pad(np.cumsum(weights[order], axis=1), ((0, 0), (1, 0)))
+    for lo in range(0, m, step):
+        vs, cw = values[lo:lo + step], prefix[lo:lo + step]
         for k, kappa in enumerate(kappas):
             first, last = np.broadcast_to(np.arange(n), vs.shape), np.full(vs.shape, n)
             for _ in range(n.bit_length()):
@@ -141,14 +140,16 @@ def _pardiams(values: np.ndarray, weights: np.ndarray, kappas) -> np.ndarray:
 def pushforward_partial_diameter(measure: ProbabilityMeasure, f, kappa: float) -> float:
     """Length of the shortest closed interval holding mass >= 1 - kappa of f,
     exact: for a discrete pushforward the optimum ends at attained values."""
-    return float(_pardiams(as_field(f, measure.n)[None], measure.weights, [kappa])[0, 0])
+    stack = _FamilyStack(as_field(f, measure.n)[None], measure.weights)
+    return float(_pardiams(stack.values, [kappa])[0, 0])
 
 
 def observable_diameters(mm: MetricMeasureSpace, kappas, family: LipschitzFamily | None = None,
                          seed: int = 0) -> dict[float, ObsDiamResult]:
     """Largest pushforward partial diameter over a certified family, per kappa,
-    with the first member attaining it.  Each member is sorted once; a family
-    certified on another distance matrix is certified again on ``mm``'s.
+    with the first member attaining it.  The members are read from the
+    family's one sorted stack for the measure; a family certified on another
+    distance matrix is certified again on ``mm``'s.
     Lower bounds of the true observable diameters (the family replaces the
     supremum over all 1-Lipschitz functions); a larger family can only
     increase them."""
@@ -157,7 +158,7 @@ def observable_diameters(mm: MetricMeasureSpace, kappas, family: LipschitzFamily
         family = generate_family(mm, seed=seed)
     elif not np.array_equal(family.space.dist, mm.dist):
         family = LipschitzFamily(mm.space, family.values, family.tags)
-    vals = _pardiams(family.values, mm.weights, kappas)
+    vals = _pardiams(family._stacked(mm.weights).values, kappas)
     return {kappa: ObsDiamResult(kappa, float(row.max()), int(row.argmax()), len(family))
             for kappa, row in zip(kappas, vals)}
 

@@ -3,8 +3,10 @@
 An irreversible (quasi-)metric keeps positivity and the directed triangle
 inequality but drops symmetry, so every subset has distinct forward and
 backward r-neighborhoods. This module holds the dense-matrix representation,
-the validator, shortest-path construction from weighted digraphs, and the
-neighborhood and diameter primitives every other module builds on.
+the validator, shortest-path construction from weighted digraphs, the
+neighborhood and diameter primitives every other module builds on, and the
+stably sorted rows and exact integer counts every mass and tail reader
+builds on.
 
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to evaluate concurrently.
@@ -55,6 +57,57 @@ def _row_block(row_bytes: int) -> int:
     """Rows per block when each row's temporary takes ``row_bytes``; a row
     of no bytes, such as one over an empty grid, counts as one."""
     return max(1, _ROW_BUDGET // max(1, row_bytes))
+
+
+def _stable_order(rows: np.ndarray) -> np.ndarray:
+    """Each row's stable sort order, tied values in point order, in the
+    narrowest unsigned type that indexes a row."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    return order.astype(np.min_scalar_type(rows.shape[1] - 1))
+
+
+def _sorted_rows(rows: np.ndarray, weights: np.ndarray, order: np.ndarray):
+    """Each row in its ``order``, its weights in that order, and cw[r, k]
+    the mass of row r's first k values, summed in that order."""
+    ws = weights[order]
+    cw = np.zeros((len(rows), rows.shape[1] + 1))
+    np.cumsum(ws, axis=1, out=cw[:, 1:])
+    return np.take_along_axis(rows, order, axis=1), ws, cw
+
+
+def _count_below(rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """#{x : rows[r, x] < cuts[i]} for every row r and cut i, in any cut
+    order; a 2-d ``cuts`` gives each row its own cuts.  #{x : v <= t} is
+    the count of -v below -t taken from the row length: negation is exact.
+
+    Shared cuts: each entry's place among the sorted cuts is found once,
+    and a per-row histogram of the places, summed up, counts the entries
+    below every cut.  Per-row cuts: one stable sort per row merges its cuts,
+    placed first, with its entries, so an entry equal to a cut sorts after
+    it.  The counting is integer throughout, so no rounding can move an
+    entry across a cut.
+    """
+    R, B = len(rows), cuts.shape[-1]
+    if cuts.ndim == 2:
+        order = np.argsort(np.concatenate([cuts, rows], axis=1), axis=1, kind="stable")
+        counts = np.empty(order.shape, dtype=np.intp)
+        np.put_along_axis(counts, order, np.cumsum(order >= B, axis=1), axis=1)
+        return counts[:, :B]
+    order = np.argsort(cuts, kind="stable")
+    # an entry is below the k-th smallest cut iff at most k cuts are <= it
+    place = np.searchsorted(cuts[order], rows, side="right")
+    place += (B + 1) * np.arange(R)[:, None]
+    counts = np.bincount(place.ravel(), minlength=R * (B + 1)).reshape(R, B + 1)
+    np.cumsum(counts, axis=1, out=counts)
+    return counts[:, np.argsort(order)]
+
+
+def _mass_below(rows, cuts: np.ndarray) -> np.ndarray:
+    """mu(f < t) for every sorted row f of ``rows`` = (values, weights,
+    prefix masses) and every cut t, read off its prefix masses at an exact
+    count."""
+    vs, _, cw = rows
+    return np.take_along_axis(cw, _count_below(vs, cuts), axis=1)
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:

@@ -23,21 +23,21 @@ from .concentration import (
     VERDICT_TOL,
     _deviation_margins,
     _lq_norms,
-    _pow,
-    _row_tails,
+    _moment_powers,
     _subset_rows,
     alpha_profile,
+    check_linear_tail_decay,
+    check_moment_concentration,
     enlargement_check_from_tail_bound,
     fit_profile,
     median_to_mean_tail_constants,
     moment_bound_from_normal_tails,
     normal_equivalence_constants,
-    tail_bound_from_first_moment,
     tail_bound_from_square_moments,
     tail_envelope,
 )
 from .io import space_hash
-from .lipschitz import _deviations, generate_family
+from .lipschitz import generate_family
 from .observable import (
     observable_diameters,
     obsdiam_bound_exponential,
@@ -169,9 +169,8 @@ class _SuiteContext:
 def _run_mf3(ctx: _SuiteContext) -> VerifyEntry:
     if not ctx.exact_ok:
         return _skip(f"exact profile infeasible for n = {ctx.mm.n} > {EXACT_MAX_N}")
-    fam = ctx.family
-    _, margins = _deviation_margins(ctx.mm, fam.values, np.maximum(fam.lipschitz, 1e-12),
-                                    ctx.profile)
+    _, margins = _deviation_margins(ctx.family._stacked(ctx.mm.weights),
+                                    np.maximum(ctx.family.lipschitz, 1e-12), ctx.profile)
     worst = np.min([mg.min(axis=1) for mg in margins], axis=0)
     k = int(np.argmin(worst))
     return _check(worst[k], "median deviation tails vs the doubled profile", {"member": k})
@@ -209,8 +208,7 @@ def _run_thm33(ctx: _SuiteContext) -> VerifyEntry:
         return _skip(f"certified exact fit infeasible for n = {ctx.mm.n}")
     C2, c2 = _mean_tail_constants(ctx)
     rs = ctx.profile.radii
-    w = ctx.mm.weights
-    margins = C2 * np.exp(-c2 * rs ** 2) - _row_tails(w, _deviations(w, ctx.family.values), rs)
+    margins = C2 * np.exp(-c2 * rs ** 2) - ctx.family._stacked(ctx.mm.weights).tails(rs)
     k, j = _first_min(margins)
     # no witness when every margin is infinite, as in a member loop from inf
     witness = {"member": k, "r": float(rs[j])} if margins[k, j] < math.inf else None
@@ -221,9 +219,8 @@ def _run_thm37(ctx: _SuiteContext) -> VerifyEntry:
     if not ctx.exact_ok:
         return _skip(f"certified exact fit infeasible for n = {ctx.mm.n}")
     C2, c2 = _mean_tail_constants(ctx)
-    w = ctx.mm.weights
-    dev = _deviations(w, ctx.family.values)
     qs = (1.0, 2.0, 4.0, 8.0)
+    w, dev = ctx.mm.weights, ctx.family._stacked(ctx.mm.weights).dev
     margins = np.array([moment_bound_from_normal_tails(C2, c2, q) - _lq_norms(w, dev, q)
                         for q in qs])
     i, k = _first_min(margins)
@@ -232,55 +229,41 @@ def _run_thm37(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_thm38(ctx: _SuiteContext) -> VerifyEntry:
-    w = ctx.mm.weights
-    dev = _deviations(w, ctx.family.values)
-
-    @cache
-    def member_norms(q: float) -> np.ndarray:
-        return _lq_norms(w, dev, q)
-
-    qs = (1.0, 2.0, 4.0, 8.0)
-    largest = {q: float(member_norms(q).max()) for q in qs}
-    if any(v == 0 for v in largest.values()):
+    # the largest (2, q)-moment constant of the family at each q
+    largest = [check_moment_concentration(ctx.mm, ctx.family, 2.0, q, 1.0).largest_constant
+               for q in (1.0, 2.0, 4.0, 8.0)]
+    if math.inf in largest:
         return VerifyEntry("pass", 0.0, "all-constant family, trivial")
-    C_star = min(q / largest[q] ** 2 for q in qs)
+    C_star = min(largest)
+    square_norms = cache(lambda q: _moment_powers(ctx.mm, ctx.family, 2.0, q))
     rs = ctx.profile.radii
-    tails = _row_tails(w, dev, rs)
-    worst = math.inf
-    skipped_pts = 0
-    witness = None
-    for j, r in enumerate(rs):
-        regime, bound = tail_bound_from_square_moments(C_star, float(r))
-        q_star = max(1.0, C_star * float(r) ** 2 / math.e)
-        # Chebyshev at the optimal exponent needs the moment premise there
-        skip = _pow(member_norms(q_star), 2.0) > (q_star / C_star) * (1 + 1e-9)
-        skipped_pts += int(np.count_nonzero(skip))
-        margins = np.where(skip, math.inf, bound - tails[:, j])
-        k = int(np.argmin(margins))
-        if margins[k] < worst:
-            worst = float(margins[k])
-            witness = {"member": k, "r": float(r), "regime": regime}
+    regimes, bounds = zip(*(tail_bound_from_square_moments(C_star, float(r)) for r in rs))
+    q_stars = [max(1.0, C_star * float(r) ** 2 / math.e) for r in rs]
+    # Chebyshev at the optimal exponent needs the moment premise there
+    skip = np.array([square_norms(q) > (q / C_star) * (1 + 1e-9) for q in q_stars])
+    tails = ctx.family._stacked(ctx.mm.weights).tails(rs)
+    margins = np.where(skip, math.inf, np.array(bounds)[:, None] - tails.T)
+    j, k = _first_min(margins)
     notes = "tail bounds from measured square-moment constants"
-    if skipped_pts:
-        notes += f"; {skipped_pts} points skipped (moment premise unmet at the optimal exponent)"
-    return _check(worst if worst < math.inf else 0.0, notes, witness)
+    if skip.any():
+        notes += (f"; {np.count_nonzero(skip)} points skipped (moment premise unmet at the "
+                  "optimal exponent)")
+    if margins[j, k] == math.inf:
+        return _check(0.0, notes)
+    return _check(margins[j, k], notes, {"member": k, "r": float(rs[j]), "regime": regimes[j]})
 
 
 def _run_thm39(ctx: _SuiteContext) -> VerifyEntry:
-    w = ctx.mm.weights
-    dev = _deviations(w, ctx.family.values)
-    first = float(_lq_norms(w, dev, 1.0).max())
+    first = float(_moment_powers(ctx.mm, ctx.family, 1.0, 1.0).max())
     if first == 0:
         return VerifyEntry("pass", 0.0, "all-constant family, trivial")
-    rs = ctx.profile.radii
-    tails = _row_tails(w, dev, rs)
+    # ||f - mean||_1^p <= C = 1 / first^p gives tails of 1 / (C^(1/p) r)
     ps = (1.0, 2.0, 4.0)
-    bounds = np.minimum(1.0, [[tail_bound_from_first_moment(1.0 / first ** p, p, float(r))
-                               for r in rs] for p in ps])
-    margins = bounds[:, None, :] - tails
-    i, k, j = _first_min(margins)
-    return _check(margins[i, k, j], "linear tail decay from the measured first moment",
-                  {"member": k, "p": ps[i], "r": float(rs[j])})
+    reps = [check_linear_tail_decay(ctx.mm, ctx.family, (1.0 / first ** p) ** (1.0 / p),
+                                    ctx.profile.radii) for p in ps]
+    i, = _first_min([rep.margin for rep in reps])
+    return _check(reps[i].margin, "linear tail decay from the measured first moment",
+                  {"member": reps[i].witness["member"], "p": ps[i], "r": reps[i].witness["r"]})
 
 
 def _run_thm41(ctx: _SuiteContext) -> VerifyEntry:

@@ -580,12 +580,10 @@ def tail_envelope_plain(mm, family=None, radii=None, seed=0, rows=None):
     from ccmm.concentration import (
         EXACT_MAX_N,
         SampledDecreasing,
-        _count_below,
-        _row_tails,
         _subset_rows,
     )
-    from ccmm.lipschitz import _deviations, generate_family
-    from ccmm.quasimetric import _row_block, breakpoint_radii
+    from ccmm.lipschitz import generate_family
+    from ccmm.quasimetric import _count_below, _row_block, breakpoint_radii
 
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"tail envelope enumeration requires n <= {EXACT_MAX_N}")
@@ -607,7 +605,7 @@ def tail_envelope_plain(mm, family=None, radii=None, seed=0, rows=None):
         front = row_tops_plain(ts[None, order], tv[None, order])
 
     # family members: full tail curves on the grid
-    tails = _row_tails(w, _deviations(w, family.values), radii * (1 - 1e-9))
+    tails = family_tails_plain(w, family.values, radii * (1 - 1e-9))
     add(np.broadcast_to(radii, tails.shape), tails)
 
     # a chunk's count table has a column per distinct value of its rows, at

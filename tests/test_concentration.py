@@ -24,18 +24,19 @@ from ccmm.concentration import (
     tail_bound_from_square_moments,
     tail_envelope,
     _alpha_curve,
-    _candidate_chunks,
-    _count_below,
-    _mu_below,
-    _row_tails,
+    _candidate_groups,
+    _prefix_masses,
     _set_distance_rows,
     _subset_masks,
+    _subset_rows,
 )
 from ccmm.isoperimetry import isoperimetric_profile, mesh_scale, profile_enlargement_check
 from ccmm.lipschitz import generate_family
 from ccmm.quasimetric import (
     MetricMeasureSpace,
     ProbabilityMeasure,
+    _count_below,
+    _mass_below,
     breakpoint_radii,
     random_mm_space,
     reverse,
@@ -241,7 +242,7 @@ def test_mu_below_keeps_the_snap_on_many_rows():
     # 1 + 2e-12 is the strict-ball threshold just past the distance 1.0:
     # every row has half its mass below it, however many rows a call holds
     rows = np.tile([1.0, 10.0] * 4, (5000, 1))
-    got = _mu_below(rows, np.full(8, 1 / 8), np.array([1 + 2e-12]))
+    got = _mass_below(_prefix_masses(rows, np.full(8, 1 / 8)), np.array([1 + 2e-12]))
     assert np.array_equal(got, np.full((5000, 1), 0.5))
 
 
@@ -259,8 +260,18 @@ def test_count_below_matches_plain_loop_on_near_ties(bases, n_rows, n_cols, n_cu
     weights = rng.random(n_cols) + 0.1
     weights /= weights.sum()
     assert np.array_equal(_count_below(rows, cuts), mu_below_plain(rows, np.ones(n_cols), cuts))
-    np.testing.assert_allclose(_mu_below(rows, weights, cuts),
+    np.testing.assert_allclose(_mass_below(_prefix_masses(rows, weights), cuts),
                                mu_below_plain(rows, weights, cuts), rtol=0, atol=1e-12)
+    # each row its own cuts, as the median tails m +- L s read them, and
+    # the count of entries at most a cut, read as -v < -t
+    own = rng.choice(ties, size=(n_rows, n_cuts))
+    want = np.array([mu_below_plain(row[None], np.ones(n_cols), c)[0]
+                     for row, c in zip(rows[:200], own[:200])])
+    assert np.array_equal(_count_below(rows, own)[:200], want)
+    for c in (cuts, own):
+        at_most = np.array([[sum(v <= t for v in row) for t in ts] for row, ts in
+                            zip(rows[:200].tolist(), np.broadcast_to(c, own.shape).tolist())])
+        assert np.array_equal((n_cols - _count_below(-rows, -c))[:200], at_most)
 
 
 def test_checks_do_not_depend_on_radius_order():
@@ -292,8 +303,9 @@ def dyadic_space(dist, counts):
 
 def candidate_rows(mm, strategy, family=None):
     """(masses, m_fwd, m_bwd) of every candidate set, unsorted."""
-    chunks = _candidate_chunks(mm, strategy, family, 0.0, 0)
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+    groups = _candidate_groups(mm, strategy, family, 0.0, 0)
+    return tuple(np.concatenate(parts)
+                 for parts in zip(*((masses, *build(slice(None))) for masses, build, _ in groups)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -465,11 +477,12 @@ def test_tail_envelope_reads_at_most_a_quarter_of_the_grid(monkeypatch):
 
 def test_empty_threshold_grid_reads_no_tails():
     mm = random_mm_space(0, 6, 6)
-    rows = generate_family(mm, count=12, seed=0).values
-    for thresholds in (np.empty(0), np.empty((len(rows), 0))):
-        for upper in (True, False):
-            tails = _row_tails(mm.weights, rows, thresholds, upper=upper)
-            assert tails.shape == (len(rows), 0)
+    fam = generate_family(mm, count=12, seed=0)
+    stack = fam._stacked(mm.weights)
+    assert stack.tails(np.empty(0)).shape == (len(fam), 0)
+    for thresholds in (np.empty(0), np.empty((len(fam), 0))):
+        assert _mass_below(stack.values, thresholds).shape == (len(fam), 0)
+        assert _count_below(-stack.values[0], -thresholds).shape == (len(fam), 0)
 
 
 def test_tail_envelope_on_no_radii_is_the_trivial_bound():
@@ -494,6 +507,27 @@ def one_row_blocks(monkeypatch):
     """Shrink the row budget below one row, so every blocked scan builds one
     row per block."""
     monkeypatch.setattr(quasimetric, "_ROW_BUDGET", 1)
+
+
+def test_subset_rows_sum_tied_masses_in_stable_order():
+    # distances of 1 and 2 tie within every row, and unequal weights make
+    # the prefix masses depend on the order the tied points are taken in
+    rng = np.random.default_rng(0)
+    n = 12
+    dist = rng.integers(1, 3, (n, n)).astype(float)
+    np.fill_diagonal(dist, 0.0)
+    w = rng.random(n) + 0.05
+    mm = MetricMeasureSpace(validate(dist), ProbabilityMeasure(w / w.sum()))
+    rows = _subset_rows(mm)
+    for d, built in enumerate(_set_distance_rows(mm.dist, _subset_masks(n))):
+        for k in range(0, len(built), 5):
+            order = sorted(range(n), key=lambda x: built[k, x])  # a stable sort
+            cw = [0.0]
+            for x in order:
+                cw.append(cw[-1] + mm.weights[x])
+            cw[-1] = 1.0  # a whole row has mass one by definition
+            assert rows.ws[d, k].tolist() == mm.weights[order].tolist(), (d, k)
+            assert rows.cw[d, k].tolist() == cw, (d, k)
 
 
 def test_set_distance_rows_blocks_match_one_block(monkeypatch):

@@ -2,15 +2,15 @@
 
 Every stacked reader is checked against the member-by-member loop it
 replaced (``tests/oracles.py``): margins and witnesses must be equal, and
-members and tails bit for bit.
+members and tails bit for bit.  Every reader of one run slices the family's
+one sorted stack, built once.
 """
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from ccmm import quasimetric, verify
+from ccmm import lipschitz, quasimetric, verify
 from ccmm.concentration import (
     ConcentrationProfile,
-    _row_tails,
     enlargement_check_from_tail_bound,
     moment_bound_from_normal_tails,
     moment_norm,
@@ -18,7 +18,7 @@ from ccmm.concentration import (
     tail_bound_from_square_moments,
 )
 from ccmm.finsler import build_space, catalog_entry
-from ccmm.lipschitz import LipschitzFamily, _deviations, _medians, generate_family
+from ccmm.lipschitz import LipschitzFamily, _deviations, generate_family
 from ccmm.quasimetric import (
     MetricMeasureSpace,
     ProbabilityMeasure,
@@ -76,8 +76,9 @@ def check_stack_against_loops(seed):
     rng = np.random.default_rng(seed)
     mm, fam = (synthetic_case if rng.random() < 0.5 else generated_case)(rng)
     w, F = mm.weights, fam.values
+    stack = fam._stacked(w)
     assert fam.lipschitz.tolist() == [lipschitz_constant_bruteforce(mm.space, v) for v in F]
-    assert _medians(w, F).tolist() == [median_plain(w, v) for v in F]
+    assert stack.medians.tolist() == [median_plain(w, v) for v in F]
     for q in (1.0, 2.0, 4.0, 8.0, 3.3):
         assert [moment_norm(mm, v, q) for v in F] == [moment_norm_plain(w, v, q) for v in F]
 
@@ -87,8 +88,7 @@ def check_stack_against_loops(seed):
     alphas = np.sort(rng.uniform(0.0, 0.5, len(rs)) * (rng.random() < 0.9))[::-1]
     profile = ConcentrationProfile(rs, alphas, "exact")
     for ts in (rs, rs * (1 - 1e-9)):  # the transfer check's and the envelope's
-        assert np.array_equal(_row_tails(w, _deviations(w, F), ts),
-                              family_tails_plain(w, F, ts))
+        assert np.array_equal(stack.tails(ts), family_tails_plain(w, F, ts))
 
     ctx = verify._SuiteContext(mm, 0, 1, None, None)
     ctx.family, ctx.profile = fam, profile
@@ -146,3 +146,39 @@ def test_each_member_is_certified_once(monkeypatch):
         fam = generate_family(mm, count=2 * mm.n + 8, seed=0)
         assert certified, "no member was certified"
         assert np.array_equal(np.concatenate(certified), fam.values)
+
+
+def test_each_family_is_deviated_and_sorted_once(monkeypatch):
+    real_dev, real_sort = lipschitz._deviations, lipschitz._stable_order
+    deviated, sorted_rows = [], []
+
+    def deviating(weights, rows):
+        deviated.append(np.array(rows))
+        return real_dev(weights, rows)
+
+    def sorting(rows):
+        sorted_rows.append(np.array(rows))
+        return real_sort(rows)
+
+    cases = [(random_mm_space(0), None)]
+    # t2 at 4 reads the exact profile; g1 at 24 (n > 16) reads the family
+    # profile and the enlargement check's level sets too
+    for cid, resolution in (("t2", 4), ("g1", 24)):
+        entry = catalog_entry(cid)
+        certificate = dict(entry.certified or {}, dim=entry.spec.domain.dim)
+        cases.append((build_space(entry, resolution=resolution), certificate))
+    for mm, certified_constants in cases:
+        deviated.clear()
+        sorted_rows.clear()
+        monkeypatch.setattr(lipschitz, "_deviations", deviating)
+        monkeypatch.setattr(lipschitz, "_stable_order", sorting)
+        verify.run_verify(mm, sections=sorted(verify.SECTIONS), restarts=2,
+                          certified=certified_constants)
+        monkeypatch.undo()
+        fam = generate_family(mm, count=2 * mm.n + 8, seed=0)
+        dev = _deviations(mm.weights, fam.values)
+        assert len(deviated) == 1 and np.array_equal(deviated[0], fam.values)
+        # the members once and their deviations once, and no other rows
+        assert len(sorted_rows) == 2
+        for rows in (fam.values, dev):
+            assert sum(np.array_equal(r, rows) for r in sorted_rows) == 1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ccmm.concentration import _candidate_chunks, _candidate_groups
+from ccmm.concentration import _candidate_groups
 from ccmm.isoperimetry import (
     _MAX_SUBSETS,
     _strided_rows,
@@ -205,7 +205,8 @@ def test_strided_rows_match_plain_stride(count, total):
     fam = generate_family(mm, count=count, seed=0)
     *got, n_sets = _strided_rows(_candidate_groups(mm, "family", fam, 0.0, 0))
     want = strided_enlargement_rows_plain(
-        _candidate_chunks(mm, "family", fam, 0.0, 0), _MAX_SUBSETS)
+        ((masses, *build(slice(None)))
+         for masses, build, _ in _candidate_groups(mm, "family", fam, 0.0, 0)), _MAX_SUBSETS)
     assert n_sets == total
     stride = -(-total // _MAX_SUBSETS)
     assert len(got[0]) == -(-total // stride) <= _MAX_SUBSETS

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccmm import observable
 from ccmm.concentration import alpha_profile
-from ccmm.lipschitz import LipschitzFamily, generate_family
+from ccmm.lipschitz import LipschitzFamily, _FamilyStack, generate_family
 from ccmm.observable import (
     alpha_inverse,
     observable_diameter,
@@ -74,7 +74,7 @@ def test_pushforward_pardiam_falls_back_to_the_full_range():
     # on a probability measure no window misses the bar except through
     # rounding; weights of total 0.3 stand in for that case
     light, vals = np.full(3, 0.1), [0.0, 1.0, 3.0]
-    got = observable._pardiams(np.array([vals]), light, [0.5])
+    got = observable._pardiams(_FamilyStack(np.array([vals]), light).values, [0.5])
     assert got[0, 0] == pushforward_pardiam_plain(light, vals, 0.5) == 3.0
 
 
