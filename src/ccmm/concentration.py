@@ -38,6 +38,7 @@ from .lipschitz import (
 )
 from .quasimetric import (
     MetricMeasureSpace,
+    _balls,
     _count_below,
     _mass_below,
     _row_block,
@@ -81,6 +82,7 @@ EXACT_MAX_N = 16
 VERDICT_TOL = 1e-9
 
 _SUBSET_CHUNK = 2048
+_BALL_CENTERS = 16  # centers per ball table: a scan never holds the whole table
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +232,6 @@ def _set_distance_rows(dist: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray,
     return m_fwd, m_bwd
 
 
-# A candidate group is (masses, build, block): the masses of its sets in scan
-# order, build(sel) -> (m_fwd, m_bwd) for the selected sets only, and the
-# rows per chunk a full scan builds at once.  Masses need no rows, so a scan
-# can pick its sets before it builds any.
-
-def _mask_rows(dist: np.ndarray, masks: np.ndarray):
-    """Rows of the sets given as boolean masks."""
-    return lambda sel: _set_distance_rows(dist, masks[sel])
-
-
 def _ball_rows(dist: np.ndarray, order: np.ndarray, ends: np.ndarray):
     """Rows of the balls made of the first ends[i] + 1 points of ``order``
     (selections keep ends increasing), as prefix minima of stretch minima."""
@@ -250,51 +242,39 @@ def _ball_rows(dist: np.ndarray, order: np.ndarray, ends: np.ndarray):
     return build
 
 
-def _exact_groups(mm: MetricMeasureSpace, min_mass: float):
-    """All nonempty subsets with mass >= min_mass, as one group."""
-    if mm.n > EXACT_MAX_N:
-        raise ValueError(f"exact enumeration allowed only for n <= {EXACT_MAX_N}, got n = {mm.n}")
-    masks = _subset_masks(mm.n)
-    masses = masks @ mm.weights
-    keep = masses >= min_mass
-    yield masses[keep], _mask_rows(mm.dist, masks[keep]), _SUBSET_CHUNK
-
-
-def _family_groups(mm: MetricMeasureSpace, family: LipschitzFamily, min_mass: float):
-    """Forward/backward balls around every center, then median level sets.
-
-    Ball prefixes are grouped at strict increases of the sorted center
-    distances so that ties enter together; masses below ``min_mass`` are
-    dropped.  The level sets are built in blocks of rows under _ROW_BUDGET.
-    """
-    dist = mm.dist
-    w = mm.weights
-    n = mm.n
-    for center in range(n):
-        for vec in (dist[center, :], dist[:, center]):
-            order = np.argsort(vec, kind="stable")
-            lengths = np.append(np.nonzero(np.diff(vec[order]) > 0)[0] + 1, n)
-            masses = np.cumsum(w[order])[lengths - 1]
-            keep = masses >= min_mass
-            if keep.any():
-                yield masses[keep], _ball_rows(dist, order, lengths[keep] - 1), n
-    F = family.values
-    m = family._stacked(w).medians[:, None]
-    masks = np.stack([F <= m, F >= m], axis=1).reshape(-1, n)
+def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
+                      family: LipschitzFamily | None, min_mass: float, seed: int):
+    """Groups (masses, build, block) of the sets of mass >= min_mass: their
+    masses in scan order, build(sel) -> (m_fwd, m_bwd) of the selected sets
+    only, and the rows a full scan builds at once.  "exact" is every
+    nonempty subset (n <= 16); "family" is each center's forward, then
+    backward, balls, which end where the sorted row strictly rises so that
+    ties enter together, then the median level sets of the family."""
+    dist, w, n = mm.dist, mm.weights, mm.n
+    if strategy == "exact":
+        if n > EXACT_MAX_N:
+            raise ValueError(f"exact enumeration allowed only for n <= {EXACT_MAX_N}, got n = {n}")
+        masks, block = _subset_masks(n), _SUBSET_CHUNK
+    elif strategy == "family":
+        fam = family if family is not None else generate_family(mm, seed=seed)
+        for lo in range(0, n, _BALL_CENTERS):
+            order, vs, cw = _balls(dist, w, slice(lo, lo + _BALL_CENTERS))
+            rises = np.append(vs[:, 1:] > vs[:, :-1], np.ones((len(vs), 1), bool), axis=1)
+            for row, ends, masses in zip(order, rises & (cw[:, 1:] >= min_mass), cw[:, 1:]):
+                ends = np.flatnonzero(ends)
+                if len(ends):
+                    yield masses[ends], _ball_rows(dist, row, ends), n
+        del order, vs, cw, rises, row, masses  # no ball table outlives the ball scan
+        m = fam._stacked(w).medians[:, None]
+        masks = np.stack([fam.values <= m, fam.values >= m], axis=1).reshape(-1, n)
+        block = _row_block(8 * n * n)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
     masses = masks @ w
     keep = (masses >= min_mass) & masks.any(axis=1)
     if keep.any():
-        yield masses[keep], _mask_rows(dist, masks[keep]), _row_block(8 * n * n)
-
-
-def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
-                      family: LipschitzFamily | None, min_mass: float, seed: int):
-    if strategy == "exact":
-        return _exact_groups(mm, min_mass)
-    if strategy == "family":
-        fam = family if family is not None else generate_family(mm, seed=seed)
-        return _family_groups(mm, fam, min_mass)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        kept = masks[keep]
+        yield masses[keep], lambda sel: _set_distance_rows(dist, kept[sel]), block
 
 
 @dataclass(frozen=True)
@@ -319,7 +299,7 @@ class _SubsetRows:
 def _subset_rows(mm: MetricMeasureSpace) -> _SubsetRows:
     """The sorted rows of every nonempty subset (n <= 16), each block of rows
     under _ROW_BUDGET sorted as it is built."""
-    masses, build, _ = next(_exact_groups(mm, 0.0))
+    masses, build, _ = next(_candidate_groups(mm, "exact", None, 0.0, 0))
     ms = np.empty((2, len(masses), mm.n))
     ws = np.empty(ms.shape)
     cw = np.empty((2, len(masses), mm.n + 1))
@@ -387,7 +367,6 @@ class ConcentrationProfile:
     radii: np.ndarray
     alphas: np.ndarray
     strategy: str
-    exact_threshold: int = EXACT_MAX_N
 
     def __post_init__(self):
         rs = np.asarray(self.radii, dtype=float)

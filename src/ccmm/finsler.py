@@ -35,6 +35,9 @@ __all__ = [
     "catalog_entry",
 ]
 
+# The 8-neighbor stencil of a two-dimensional grid, row by row.
+_STENCIL_8 = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0))
+
 
 # ---------------------------------------------------------------------------
 # sample domains
@@ -70,9 +73,6 @@ class Interval:
     def wraps(self) -> tuple[bool, ...]:
         return (False,)
 
-    def axis_steps(self, resolution: int) -> tuple[float, ...]:
-        return ((self.x1 - self.x0) / resolution,)
-
 
 @dataclass(frozen=True)
 class Torus:
@@ -95,23 +95,13 @@ class Torus:
         return (d + self.side / 2.0) % self.side - self.side / 2.0
 
     def neighbor_offsets(self) -> list[tuple[int, ...]]:
-        if self.dim == 1:
-            return [(1,), (-1,)]
-        out = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if (di, dj) != (0, 0):
-                    out.append((di, dj))
-        return out
+        return [(1,), (-1,)] if self.dim == 1 else list(_STENCIL_8)
 
     def grid_shape(self, resolution: int) -> tuple[int, ...]:
         return (resolution,) * self.dim
 
     def wraps(self) -> tuple[bool, ...]:
         return (True,) * self.dim
-
-    def axis_steps(self, resolution: int) -> tuple[float, ...]:
-        return (self.side / resolution,) * self.dim
 
 
 @dataclass(frozen=True)
@@ -141,21 +131,13 @@ class LatLongSphere:
         return d
 
     def neighbor_offsets(self) -> list[tuple[int, ...]]:
-        out = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if (di, dj) != (0, 0):
-                    out.append((di, dj))
-        return out
+        return list(_STENCIL_8)
 
     def grid_shape(self, resolution: int) -> tuple[int, ...]:
         return (resolution, resolution)
 
     def wraps(self) -> tuple[bool, ...]:
         return (False, True)
-
-    def axis_steps(self, resolution: int) -> tuple[float, ...]:
-        return (math.pi / resolution, 2.0 * math.pi / resolution)
 
 
 Domain = Interval | Torus | LatLongSphere

@@ -24,7 +24,7 @@ from .concentration import (
     alpha_profile,
 )
 from .lipschitz import LipschitzFamily, _FamilyStack, as_field, generate_family
-from .quasimetric import MetricMeasureSpace, ProbabilityMeasure
+from .quasimetric import MetricMeasureSpace, ProbabilityMeasure, _balls, _count_below
 
 __all__ = [
     "ObsDiamResult",
@@ -80,16 +80,13 @@ def partial_diameter(mm: MetricMeasureSpace, kappa: float,
             best = min(best, float(d[np.ix_(idx, idx)].max()))
         return best
 
-    # heuristic: all balls meeting the mass bar, then greedy peeling
+    # heuristic: each center's smallest balls meeting the mass bar, then greedy peeling
     best = float(d.max())
-    for center in range(n):
-        for vec in (d[center, :], d[:, center]):
-            order = np.argsort(vec, kind="stable")
-            cum = np.cumsum(w[order])
-            k = int(np.searchsorted(cum, need, side="left"))
-            if k < n:
-                idx = order[: k + 1]
-                best = min(best, float(d[np.ix_(idx, idx)].max()))
+    order, _, cw = _balls(d, w)
+    for row, k in zip(order, _count_below(cw[:, 1:], np.array([need]))[:, 0]):
+        if k < n:
+            idx = row[: k + 1]
+            best = min(best, float(d[np.ix_(idx, idx)].max()))
     idx = list(range(n))
     mass = 1.0
     while True:

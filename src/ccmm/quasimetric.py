@@ -102,6 +102,19 @@ def _count_below(rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return counts[:, np.argsort(order)]
 
 
+def _balls(dist: np.ndarray, weights: np.ndarray, centers=slice(None)):
+    """The forward row d(c, .) and backward row d(., c) of every center c of
+    ``centers``, in scan order c0 forward, c0 backward, c1 forward, ...,
+    each sorted once, stably: the orders, as _stable_order gives them, the
+    sorted rows and their prefix masses cw, as _sorted_rows gives them.  The
+    smallest ball of mass >= m around a row's center is its first
+    _count_below(cw[:, 1:], [m]) + 1 points."""
+    rows = np.stack([dist[centers], dist.T[centers]], axis=1).reshape(-1, len(dist))
+    order = _stable_order(rows)
+    vs, _, cw = _sorted_rows(rows, weights, order)
+    return order, vs, cw
+
+
 def _mass_below(rows, cuts: np.ndarray) -> np.ndarray:
     """mu(f < t) for every sorted row f of ``rows`` = (values, weights,
     prefix masses) and every cut t, read off its prefix masses at an exact
@@ -184,10 +197,6 @@ class ProbabilityMeasure:
     def normalized(cls, raw: Iterable[float]) -> "ProbabilityMeasure":
         w = np.asarray(list(raw), dtype=float)
         return cls(w / w.sum())
-
-    def mass(self, members: Iterable[int]) -> float:
-        idx = np.fromiter(members, dtype=int)
-        return float(self.weights[idx].sum()) if idx.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -466,16 +475,6 @@ def _close_rows(block: np.ndarray, lo: int, starts: np.ndarray, heads: np.ndarra
         pending = np.concatenate([pending, fresh[np.diff(fresh, prepend=-1) != 0]])
 
 
-def _min_forward(space: QuasiMetricSpace, idx: np.ndarray) -> np.ndarray:
-    """min over z in A of d(z, x), as a vector over x."""
-    return space.dist[idx, :].min(axis=0)
-
-
-def _min_backward(space: QuasiMetricSpace, idx: np.ndarray) -> np.ndarray:
-    """min over z in A of d(x, z), as a vector over x."""
-    return space.dist[:, idx].min(axis=1)
-
-
 def forward_neighborhood(space: QuasiMetricSpace, A, r: float) -> PointSet:
     """Open forward r-neighborhood {x : min_{z in A} d(z, x) < r}.
 
@@ -485,7 +484,7 @@ def forward_neighborhood(space: QuasiMetricSpace, A, r: float) -> PointSet:
     ps = as_pointset(A, space.n)
     if not len(ps):
         raise ValueError("neighborhood of an empty set")
-    m = _min_forward(space, ps.array())
+    m = space.dist[ps.array(), :].min(axis=0)
     return PointSet.of(np.nonzero(m < snap_threshold(float(r)))[0], space.n)
 
 
@@ -494,7 +493,7 @@ def backward_neighborhood(space: QuasiMetricSpace, A, r: float) -> PointSet:
     ps = as_pointset(A, space.n)
     if not len(ps):
         raise ValueError("neighborhood of an empty set")
-    m = _min_backward(space, ps.array())
+    m = space.dist[:, ps.array()].min(axis=1)
     return PointSet.of(np.nonzero(m < snap_threshold(float(r)))[0], space.n)
 
 

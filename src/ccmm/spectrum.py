@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import VERDICT_TOL
+from .concentration import VERDICT_TOL, _pow
 from .lipschitz import ScalarField, as_field
 from .quasimetric import MetricMeasureSpace, SNAP_RTOL, as_pointset, diameter
 
@@ -178,12 +178,10 @@ def _oracle_matrix(dist: np.ndarray, w: np.ndarray, k: int) -> tuple[np.ndarray,
     if np.any(w <= 0):
         raise ValueError("oracle requires strictly positive measure weights")
     k = min(k, n - 1)
+    # a row's own point, at distance 0, sorts first: the next k are its neighbors
+    rows, near = np.arange(n)[:, None], np.argsort(dist, axis=1, kind="stable")[:, 1:k + 1]
     W = np.zeros((n, n))
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
-        neigh = [j for j in order if j != i][:k]
-        for j in neigh:
-            W[i, j] += w[i] / (k * dist[i, j] ** 2)
+    W[rows, near] = w[:, None] / (k * _pow(dist[rows, near], 2.0))
     S = W + W.T
     L = np.diag(S.sum(axis=1)) - S
     inv_sqrt = 1.0 / np.sqrt(w)
@@ -475,16 +473,6 @@ class GMDecayReport:
     terminated: str
     epsilon: float
     passed: bool
-
-    @property
-    def implied_rate(self) -> float | None:
-        """Exponential rate implied by the worst per-step decay factor."""
-        if not self.steps:
-            return None
-        worst = max(s.b / (1.0 - s.a) if s.a < 1.0 else 0.0 for s in self.steps)
-        if worst <= 0.0:
-            return math.inf
-        return -math.log(worst) / self.epsilon
 
 
 def spectral_mass_decay_check(mm: MetricMeasureSpace, A, epsilon: float,

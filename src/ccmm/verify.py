@@ -51,7 +51,7 @@ from .isoperimetry import (
     obsdiam_bound_from_curvature,
     profile_enlargement_check,
 )
-from .quasimetric import MetricMeasureSpace
+from .quasimetric import MetricMeasureSpace, _balls, _count_below
 from .spectrum import (
     ChengInputs,
     alpha_bound_from_spectral_gap,
@@ -150,13 +150,8 @@ class _SuiteContext:
 
     @cached_property
     def lem51(self):
-        """Lemma 5.1's enlargement check at the mesh scale; None unless K > 0.
-
-        Its hypothesis gate, which lem52 reads too, does not depend on the
-        radius grid.
-        """
-        if self.K <= 0:
-            return None
+        """Lemma 5.1's enlargement check at the mesh scale (K > 0); its
+        hypothesis gate, which lem52 reads too, does not depend on the radii."""
         scale = mesh_scale(self.mm)
         return profile_enlargement_check(self.mm, scale, _lem51_radii(self, scale),
                                          K=self.K, family=self.family)
@@ -167,8 +162,6 @@ class _SuiteContext:
 # ---------------------------------------------------------------------------
 
 def _run_mf3(ctx: _SuiteContext) -> VerifyEntry:
-    if not ctx.exact_ok:
-        return _skip(f"exact profile infeasible for n = {ctx.mm.n} > {EXACT_MAX_N}")
     _, margins = _deviation_margins(ctx.family._stacked(ctx.mm.weights),
                                     np.maximum(ctx.family.lipschitz, 1e-12), ctx.profile)
     worst = np.min([mg.min(axis=1) for mg in margins], axis=0)
@@ -177,8 +170,6 @@ def _run_mf3(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_prop32_1(ctx: _SuiteContext) -> VerifyEntry:
-    if not ctx.exact_ok:
-        return _skip(f"subset enumeration infeasible for n = {ctx.mm.n}")
     beta = tail_envelope(ctx.mm, family=ctx.family, rows=ctx.subset_rows)
     rep = enlargement_check_from_tail_bound(ctx.mm, beta, family=ctx.family,
                                             rows=ctx.subset_rows)
@@ -204,8 +195,6 @@ def _mean_tail_constants(ctx: _SuiteContext) -> tuple[float, float]:
 
 
 def _run_thm33(ctx: _SuiteContext) -> VerifyEntry:
-    if not ctx.exact_ok:
-        return _skip(f"certified exact fit infeasible for n = {ctx.mm.n}")
     C2, c2 = _mean_tail_constants(ctx)
     rs = ctx.profile.radii
     margins = C2 * np.exp(-c2 * rs ** 2) - ctx.family._stacked(ctx.mm.weights).tails(rs)
@@ -216,8 +205,6 @@ def _run_thm33(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_thm37(ctx: _SuiteContext) -> VerifyEntry:
-    if not ctx.exact_ok:
-        return _skip(f"certified exact fit infeasible for n = {ctx.mm.n}")
     C2, c2 = _mean_tail_constants(ctx)
     qs = (1.0, 2.0, 4.0, 8.0)
     w, dev = ctx.mm.weights, ctx.family._stacked(ctx.mm.weights).dev
@@ -239,8 +226,8 @@ def _run_thm38(ctx: _SuiteContext) -> VerifyEntry:
     rs = ctx.profile.radii
     regimes, bounds = zip(*(tail_bound_from_square_moments(C_star, float(r)) for r in rs))
     q_stars = [max(1.0, C_star * float(r) ** 2 / math.e) for r in rs]
-    # Chebyshev at the optimal exponent needs the moment premise there
-    skip = np.array([square_norms(q) > (q / C_star) * (1 + 1e-9) for q in q_stars])
+    # Chebyshev at the optimal exponent needs the moment premise there; nan is unmet
+    skip = ~np.array([square_norms(q) <= (q / C_star) * (1 + 1e-9) for q in q_stars])
     tails = ctx.family._stacked(ctx.mm.weights).tails(rs)
     margins = np.where(skip, math.inf, np.array(bounds)[:, None] - tails.T)
     j, k = _first_min(margins)
@@ -267,16 +254,12 @@ def _run_thm39(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_thm41(ctx: _SuiteContext) -> VerifyEntry:
-    if not ctx.exact_ok:
-        return _skip(f"exact profile infeasible for n = {ctx.mm.n}")
     rep = obsdiam_vs_alpha_check(ctx.mm, EPS_GRID, profile=ctx.profile,
                                  diameters=ctx.obsdiam)
     return _check(rep.margin, rep.notes, rep.witness)
 
 
 def _run_obsdiam_fit(ctx: _SuiteContext, model: str) -> VerifyEntry:
-    if not ctx.exact_ok:
-        return _skip(f"certified exact fit infeasible for n = {ctx.mm.n}")
     fit = fit_profile(ctx.profile, model)
     if not fit.certified:
         return _skip("no certified fit")
@@ -301,8 +284,6 @@ def _lem51_radii(ctx: _SuiteContext, scale: float) -> np.ndarray:
 
 def _run_lem51(ctx: _SuiteContext) -> VerifyEntry:
     rep = ctx.lem51
-    if rep is None:
-        return _skip("no positive curvature certificate")
     if not rep.hypothesis_ok:
         return _skip(f"isoperimetric hypothesis not satisfied at scale {rep.scale:.3g} "
                      f"(margin {rep.hypothesis_margin:.3g}); no assertion")
@@ -311,8 +292,6 @@ def _run_lem51(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_lem52(ctx: _SuiteContext) -> VerifyEntry:
-    if ctx.lem51 is None:
-        return _skip("no positive curvature certificate")
     if not ctx.lem51.hypothesis_ok:
         return _skip("isoperimetric hypothesis certificate unavailable")
     scale = ctx.lem51.scale
@@ -328,8 +307,6 @@ def _run_lem52(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_thm54(ctx: _SuiteContext) -> VerifyEntry:
-    if ctx.K <= 0:
-        return _skip("no positive curvature certificate")
     rs = ctx.profile.radii
     margins = [normal_concentration_bound(ctx.K, float(r)) * 1.25 - a
                for r, a in zip(rs, ctx.profile.alphas)]
@@ -341,8 +318,6 @@ def _run_thm54(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_cor55(ctx: _SuiteContext) -> VerifyEntry:
-    if ctx.K <= 0:
-        return _skip("no positive curvature certificate")
     margins = [obsdiam_bound_from_curvature(ctx.K, eps) - ctx.obsdiam[eps].value
                for eps in EPS_GRID]
     j, = _first_min(margins)
@@ -372,10 +347,9 @@ def _run_gm(ctx: _SuiteContext) -> VerifyEntry:
     mm = ctx.mm
     lam = ctx.eigen.value
     eps = math.sqrt(2.0 / lam)
-    order = np.argsort(mm.dist[0], kind="stable")
-    cum = np.cumsum(mm.weights[order])
-    k = int(np.searchsorted(cum, 0.5, side="left"))
-    A = sorted(int(i) for i in order[:k + 1])
+    order, _, cw = _balls(mm.dist, mm.weights, slice(0, 1))
+    k = _count_below(cw[:1, 1:], np.array([0.5]))[0, 0]
+    A = sorted(int(i) for i in order[0, :k + 1])
     rep = spectral_mass_decay_check(mm, A, eps)
     margin = min((s.margin for s in rep.steps), default=0.0)
     witness = None
@@ -412,32 +386,44 @@ def _run_thm63(ctx: _SuiteContext) -> VerifyEntry:
                        {"lambda_hat": ctx.eigen.value, "bound": bound})
 
 
-# The suite in report order: (id, section, runner).
+def _exact(note: str):
+    """The precondition of an entry that enumerates subsets: ``note`` at n > EXACT_MAX_N."""
+    return lambda ctx: None if ctx.exact_ok else note.format(n=ctx.mm.n, max=EXACT_MAX_N)
+
+
+def _curved(ctx: _SuiteContext) -> str | None:
+    """The precondition of an entry that reads the curvature constant K."""
+    return None if ctx.K > 0 else "no positive curvature certificate"
+
+
+_FIT = _exact("certified exact fit infeasible for n = {n}")
+
+# The suite in report order: (id, section, precondition ctx -> skip note or None, runner).
 _SUITE = (
-    ("mf3", "sec3", _run_mf3),
-    ("prop32.1", "sec3", _run_prop32_1),
-    ("prop32.2", "sec3", _run_prop32_2),
-    ("thm33", "sec3", _run_thm33),
-    ("thm37", "sec3", _run_thm37),
-    ("thm38", "sec3", _run_thm38),
-    ("thm39", "sec3", _run_thm39),
-    ("thm41", "sec4", _run_thm41),
-    ("obnor", "sec4", lambda ctx: _run_obsdiam_fit(ctx, "normal")),
-    ("obex", "sec4", lambda ctx: _run_obsdiam_fit(ctx, "exponential")),
-    ("lem51", "sec5", _run_lem51),
-    ("lem52", "sec5", _run_lem52),
-    ("thm54", "sec5", _run_thm54),
-    ("cor55", "sec5", _run_cor55),
-    ("thm61", "sec6", _run_thm61),
-    ("gm_recursion", "sec6", _run_gm),
-    ("cor62", "sec6", _run_cor62),
-    ("thm63", "sec6", _run_thm63),
+    ("mf3", "sec3", _exact("exact profile infeasible for n = {n} > {max}"), _run_mf3),
+    ("prop32.1", "sec3", _exact("subset enumeration infeasible for n = {n}"), _run_prop32_1),
+    ("prop32.2", "sec3", None, _run_prop32_2),
+    ("thm33", "sec3", _FIT, _run_thm33),
+    ("thm37", "sec3", _FIT, _run_thm37),
+    ("thm38", "sec3", None, _run_thm38),
+    ("thm39", "sec3", None, _run_thm39),
+    ("thm41", "sec4", _exact("exact profile infeasible for n = {n}"), _run_thm41),
+    ("obnor", "sec4", _FIT, lambda ctx: _run_obsdiam_fit(ctx, "normal")),
+    ("obex", "sec4", _FIT, lambda ctx: _run_obsdiam_fit(ctx, "exponential")),
+    ("lem51", "sec5", _curved, _run_lem51),
+    ("lem52", "sec5", _curved, _run_lem52),
+    ("thm54", "sec5", _curved, _run_thm54),
+    ("cor55", "sec5", _curved, _run_cor55),
+    ("thm61", "sec6", None, _run_thm61),
+    ("gm_recursion", "sec6", None, _run_gm),
+    ("cor62", "sec6", None, _run_cor62),
+    ("thm63", "sec6", None, _run_thm63),
 )
 
-THEOREM_IDS = tuple(tid for tid, _, _ in _SUITE)
+THEOREM_IDS = tuple(tid for tid, *_ in _SUITE)
 
-SECTIONS = {sec: tuple(tid for tid, s, _ in _SUITE if s == sec)
-            for sec in dict.fromkeys(s for _, s, _ in _SUITE)}
+SECTIONS = {sec: tuple(tid for tid, s, *_ in _SUITE if s == sec)
+            for sec in dict.fromkeys(s for _, s, *_ in _SUITE)}
 
 
 def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6"),
@@ -473,7 +459,8 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
     # a measure on fewer than two points has no first eigenvalue to estimate
     no_gap = np.count_nonzero(mm.weights > 0) < 2
     entries = {}
-    for tid, section, run in _SUITE:
+    for tid, section, needs, run in _SUITE:
+        unmet = needs and needs(ctx)
         if section not in sections:
             entries[tid] = _skip("section not requested")
         elif mm.n < 2:
@@ -483,7 +470,7 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
             entries[tid] = _skip("the first eigenvalue needs at least two points "
                                  "of positive mass")
         else:
-            entries[tid] = run(ctx)
+            entries[tid] = _skip(unmet) if unmet else run(ctx)
 
     meta = {
         "seed": seed,

@@ -105,6 +105,37 @@ def partial_diameter_bruteforce(mm, kappa):
     return best
 
 
+def partial_diameter_heuristic_plain(mm, kappa):
+    """The ball and greedy-peeling upper bound of the partial diameter, center
+    by center: the smallest ball of mass >= 1 - kappa in each direction, from
+    a stable sort and a cumulative sum of that center's row alone."""
+    need = 1.0 - kappa - 1e-12
+    w, d, n = mm.weights, mm.dist, mm.n
+    best = float(d.max())
+    for center in range(n):
+        for vec in (d[center, :], d[:, center]):
+            order = np.argsort(vec, kind="stable")
+            cum = np.cumsum(w[order])
+            k = int(np.searchsorted(cum, need, side="left"))
+            if k < n:
+                ball = order[:k + 1]
+                best = min(best, max(float(d[i, j]) for i in ball for j in ball))
+    idx = list(range(n))
+    mass = 1.0
+    while True:
+        sub = d[np.ix_(idx, idx)]
+        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        best = min(best, float(sub[i, j]))
+        removable = [k for k in (i, j) if mass - w[idx[k]] >= need]
+        if not removable:
+            return best
+        k = min(removable, key=lambda k: w[idx[k]])
+        mass -= w[idx[k]]
+        idx.pop(k)
+        if len(idx) <= 1:
+            return 0.0
+
+
 def window_pardiam_bruteforce(weights, values, kappa):
     """Shortest closed interval with pushforward mass >= 1 - kappa, trying
     every pair of value endpoints."""
@@ -306,6 +337,20 @@ def jacobi_eigh_plain(A, rel_tol=1e-12, max_sweeps=60):
     vals = np.diag(A).copy()
     order = np.argsort(vals, kind="stable")
     return vals[order], V[:, order]
+
+
+def oracle_weights_plain(dist, w, k):
+    """The directed k-NN weights w_i / (k d(i, j)^2) of the oracle Laplacian,
+    point by point: each row's k nearest other points in stable order, the
+    square taken by the C library's pow, as Python's float power takes it."""
+    n = len(dist)
+    k = min(k, n - 1)
+    W = np.zeros((n, n))
+    for i in range(n):
+        order = [int(j) for j in np.argsort(dist[i], kind="stable") if j != i][:k]
+        for j in order:
+            W[i, j] = float(w[i]) / (k * float(dist[i, j]) ** 2)
+    return W
 
 
 def subgradient_plain(dist, w, f):
@@ -536,7 +581,7 @@ def thm38_plain(mm, rows, rs, square_moment_tail):
         regime, bound = square_moment_tail(C_star, float(r))
         q_star = max(1.0, C_star * float(r) ** 2 / math.e)
         for k, v in enumerate(rows):
-            if moment_norm_plain(w, v, q_star) ** 2 > (q_star / C_star) * (1 + 1e-9):
+            if not moment_norm_plain(w, v, q_star) ** 2 <= (q_star / C_star) * (1 + 1e-9):
                 skipped += 1
                 continue
             tail = upper_tails_plain(w, deviations_plain(w, v), np.array([r]))[0]

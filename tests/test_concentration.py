@@ -569,7 +569,13 @@ def test_ball_rows_match_prefix_minima_over_every_point(monkeypatch, min_mass):
         w = rng.random(n) * (rng.random(n) < 0.8)
         w[0] += 0.1
         mm = MetricMeasureSpace(validate(dist), ProbabilityMeasure(w / w.sum()))
-        list(concentration._family_groups(mm, generate_family(mm), min_mass))
+        start = len(calls)
+        list(concentration._candidate_groups(mm, "family", generate_family(mm), min_mass, 0))
+        # every row keeps its whole ball, so there is one group per row, in
+        # scan order: c0 forward, c0 backward, c1 forward, ...
+        scan = [np.argsort(v, kind="stable") for c in range(n) for v in (dist[c], dist[:, c])]
+        assert len(calls) - start == len(scan)
+        assert all(np.array_equal(order, want) for (_, order, _), want in zip(calls[start:], scan))
     # tied prefixes are always left out, and the center alone (end 0) is
     # left out only when min_mass drops it
     assert any(len(ends) < ends[-1] + 1 for _, _, ends in calls)

@@ -22,6 +22,7 @@ from ccmm.lipschitz import LipschitzFamily, _deviations, generate_family
 from ccmm.quasimetric import (
     MetricMeasureSpace,
     ProbabilityMeasure,
+    QuasiMetricSpace,
     random_mm_space,
     validate,
 )
@@ -116,6 +117,25 @@ def check_stack_against_loops(seed):
 @example(199)  # infinite normal constants: every thm33 margin is inf, no witness
 def test_stacked_readers_match_the_member_loops(seed):
     check_stack_against_loops(seed)
+
+
+def test_thm38_skips_a_premise_that_is_not_finite():
+    # two points of zero weight and distances near 1e30: at the 8 largest
+    # radii the moment at the optimal exponent overflows to inf, and its
+    # weighted sum reads nan, which must count as an unmet premise
+    base = random_mm_space(21)
+    w = base.weights.copy()
+    w[:2] = 0.0
+    mm = MetricMeasureSpace(QuasiMetricSpace(base.dist * 1e30), ProbabilityMeasure(w / w.sum()))
+    ctx = verify._SuiteContext(mm, 0, 1, None, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entry = verify._run_thm38(ctx)
+        want = thm38_plain(mm, ctx.family.values, ctx.profile.radii,
+                           tail_bound_from_square_moments)
+    assert (entry.margin, entry.witness, entry.notes) == want
+    # 8 radii times 20 members
+    assert entry.notes.endswith("; 160 points skipped (moment premise unmet at the optimal "
+                                "exponent)")
 
 
 def test_stacked_readers_match_the_member_loops_one_row_per_block(monkeypatch):

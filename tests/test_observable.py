@@ -24,8 +24,10 @@ from ccmm.quasimetric import (
     random_mm_space,
     validate,
 )
+from ccmm.finsler import build_space, catalog_entry
 from oracles import (
     partial_diameter_bruteforce,
+    partial_diameter_heuristic_plain,
     pushforward_pardiam_plain,
     window_pardiam_bruteforce,
 )
@@ -61,6 +63,26 @@ def test_partial_diameter_heuristic_upper_bound():
             exact = partial_diameter(mm, kappa)
             heur = partial_diameter(mm, kappa, exact=False)
             assert heur >= exact - 1e-12
+
+
+def test_partial_diameter_heuristic_matches_the_center_loop():
+    spaces = [random_mm_space(seed, n_low=5, n_high=20) for seed in range(10)]
+    spaces += [build_space(catalog_entry("t2"), resolution=4),
+               build_space(catalog_entry("g1"), resolution=24)]
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 24))
+        # off-diagonal distances in {1, 2}: many ties in every center's row
+        dist = rng.integers(1, 3, (n, n)).astype(float)
+        np.fill_diagonal(dist, 0.0)
+        # points of zero weight, and weights tied among the rest
+        w = rng.integers(0, 3, n).astype(float)
+        w[0] += 1.0
+        spaces.append(MetricMeasureSpace(validate(dist), ProbabilityMeasure(w / w.sum())))
+    for mm in spaces:
+        for kappa in (0.05, 0.3, 0.5, 0.75, 0.95):
+            assert partial_diameter(mm, kappa, exact=False) == \
+                partial_diameter_heuristic_plain(mm, kappa)
 
 
 def test_pushforward_pardiam_examples():

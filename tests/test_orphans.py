@@ -1,0 +1,49 @@
+"""Every private module-level function and class of ``ccmm`` has a caller.
+
+Code that nothing calls any more is deleted, not kept.  The check parses
+each module of ``src/ccmm`` with ``ast`` and, for every top-level ``def``
+or ``class`` whose name has one leading underscore, looks for a reference
+to that name anywhere in the package outside its own definition: a use of
+the name, an attribute of that name, or an import of it.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ccmm"
+
+
+def referenced_names(node):
+    """Every name the subtree of ``node`` uses, reads as an attribute or imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def orphans(src=SRC):
+    """(module, name) of every private top-level function or class of the
+    package at ``src`` that nothing outside its own definition refers to."""
+    tops = [(path.name, node) for path in sorted(src.glob("*.py"))
+            for node in ast.parse(path.read_text()).body]
+    used = [set(referenced_names(node)) for _, node in tops]
+    return [(module, node.name) for i, (module, node) in enumerate(tops)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not any(node.name in names for j, names in enumerate(used) if j != i)]
+
+
+def test_every_private_function_and_class_has_a_reference():
+    assert orphans() == []
+
+
+def test_an_unreferenced_helper_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    return 1\n\n\n"
+        "def _self_only():\n    return _self_only()\n\n\n"
+        "class _Imported:\n    pass\n\n\n"
+        "def public():\n    return _used()\n")
+    (tmp_path / "b.py").write_text("from .a import _Imported\n")
+    assert orphans(tmp_path) == [("a.py", "_self_only")]

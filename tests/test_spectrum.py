@@ -48,6 +48,7 @@ from oracles import (
     descend_plain,
     jacobi_eigh_plain,
     normalized_plain,
+    oracle_weights_plain,
     smooth_value_grad_plain,
     subgradient_plain,
 )
@@ -142,6 +143,21 @@ def test_jacobi_bit_identical_to_plain_loop(name):
     ref_vals, ref_vecs = jacobi_eigh_plain(a)
     assert np.array_equal(vals, ref_vals)
     assert np.array_equal(vecs, ref_vecs)
+
+
+def test_oracle_weights_match_the_plain_loop_bit_for_bit():
+    # seed 97's symmetrized distances include one whose square by the C
+    # library's pow differs from x * x in the last bit
+    for seed in range(200):
+        mm = random_mm_space(seed)
+        sym, w = 0.5 * (mm.dist + mm.dist.T), mm.weights
+        S = oracle_weights_plain(sym, w, 4)
+        S = S + S.T
+        inv_sqrt = 1.0 / np.sqrt(w)
+        want = (np.diag(S.sum(axis=1)) - S) * inv_sqrt[:, None] * inv_sqrt[None, :]
+        B, got_inv_sqrt = _oracle_matrix(sym, w, 4)
+        assert np.array_equal(B, want), seed
+        assert np.array_equal(got_inv_sqrt, inv_sqrt)
 
 
 def test_jacobi_random_oracle_matrices_not_bitwise_symmetric():
