@@ -41,6 +41,7 @@ from .quasimetric import (
     _balls,
     _count_below,
     _mass_below,
+    _min_plus,
     _row_block,
     _sorted_rows,
     _stable_order,
@@ -217,19 +218,11 @@ def _prefix_masses(rows: np.ndarray, weights: np.ndarray):
 
 
 def _set_distance_rows(dist: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward point-to-set distances for each mask row.
-
-    Rows are built in blocks whose (rows, n, n) temporary fits _ROW_BUDGET;
-    min is exact, so the block boundaries change no value.
-    """
-    m_fwd = np.empty(masks.shape)
-    m_bwd = np.empty(masks.shape)
-    step = _row_block(8 * dist.size)
-    for lo in range(0, len(masks), step):
-        sel = masks[lo:lo + step, :, None]
-        m_fwd[lo:lo + step] = np.where(sel, dist, np.inf).min(axis=1)
-        m_bwd[lo:lo + step] = np.where(sel, dist.T, np.inf).min(axis=1)
-    return m_fwd, m_bwd
+    """Forward and backward point-to-set distances for each mask row: the
+    min-plus products of its indicator field, 0 on the set and inf off it,
+    with d and with d reversed.  Adding 0 or inf is exact."""
+    indicator = np.where(masks, 0.0, np.inf)
+    return _min_plus(dist, indicator), _min_plus(dist.T, indicator)
 
 
 def _ball_rows(dist: np.ndarray, order: np.ndarray, ends: np.ndarray):
@@ -401,12 +394,9 @@ class ConcentrationProfile:
         if np.any(r <= 0):
             raise ValueError("alpha is defined for r > 0")
         idx = np.searchsorted(self.radii, r, side="left")
-        prev_ok = idx > 0
-        prev = self.radii[np.clip(idx - 1, 0, len(self.radii) - 1)]
-        snapped = prev_ok & (r - prev <= SNAP_RTOL * np.maximum(1.0, r))
-        idx = np.where(snapped, idx - 1, idx)
-        out = np.where(idx < len(self.radii),
-                       self.alphas[np.clip(idx, 0, len(self.alphas) - 1)], 0.0)
+        prev = np.append(-np.inf, self.radii)[idx]  # the grid point below r
+        idx = np.where(r - prev <= SNAP_RTOL * np.maximum(1.0, r), idx - 1, idx)
+        out = np.append(self.alphas, 0.0)[idx]
         return float(out) if out.ndim == 0 else out
 
 

@@ -64,12 +64,6 @@ class Interval:
     def displacement(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return q - p
 
-    def neighbor_offsets(self) -> list[tuple[int, ...]]:
-        return [(1,), (-1,)]
-
-    def grid_shape(self, resolution: int) -> tuple[int, ...]:
-        return (resolution,)
-
     def wraps(self) -> tuple[bool, ...]:
         return (False,)
 
@@ -80,6 +74,10 @@ class Torus:
 
     side: float
     dim: int = 2
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError(f"torus dim must be 1 or 2, got {self.dim}")
 
     def sample(self, resolution: int) -> np.ndarray:
         h = self.side / resolution
@@ -93,12 +91,6 @@ class Torus:
     def displacement(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         d = q - p
         return (d + self.side / 2.0) % self.side - self.side / 2.0
-
-    def neighbor_offsets(self) -> list[tuple[int, ...]]:
-        return [(1,), (-1,)] if self.dim == 1 else list(_STENCIL_8)
-
-    def grid_shape(self, resolution: int) -> tuple[int, ...]:
-        return (resolution,) * self.dim
 
     def wraps(self) -> tuple[bool, ...]:
         return (True,) * self.dim
@@ -129,12 +121,6 @@ class LatLongSphere:
         d = q - p
         d[..., 1] = (d[..., 1] + math.pi) % (2.0 * math.pi) - math.pi
         return d
-
-    def neighbor_offsets(self) -> list[tuple[int, ...]]:
-        return list(_STENCIL_8)
-
-    def grid_shape(self, resolution: int) -> tuple[int, ...]:
-        return (resolution, resolution)
 
     def wraps(self) -> tuple[bool, ...]:
         return (False, True)
@@ -251,10 +237,11 @@ def stencil_chordal_bound(domain: Domain) -> float:
 
 
 def _grid_neighbors(domain: Domain, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stencil edges (i, j) of the sample grid as two index arrays, in
-    ascending i and, for each i, in the domain's offset order."""
-    shape = domain.grid_shape(resolution)
-    offsets = np.array(domain.neighbor_offsets())
+    """The stencil edges (i, j) of the sample grid, ``resolution`` points
+    per axis, as two index arrays, in ascending i and, for each i, in
+    stencil order (right then left in one dimension, _STENCIL_8 in two)."""
+    shape = (resolution,) * domain.dim
+    offsets = np.array([(1,), (-1,)] if domain.dim == 1 else _STENCIL_8)
     # tgt[ax, i, k]: the axis-ax grid index of point i moved by offset k
     tgt = np.indices(shape).reshape(len(shape), -1, 1) + offsets.T[:, None, :]
     ok = np.ones(tgt.shape[1:], dtype=bool)

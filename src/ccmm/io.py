@@ -93,9 +93,12 @@ def save_space(mm: MetricMeasureSpace, path) -> None:
 
 
 def space_hash(mm: MetricMeasureSpace) -> str:
-    """Hash of the canonical space serialization (identifies the input)."""
-    blob = json.dumps(space_to_dict(mm), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """Hash of the canonical space serialization, json.dumps with sorted keys
+    (identifies the input), fed to the hash chunk by chunk, never whole."""
+    digest = hashlib.sha256()
+    for chunk in json.JSONEncoder(sort_keys=True).iterencode(space_to_dict(mm)):
+        digest.update(chunk.encode())
+    return digest.hexdigest()[:16]
 
 
 def profile_to_csv(profile: ConcentrationProfile, path) -> None:

@@ -62,8 +62,11 @@ def mesh_scale(mm: MetricMeasureSpace) -> float:
     """The default content scale: just past the smallest positive distance.
 
     Strict balls at exactly the mesh step capture nothing and give zero
-    contents.
+    contents.  A one-point space has no positive distance, and every scale
+    gives it the same profile; it takes scale 1.
     """
+    if mm.n < 2:
+        return 1.0
     d = mm.dist
     return float(d[d > 0].min()) * (1.0 + 1e-9)
 

@@ -22,6 +22,7 @@ from .quasimetric import (
     QuasiMetricSpace,
     _frozen_array,
     _mass_below,
+    _min_plus,
     _row_block,
     _sorted_rows,
     _stable_order,
@@ -168,23 +169,47 @@ class _FamilyStack:
         return memo[1]
 
 
+def _positive(dist: np.ndarray) -> np.ndarray:
+    """The distances with every zero (the diagonal) raised to +inf."""
+    return np.where(dist > 0, dist, np.inf)
+
+
+def _fill_diagonal(q: np.ndarray, value: float) -> None:
+    """Set q[..., i, i] = value in a contiguous matrix or stack of square
+    matrices, through a strided view of the diagonal."""
+    diagonal = q.reshape(*q.shape[:-2], -1)[..., ::q.shape[-1] + 1]
+    # a copy would take the value and leave q as it was
+    assert np.may_share_memory(diagonal, q)
+    diagonal[...] = value
+
+
+def _slopes(dpos: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Ascending slope max_z (f(z) - f(x))^+ / d(x, z) at every point.
+
+    f is one field (n,) or a stack of fields (R, n); dpos is
+    ``_positive(dist)`` and ``out`` an optional scratch buffer of shape
+    f.shape + (n,).
+    """
+    q = np.subtract(f[..., None, :], f[..., :, None], out=out)
+    np.divide(q, dpos, out=q)
+    _fill_diagonal(q, -np.inf)
+    return np.maximum(q.max(axis=-1), 0.0)
+
+
 def _lipschitz_constants(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each row's smallest L >= 0 with f(z) - f(x) <= L d(x, z) over ordered
-    pairs x != z, in blocks whose (rows, n, n) quotients fit _ROW_BUDGET; a
-    maximum is exact, so the blocks change no constant."""
+    pairs x != z: its largest ascending slope, in blocks whose (rows, n, n)
+    quotients fit _ROW_BUDGET; a maximum is exact, so the blocks change no
+    constant."""
     m, n = rows.shape
     out = np.empty(m)
-    diag = np.arange(n)
+    dpos = _positive(dist)
     step = _row_block(8 * n * n)
     buf = np.empty((min(step, m), n, n))  # one block's quotients at a time
     for lo in range(0, m, step):
         v = rows[lo:lo + step]
-        q = np.subtract(v[:, None, :], v[:, :, None], out=buf[:len(v)])  # f_k(z) - f_k(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q /= dist
-        q[:, diag, diag] = -np.inf
-        out[lo:lo + step] = q.max(axis=(1, 2))
-    return np.maximum(out, 0.0)
+        out[lo:lo + step] = _slopes(dpos, v, buf[:len(v)]).max(axis=1)
+    return out
 
 
 def lipschitz_constant(space: QuasiMetricSpace, f) -> float:
@@ -210,22 +235,12 @@ def _deviations(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.abs(rows - np.vecdot(rows, weights)[:, None])
 
 
-def _inf_convolutions(dist: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """min_z (g(z) + d(z, x)) for every row g of ``raw``, in blocks whose
-    (rows, n, n) sums fit _ROW_BUDGET; a minimum is exact."""
-    out = np.empty(raw.shape)
-    step = _row_block(8 * raw.shape[1] ** 2)
-    for lo in range(0, len(raw), step):
-        out[lo:lo + step] = (raw[lo:lo + step, :, None] + dist).min(axis=1)
-    return out
-
-
 def inf_convolution(space: QuasiMetricSpace, g) -> ScalarField:
     """McShane-type 1-Lipschitz regularization f(x) = min_z (g(z) + d(z, x)).
 
     Fixed points of the construction are exactly the 1-Lipschitz fields.
     """
-    return ScalarField(_inf_convolutions(space.dist, as_field(g, space.n)[None])[0])
+    return ScalarField(_min_plus(space.dist, as_field(g, space.n)[None])[0])
 
 
 def generate_family(mm: MetricMeasureSpace, count: int | None = None,
@@ -244,7 +259,7 @@ def generate_family(mm: MetricMeasureSpace, count: int | None = None,
         raise ValueError(f"count must be at least 2n = {2 * n}")
     k = count - 2 * n
     raw = np.random.default_rng(seed).uniform(0.0, 1.0, (k, n)) * diameter(mm.space)
-    values = np.concatenate([mm.dist, -mm.dist.T, _inf_convolutions(mm.dist, raw)])
+    values = np.concatenate([mm.dist, -mm.dist.T, _min_plus(mm.dist, raw)])
     tags = (("distance-to-point",) * n + ("negative-distance-from-point",) * n
             + ("inf-convolution",) * k)
     return LipschitzFamily(mm.space, values, tags)

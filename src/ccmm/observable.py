@@ -128,7 +128,7 @@ def _pardiams(rows, kappas) -> np.ndarray:
                                       - cw[:, :-1] >= 1.0 - kappa - MASS_TOL)
                 first, last = np.where(ok, first, mid + 1), np.where(ok, mid, last)
             width = np.take_along_axis(vs, np.minimum(first, n - 1), axis=1) - vs
-            best = np.where(first < n, width, np.inf).min(axis=1)
+            best = width.min(axis=1, where=first < n, initial=np.inf)
             # only degenerate rounding leaves no start holding the mass
             out[k, lo:lo + step] = np.where(np.isinf(best), vs[:, -1] - vs[:, 0], best)
     return out

@@ -48,8 +48,8 @@ def snap_threshold(r: float | np.ndarray) -> float | np.ndarray:
 
 
 # Bytes one block of rows may use: no blocked temporary (subset rows, family
-# certification and construction, the shortest-path closure) is larger, so
-# memory does not grow with the number of rows.
+# certification and construction, exact validation, the shortest-path
+# closure) is larger, so memory does not grow with the number of rows.
 _ROW_BUDGET = 8 << 20
 
 
@@ -57,6 +57,17 @@ def _row_block(row_bytes: int) -> int:
     """Rows per block when each row's temporary takes ``row_bytes``; a row
     of no bytes, such as one over an empty grid, counts as one."""
     return max(1, _ROW_BUDGET // max(1, row_bytes))
+
+
+def _min_plus(dist: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """min_z (G[r, z] + dist[z, x]) for every row r of G and point x, in
+    blocks whose (rows, n, n) sums fit _ROW_BUDGET; a minimum is exact, so
+    the blocks change no value."""
+    out = np.empty(G.shape)
+    step = _row_block(8 * dist.size)
+    for lo in range(0, len(G), step):
+        out[lo:lo + step] = (G[lo:lo + step, :, None] + dist).min(axis=1)
+    return out
 
 
 def _stable_order(rows: np.ndarray) -> np.ndarray:
@@ -254,9 +265,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, i) -> bool:
-        return int(i) in set(self.members)
-
     def array(self) -> np.ndarray:
         return np.asarray(self.members, dtype=int)
 
@@ -313,9 +321,11 @@ def validate(
 
     The directed triangle inequality is checked exactly by default
     (``rel_tol=0``); pass a relative tolerance for spaces assembled from
-    floating-point sums.  With ``sampled=True`` only 10*n^2 random triples
-    are tested, for matrices too large for the O(n^3) scan; they are drawn
-    in blocks under the row budget.
+    floating-point sums.  One min-plus product of the matrix with itself
+    decides validity; only an invalid matrix is scanned, middle point by
+    middle point, for the triples it lists.  With ``sampled=True`` only
+    10*n^2 random triples are tested, for matrices too large for the O(n^3)
+    product; they are drawn in blocks under the row budget.
 
     Raises ValueError for malformed input (non-square, NaN, negative).
     """
@@ -354,7 +364,9 @@ def validate(
                     break
             if truncated:
                 break
-    else:
+    elif (d > _min_plus(d, d) + slack).any():
+        # fl(d(i,j) + d(j,k)) + slack is monotone in the sum, so some j
+        # violates at (i, k) exactly when the least sum over j does
         for j in range(n):
             # d(i,k) <= d(i,j) + d(j,k) for this middle point j
             bound = d[:, j][:, None] + d[j, :][None, :]
@@ -519,12 +531,10 @@ def breakpoint_radii(space: QuasiMetricSpace) -> np.ndarray:
     Every attained positive distance d is paired with d + delta
     (delta = 1e-9 * diameter), so evaluating a profile on this grid captures
     the value at the jump and just after it; the final point lies beyond the
-    diameter.
+    diameter.  A one-point space has no positive distance and an empty grid.
     """
     vals = np.unique(space.dist[space.dist > 0])
-    if vals.size == 0:
-        raise ValueError("space has no positive distances")
-    delta = 1e-9 * float(vals.max())
+    delta = 1e-9 * float(vals.max(initial=0.0))
     return np.unique(np.concatenate([vals, vals + delta]))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import VERDICT_TOL, _pow
-from .lipschitz import ScalarField, as_field
+from .lipschitz import ScalarField, _fill_diagonal, _positive, _slopes, as_field
 from .quasimetric import MetricMeasureSpace, SNAP_RTOL, as_pointset, diameter
 
 __all__ = [
@@ -46,33 +46,6 @@ LOG2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 # slopes and quotients
 # ---------------------------------------------------------------------------
-
-def _positive(dist: np.ndarray) -> np.ndarray:
-    """The distances with every zero (the diagonal) raised to +inf."""
-    return np.where(dist > 0, dist, np.inf)
-
-
-def _fill_diagonal(q: np.ndarray, value: float) -> None:
-    """Set q[..., i, i] = value in a contiguous matrix or stack of square
-    matrices, through a strided view of the diagonal."""
-    diagonal = q.reshape(*q.shape[:-2], -1)[..., ::q.shape[-1] + 1]
-    # a copy would take the value and leave q as it was
-    assert np.may_share_memory(diagonal, q)
-    diagonal[...] = value
-
-
-def _slopes(dpos: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Ascending slope max_z (f(z) - f(x))^+ / d(x, z) at every point.
-
-    f is one field (n,) or a stack of fields (R, n); dpos is
-    ``_positive(dist)`` and ``out`` an optional scratch buffer of shape
-    f.shape + (n,).
-    """
-    q = np.subtract(f[..., None, :], f[..., :, None], out=out)
-    np.divide(q, dpos, out=q)
-    _fill_diagonal(q, -np.inf)
-    return np.maximum(q.max(axis=-1), 0.0)
-
 
 def dual_slope(mm: MetricMeasureSpace, f, x: int | None = None):
     """Ascending slope of f, at one point or at every point (x=None)."""

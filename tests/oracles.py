@@ -751,13 +751,19 @@ def finsler_length_plain(spec, polyline, subdivisions=16):
 
 def grid_neighbors_plain(domain, resolution):
     """The stencil edges (i, j) of the sample grid, by a loop over the points
-    in flat order and, for each, over the domain's offsets."""
-    shape = domain.grid_shape(resolution)
+    in flat order and, for each, over the stencil: right then left on a
+    one-dimensional grid, the eight neighbours row by row on a
+    two-dimensional one."""
+    shape = (resolution,) * domain.dim
+    if domain.dim == 1:
+        offsets = [(1,), (-1,)]
+    else:
+        offsets = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
     wraps = domain.wraps()
     pairs = []
     for flat in range(int(np.prod(shape))):
         idx = np.unravel_index(flat, shape)
-        for off in domain.neighbor_offsets():
+        for off in offsets:
             tgt = []
             ok = True
             for ax, (i, o) in enumerate(zip(idx, off)):
@@ -795,3 +801,20 @@ def shortest_paths_plain(edges, n):
                     d[v] = du + w
                     heapq.heappush(heap, (d[v], v))
     return dist
+
+
+def triangle_violations_plain(d, rel_tol=0.0, max_report=100):
+    """The directed triangle violations (i, j, k), d(i, k) > d(i, j) +
+    d(j, k) + rel_tol * max(1, max d), by a scan over every middle point j,
+    each j's pairs in row-major order, cut after ``max_report`` triples;
+    returns (triples, whether the listing was cut)."""
+    d = np.asarray(d, dtype=float)
+    slack = rel_tol * max(1.0, float(d.max()))
+    triangles = []
+    for j in range(len(d)):
+        bound = d[:, j][:, None] + d[j, :][None, :]
+        for i, k in np.argwhere(d > bound + slack):
+            triangles.append((int(i), int(j), int(k)))
+            if len(triangles) >= max_report:
+                return triangles, True
+    return triangles, False

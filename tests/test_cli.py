@@ -1,4 +1,5 @@
 """End-to-end command line behavior, wire formats, determinism, exit codes."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from ccmm.io import load_profile_csv, load_space, save_space, space_hash
-from ccmm.quasimetric import random_mm_space
+from ccmm.finsler import build_space, catalog_entry
+from ccmm.io import load_profile_csv, load_space, save_space, space_hash, space_to_dict
+from ccmm.quasimetric import MetricMeasureSpace, QuasiMetricSpace, random_mm_space
 
 
 def run_cli(*args, env=None):
@@ -31,6 +33,16 @@ def test_space_json_roundtrip(tmp_path):
     assert np.array_equal(back.dist, mm.dist)
     assert np.array_equal(back.weights, mm.weights)
     assert space_hash(back) == space_hash(mm)
+
+
+def test_space_hash_is_the_hash_of_the_whole_json_text():
+    spaces = [random_mm_space(seed) for seed in range(200)]
+    spaces += [build_space(catalog_entry(name)) for name in ("g1", "t2", "r1")]
+    spaces.append(MetricMeasureSpace.with_uniform(QuasiMetricSpace(
+        [[0, 1, 2], [1, 0, 1.5], [2, 2, 0]], labels=("α", "Ω", "☃"))))
+    for mm in spaces:
+        text = json.dumps(space_to_dict(mm), sort_keys=True)
+        assert space_hash(mm) == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_space_json_requires_one_of_dist_edges(tmp_path):
@@ -274,6 +286,40 @@ def test_verify_one_point_space_all_skipped(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["meta"]["n"] == 1
     assert {e["status"] for e in doc["results"].values()} == {"skipped"}
+
+
+def test_alpha_one_point_space_is_zero_at_every_radius(tmp_path):
+    path = _write_space(tmp_path, "one.json", {"n": 1, "dist": [[0]], "measure": [1]})
+    for strategy in ("exact", "family"):
+        res = run_cli("alpha", str(path), "--strategy", strategy)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == ""  # no attained distance, so no breakpoint
+        out = tmp_path / f"{strategy}.csv"
+        assert run_cli("alpha", str(path), "--strategy", strategy,
+                       "--out", str(out)).returncode == 0
+        profile = load_profile_csv(out)
+        assert len(profile.radii) == 0
+        assert np.array_equal(profile.value_at([1e-9, 0.5, 1.0, 1e9]), np.zeros(4))
+
+
+def test_isoperim_one_point_space_is_the_trivial_profile(tmp_path):
+    path = _write_space(tmp_path, "one.json", {"n": 1, "dist": [[0]], "measure": [1]})
+    for args in ((), ("--scale", "1"), ("--strategy", "family")):
+        res = run_cli("isoperim", str(path), *args)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines] == ["mass,content", "0,0", "1,0"]
+
+
+@pytest.mark.parametrize("dim", [0, 3])
+def test_gen_torus_of_unsupported_dimension_is_usage_error(tmp_path, dim):
+    spec = tmp_path / "torus.json"
+    spec.write_text(json.dumps({"id": "t", "domain": {"type": "torus", "side": 1.0, "dim": dim},
+                                "resolution": 4, "density": {"type": "uniform"}}))
+    res = run_cli("gen", "--spec", str(spec))
+    assert res.returncode == 2
+    assert f"error: torus dim must be 1 or 2, got {dim}" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_verify_zero_restarts_is_usage_error(tmp_path):

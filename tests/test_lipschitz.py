@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccmm.finsler import build_space, catalog_entry
 from ccmm.lipschitz import (
     ScalarField,
+    _lipschitz_constants,
     generate_family,
     inf_convolution,
     lipschitz_constant,
@@ -16,6 +18,7 @@ from ccmm.quasimetric import (
     QuasiMetricSpace,
     random_mm_space,
 )
+from ccmm.spectrum import dual_slope
 from oracles import lipschitz_constant_bruteforce
 
 
@@ -140,3 +143,17 @@ def test_scalar_field_validation():
         ScalarField(np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         ScalarField(np.zeros((2, 2)))
+
+
+def test_lipschitz_constants_are_the_largest_ascending_slopes():
+    cases = []
+    for seed in range(40):
+        mm = random_mm_space(seed)
+        raw = np.random.default_rng(seed).normal(size=(5, mm.n))
+        cases.append((mm, np.concatenate([generate_family(mm, 2 * mm.n + 8, seed).values, raw])))
+    for name in ("t2", "g1"):
+        mm = build_space(catalog_entry(name))
+        cases.append((mm, generate_family(mm, 2 * mm.n + 8).values))
+    for mm, rows in cases:
+        slopes = np.array([dual_slope(mm, f).max() for f in rows])
+        assert np.array_equal(_lipschitz_constants(mm.dist, rows), slopes)

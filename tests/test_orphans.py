@@ -1,10 +1,11 @@
-"""Every private module-level function and class of ``ccmm`` has a caller.
+"""Every private module-level function, class and constant of ``ccmm`` has
+a reader.
 
 Code that nothing calls any more is deleted, not kept.  The check parses
-each module of ``src/ccmm`` with ``ast`` and, for every top-level ``def``
-or ``class`` whose name has one leading underscore, looks for a reference
-to that name anywhere in the package outside its own definition: a use of
-the name, an attribute of that name, or an import of it.
+each module of ``src/ccmm`` with ``ast`` and, for every top-level ``def``,
+``class`` or assigned name that has one leading underscore, looks for a
+reference to that name anywhere in the package outside its own definition:
+a use of the name, an attribute of that name, or an import of it.
 """
 import ast
 from pathlib import Path
@@ -23,16 +24,28 @@ def referenced_names(node):
             yield sub.name
 
 
+def defined_names(node):
+    """The names a top-level statement defines: a function's or class's, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def orphans(src=SRC):
-    """(module, name) of every private top-level function or class of the
-    package at ``src`` that nothing outside its own definition refers to."""
+    """(module, name) of every private top-level function, class or
+    constant of the package at ``src`` that nothing outside its own
+    definition refers to."""
     tops = [(path.name, node) for path in sorted(src.glob("*.py"))
             for node in ast.parse(path.read_text()).body]
     used = [set(referenced_names(node)) for _, node in tops]
-    return [(module, node.name) for i, (module, node) in enumerate(tops)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and not any(node.name in names for j, names in enumerate(used) if j != i)]
+    return [(module, name) for i, (module, node) in enumerate(tops)
+            for name in defined_names(node)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in names for j, names in enumerate(used) if j != i)]
 
 
 def test_every_private_function_and_class_has_a_reference():
@@ -44,6 +57,7 @@ def test_an_unreferenced_helper_is_reported(tmp_path):
         "def _used():\n    return 1\n\n\n"
         "def _self_only():\n    return _self_only()\n\n\n"
         "class _Imported:\n    pass\n\n\n"
-        "def public():\n    return _used()\n")
+        "_READ = 2\n_UNREAD: int = 3\n__dunder__ = 4\nPUBLIC = 5\n\n\n"
+        "def public():\n    return _used() + _READ\n")
     (tmp_path / "b.py").write_text("from .a import _Imported\n")
-    assert orphans(tmp_path) == [("a.py", "_self_only")]
+    assert orphans(tmp_path) == [("a.py", "_self_only"), ("a.py", "_UNREAD")]

@@ -20,7 +20,7 @@ from ccmm.quasimetric import (
     reverse,
     validate,
 )
-from oracles import shortest_paths_plain
+from oracles import shortest_paths_plain, triangle_violations_plain
 
 
 def test_validate_symmetric_two_point():
@@ -57,6 +57,34 @@ def test_validate_diag_and_positivity_reported():
     assert report.diagonal == (0,)
     report = validate([[0, 0], [1, 0]])
     assert (0, 1) in report.positivity
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-3])
+def test_validate_lists_the_plain_scans_violations(rel_tol):
+    outcomes = set()
+    for seed in range(40):
+        mm = random_mm_space(seed, 3, 20)
+        d = mm.dist.copy()
+        n = len(d)
+        rng = np.random.default_rng(seed)
+        slack = rel_tol * max(1.0, float(d.max()))
+        for i, k in rng.integers(0, n, (1 + seed % 4, 2)):
+            if i == k:
+                continue
+            # the least two-step bound at (i, k), or just past it, or far past
+            bound = min(d[i, j] + d[j, k] + slack for j in range(n))
+            d[i, k] = (bound, np.nextafter(bound, np.inf), 1.5 * bound)[seed % 3]
+        for max_report in (1, 3, 100):
+            report = validate(d, rel_tol=rel_tol, max_report=max_report)
+            triples, truncated = triangle_violations_plain(d, rel_tol, max_report)
+            if triples:
+                assert report.triangles == tuple(triples)
+                assert report.truncated == truncated
+                outcomes.add("truncated" if truncated else "listed")
+            else:
+                assert isinstance(report, QuasiMetricSpace)
+                outcomes.add("valid")
+    assert outcomes == {"valid", "listed", "truncated"}
 
 
 def test_validate_sampled_mode_finds_gross_violation():

@@ -34,12 +34,11 @@ from ccmm.spectrum import (
     symmetric_oracle_field,
 )
 from ccmm import spectrum
+from ccmm.lipschitz import _positive, _slopes
 from ccmm.spectrum import (
     _descend,
     _jacobi_eigh,
     _oracle_matrix,
-    _positive,
-    _slopes,
     _smooth_grad,
     _subgradient,
 )
