@@ -82,7 +82,6 @@ EXACT_MAX_N = 16
 # absorbs float rounding of measure sums, never more.
 VERDICT_TOL = 1e-9
 
-_SUBSET_CHUNK = 2048
 _BALL_CENTERS = 16  # centers per ball table: a scan never holds the whole table
 
 
@@ -242,32 +241,33 @@ def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
     only, and the rows a full scan builds at once.  "exact" is every
     nonempty subset (n <= 16); "family" is each center's forward, then
     backward, balls, which end where the sorted row strictly rises so that
-    ties enter together, then the median level sets of the family."""
+    ties enter together, then the median level sets of the family.  A ball's
+    enlargements hold those of the balls inside it, so for min_mass > 0 (the
+    alpha curve) each center and direction gives only its smallest ball."""
     dist, w, n = mm.dist, mm.weights, mm.n
     if strategy == "exact":
         if n > EXACT_MAX_N:
             raise ValueError(f"exact enumeration allowed only for n <= {EXACT_MAX_N}, got n = {n}")
-        masks, block = _subset_masks(n), _SUBSET_CHUNK
+        masks = _subset_masks(n)
     elif strategy == "family":
         fam = family if family is not None else generate_family(mm, seed=seed)
         for lo in range(0, n, _BALL_CENTERS):
             order, vs, cw = _balls(dist, w, slice(lo, lo + _BALL_CENTERS))
             rises = np.append(vs[:, 1:] > vs[:, :-1], np.ones((len(vs), 1), bool), axis=1)
             for row, ends, masses in zip(order, rises & (cw[:, 1:] >= min_mass), cw[:, 1:]):
-                ends = np.flatnonzero(ends)
+                ends = np.flatnonzero(ends)[:1 if min_mass > 0 else None]
                 if len(ends):
                     yield masses[ends], _ball_rows(dist, row, ends), n
         del order, vs, cw, rises, row, masses  # no ball table outlives the ball scan
         m = fam._stacked(w).medians[:, None]
         masks = np.stack([fam.values <= m, fam.values >= m], axis=1).reshape(-1, n)
-        block = _row_block(8 * n * n)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     masses = masks @ w
     keep = (masses >= min_mass) & masks.any(axis=1)
     if keep.any():
         kept = masks[keep]
-        yield masses[keep], lambda sel: _set_distance_rows(dist, kept[sel]), block
+        yield masses[keep], lambda sel: _set_distance_rows(dist, kept[sel]), _row_block(8 * n * n)
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ def _sorted_chunks(mm: MetricMeasureSpace, strategy: str, family: LipschitzFamil
     direction as _prefix_masses gives it, in scan order; exact scans read
     ``rows`` if given, and otherwise build and sort one chunk at a time."""
     if strategy == "exact" and rows is not None:
-        return rows.blocks(_SUBSET_CHUNK, min_mass)
+        return rows.blocks(_row_block(8 * mm.n * mm.n), min_mass)
     return ((masses[lo:lo + block],
              *(_prefix_masses(m, mm.weights) for m in build(slice(lo, lo + block))))
             for masses, build, block in _candidate_groups(mm, strategy, family, min_mass, seed)
@@ -454,6 +454,8 @@ def deviation_check(mm: MetricMeasureSpace, f, profile: ConcentrationProfile) ->
     rs, margins = _deviation_margins(_FamilyStack(v[None], mm.weights), np.array([L]), profile)
 
     def _rep(margins):
+        if not margins.size:  # no breakpoint: nothing to check
+            return CheckReport(True, math.inf)
         k = int(np.argmin(margins))
         return CheckReport(bool(margins[k] >= -VERDICT_TOL), float(margins[k]),
                            witness={"r": float(rs[0, k])})
@@ -866,11 +868,13 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"transfer check requires n <= {EXACT_MAX_N}")
     b = _as_beta(beta)
-    if family is None:
-        family = generate_family(mm, count=2 * mm.n + 8, seed=seed)
     if radii is None:
         radii = breakpoint_radii(mm.space)
     radii = np.asarray(radii, dtype=float)
+    if not len(radii):  # no breakpoint: nothing to check
+        return TailTransferReport(True, math.inf, True, math.inf, math.inf, True)
+    if family is None:
+        family = generate_family(mm, count=2 * mm.n + 8, seed=seed)
 
     hyp_margin = float(np.min(b(radii) - family._stacked(mm.weights).tails(radii)))
     hypothesis_ok = hyp_margin >= -VERDICT_TOL

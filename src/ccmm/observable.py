@@ -24,7 +24,7 @@ from .concentration import (
     alpha_profile,
 )
 from .lipschitz import LipschitzFamily, _FamilyStack, as_field, generate_family
-from .quasimetric import MetricMeasureSpace, ProbabilityMeasure, _balls, _count_below
+from .quasimetric import MetricMeasureSpace, ProbabilityMeasure, _balls, _count_below, _row_block
 
 __all__ = [
     "ObsDiamResult",
@@ -39,10 +39,6 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
-
-# Bytes per (rows, n) array of one block of family members stacked at once.
-_STACK_BUDGET = 1 << 18
-
 
 @dataclass(frozen=True)
 class ObsDiamResult:
@@ -117,7 +113,7 @@ def _pardiams(rows, kappas) -> np.ndarray:
         raise ValueError("kappa must lie strictly between 0 and 1")
     values, _, prefix = rows
     (m, n), out = values.shape, np.empty((len(kappas), len(values)))
-    step = max(1, _STACK_BUDGET // (8 * (n + 1)))
+    step = _row_block(64 * (n + 1))  # the bisection holds about eight (rows, n) arrays
     for lo in range(0, m, step):
         vs, cw = values[lo:lo + step], prefix[lo:lo + step]
         for k, kappa in enumerate(kappas):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .concentration import VERDICT_TOL, _pow
 from .lipschitz import ScalarField, _fill_diagonal, _positive, _slopes, as_field
-from .quasimetric import MetricMeasureSpace, SNAP_RTOL, as_pointset, diameter
+from .quasimetric import MetricMeasureSpace, SNAP_RTOL, _row_block, as_pointset, diameter
 
 __all__ = [
     "EigenEstimate",
@@ -76,9 +76,9 @@ def rayleigh_quotient(mm: MetricMeasureSpace, f) -> float:
 # symmetric graph-Laplacian oracle (in-module Jacobi eigensolver)
 # ---------------------------------------------------------------------------
 
-def _jacobi_eigh(A: np.ndarray, rel_tol: float = 1e-12,
-                 max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
+def _jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi diagonalization of a symmetric matrix, in at most 60
+    sweeps, until no off-diagonal entry exceeds 1e-12 of the matrix scale.
 
     Returns (eigenvalues ascending, eigenvector columns).  Thresholds are
     relative to the matrix scale, so the iteration is exactly equivariant
@@ -105,10 +105,10 @@ def _jacobi_eigh(A: np.ndarray, rel_tol: float = 1e-12,
     off = np.empty((n, n))
     skip = 1e-15 * scale
     item = work.item
-    for _ in range(max_sweeps):
+    for _ in range(60):
         np.abs(work[:, :n], out=off)
         np.fill_diagonal(off, 0.0)
-        if float(off.max()) <= rel_tol * scale:
+        if float(off.max()) <= 1e-12 * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -210,11 +210,6 @@ _T_STAGES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _STAGE_STEPS = 30
 _POLISH_STEPS = 30
 
-# Bytes of (rows, n, n) scratch one descent block may use; a block holds at
-# least one row, so a call needs at most max(_SCRATCH_BUDGET, 8 n^2) bytes of
-# scratch whatever the number of restarts.
-_SCRATCH_BUDGET = 32 << 20
-
 # The descent works on stacks of fields, one field per row.  Every weighted
 # sum over the points of a row is ``np.vecdot(rows, w)`` (numpy 2.0 or
 # later): one BLAS ddot per row, the kernel of ``w @ row``, so each row's
@@ -223,15 +218,13 @@ _SCRATCH_BUDGET = 32 << 20
 
 
 def _normalized(F: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centered unit-variance copies of the rows of F that admit one.
-
-    Returns those rows, normalized, and the mask of the rows kept; a row of
-    zero or non-finite variance is dropped.
+    """Centered unit-variance copies of the rows of F, and the mask of the
+    rows that admit one; a row of zero or non-finite variance reads 0.
     """
     G = F - np.vecdot(F, w)[:, None]
     var = np.vecdot(G ** 2, w)
     ok = (var > 0.0) & np.isfinite(var)
-    return G[ok] / np.sqrt(var[ok])[:, None], ok
+    return np.divide(G, np.sqrt(var)[:, None], out=np.zeros_like(G), where=ok[:, None]), ok
 
 
 def _exact_numerator(dpos: np.ndarray, w: np.ndarray, F: np.ndarray,
@@ -257,8 +250,7 @@ def _smooth_grad(invd: np.ndarray, w: np.ndarray, F: np.ndarray, T: np.ndarray,
     m = np.maximum(q.max(axis=2), 0.0)
     e = np.subtract(q, m[:, :, None], out=q)
     np.divide(e, T[:, None, None], out=e)
-    np.exp(e, out=e)
-    _fill_diagonal(e, 0.0)
+    np.exp(e, out=e)  # exp(-inf) is +0 on the diagonal
     z = e.sum(axis=2) + np.exp(-m / T[:, None])
     s = m + T[:, None] * np.log(z)
     g_mat = np.divide(e, z[:, :, None], out=e)
@@ -298,57 +290,51 @@ def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, F0: np.ndarray,
     unit-variance sphere (inf and the start for a row that cannot start).
     dpos and invd are the positive distances and their reciprocals, built
     once per ``first_eigenvalue`` call, and buf is that call's scratch, with
-    at least len(F0) rows.  A row keeps its own temperature and best-so-far
-    and leaves a stage on its own early exit, so it follows the trajectory
-    of a descent from that row alone, bit for bit.
+    at least len(F0) rows.  Every row stays in place for the whole call and
+    is computed on at every step; a live mask says which rows may move.  A
+    row keeps its own temperature and best-so-far and leaves a stage on its
+    own early exit, so it follows the trajectory of a descent from that row
+    alone, bit for bit.
     """
-    vals = np.full(len(F0), math.inf)
-    fields = F0.copy()
     F, ok = _normalized(F0, w)
-    start = np.flatnonzero(ok)
-    fields[start] = F
     slope_scale = _slopes(dpos, F, buf[:len(F)]).max(axis=1)
-    live = slope_scale > 0.0
-    F, slope_scale, start = F[live], slope_scale[live], start[live]
-    best_val = _exact_numerator(dpos, w, F, buf)
+    start = slope_scale > 0.0  # a constant row, or one read as 0, cannot start
+    slope_scale[~start] = 1.0  # any positive temperature keeps idle rows finite
+    best_val = np.where(start, _exact_numerator(dpos, w, F, buf), math.inf)
     best_F = F.copy()
 
-    def step(rows: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-        """Move every row in ``rows`` down its gradient; returns the rows
-        that moved.  A zero gradient or a step off the sphere ends the
-        row's stage; a non-finite gradient always steps off it."""
+    def step(live: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
+        """Move every live row down its gradient; returns the mask of the
+        rows still live.  A zero gradient or a step off the sphere ends the row's
+        stage; a non-finite gradient always steps off it."""
         gmax = np.abs(grad).max(axis=1)
-        keep = gmax > 0.0
-        rows = rows[keep]
-        cand, ok = _normalized(F[rows] - eta * (grad[keep] / gmax[keep, None]), w)
-        rows = rows[ok]
-        F[rows] = cand
-        val = _exact_numerator(dpos, w, cand, buf)
-        better = val < best_val[rows]
-        best_val[rows[better]] = val[better]
-        best_F[rows[better]] = cand[better]
-        return rows
+        live = live & (gmax > 0.0)
+        unit = np.divide(grad, gmax[:, None], out=np.zeros_like(grad), where=live[:, None])
+        cand, on_sphere = _normalized(F - eta * unit, w)
+        live &= on_sphere
+        np.copyto(F, cand, where=live[:, None])
+        val = _exact_numerator(dpos, w, F, buf)
+        better = live & (val < best_val)
+        np.copyto(best_val, val, where=better)
+        np.copyto(best_F, F, where=better[:, None])
+        return live
 
     for t_rel in _T_STAGES:
         T = t_rel * slope_scale
-        rows = np.arange(len(F))
-        eta = 0.25
+        live, eta = start, 0.25
         for _ in range(_STAGE_STEPS):
-            if not rows.size:
+            if not live.any():
                 break
-            rows = step(rows, _smooth_grad(invd, w, F[rows], T[rows], buf), eta)
+            live = step(live, _smooth_grad(invd, w, F, T, buf), eta)
             eta *= 0.88
     F[:] = best_F
-    rows = np.arange(len(F))
-    eta = 0.08
+    live, eta = start, 0.08
     for _ in range(_POLISH_STEPS):
-        if not rows.size:
+        if not live.any():
             break
-        rows = step(rows, _subgradient(invd, w, F[rows], buf), eta)
+        live = step(live, _subgradient(invd, w, F, buf), eta)
         eta *= 0.9
-    vals[start] = best_val
-    fields[start] = best_F
-    return vals, fields
+    return best_val, np.where(ok[:, None], best_F, F0)
 
 
 def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
@@ -358,7 +344,7 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
     Starts are the symmetric-oracle eigenvector (on the symmetrized
     distances when the space is irreversible), the best distance cones, and
     random fields with amplitude equal to the diameter.  All restarts
-    descend together, in blocks of rows sized to a fixed scratch budget.
+    descend together.
     Deterministic given the seed; the returned value is the quotient of the
     certificate field, the first of the best restarts.  Raises ValueError
     unless at least two points carry mass.
@@ -372,7 +358,7 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
     n = mm.n
     dpos = _positive(dist)
     invd = 1.0 / dpos
-    block = min(restarts, max(1, _SCRATCH_BUDGET // (8 * n * n)))
+    block = min(restarts, _row_block(8 * n * n))
     buf = np.empty((block, n, n))
 
     inits: list[np.ndarray] = []
@@ -384,7 +370,8 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
         pass  # zero-weight points: skip the oracle start
 
     # the cones out of and into every point, best numerator first
-    cones, _ = _normalized(np.concatenate((dist, -dist.T)), w)
+    cones, ok = _normalized(np.concatenate((dist, -dist.T)), w)
+    cones = cones[ok]
     nums = np.empty(len(cones))
     for i in range(0, len(cones), block):
         nums[i:i + block] = _exact_numerator(dpos, w, cones[i:i + block], buf)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccmm import build_space, catalog_entry, concentration, quasimetric
 from ccmm.concentration import (
+    CheckReport,
     ConcentrationProfile,
     SampledDecreasing,
     alpha,
@@ -27,14 +28,16 @@ from ccmm.concentration import (
     _candidate_groups,
     _prefix_masses,
     _set_distance_rows,
+    _sorted_chunks,
     _subset_masks,
     _subset_rows,
 )
 from ccmm.isoperimetry import isoperimetric_profile, mesh_scale, profile_enlargement_check
-from ccmm.lipschitz import generate_family
+from ccmm.lipschitz import LipschitzFamily, generate_family
 from ccmm.quasimetric import (
     MetricMeasureSpace,
     ProbabilityMeasure,
+    QuasiMetricSpace,
     _count_below,
     _mass_below,
     breakpoint_radii,
@@ -370,6 +373,46 @@ def test_transfer_margins_match_the_grid_inside_a_segment():
         assert (rep.enlargement_margin, rep.alpha_margin) == want
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 10), st.booleans(), st.integers(0, 2**32 - 1))
+def test_smallest_half_mass_balls_give_the_curve_of_every_ball(n, tied, seed):
+    # each center's balls nest, and a larger ball's enlargements hold the
+    # smaller's: the alpha curve keeps only the smallest ball of mass >= 1/2
+    rng = np.random.default_rng(seed)
+    if tied:  # off-diagonal distances in {1, 2}: balls grow by tied groups
+        dist = rng.integers(1, 3, (n, n)).astype(float)
+        np.fill_diagonal(dist, 0.0)
+        space = validate(dist)
+    else:
+        space = random_mm_space(seed % 1000, n_low=n, n_high=n).space
+    # dyadic weights, points of zero weight included
+    cuts = np.sort(rng.integers(0, 65, n - 1))
+    mm = MetricMeasureSpace(space, ProbabilityMeasure(np.diff(cuts, prepend=0, append=64) / 64))
+    radii = breakpoint_radii(mm.space)
+    # without the distance cones, whose median level sets are balls too
+    fam = generate_family(mm, count=2 * n + 4, seed=seed % 1000)
+    fam = LipschitzFamily(mm.space, fam.values[2 * n:], fam.tags[2 * n:])
+    want = alpha_curve_plain(*candidate_rows(mm, "family", fam), mm.weights, radii)
+    assert np.array_equal(_alpha_curve(mm, radii, "family", family=fam), want)
+
+
+@pytest.mark.parametrize("cid, resolution", [("t2", 16), ("g1", 128), ("r1", 64), ("s2", 8)])
+def test_catalog_family_curves_equal_the_curve_of_every_ball(cid, resolution):
+    # without exact sums a dropped ball could still lower a value by an ulp;
+    # on the catalog spaces none does
+    mm = build_space(catalog_entry(cid), resolution=resolution)
+    fam = generate_family(mm, seed=0)
+    radii = breakpoint_radii(mm.space)
+    thresholds = snap_threshold(radii)
+    want = np.zeros(len(radii))
+    for masses, *dirs in _sorted_chunks(mm, "family", fam, 0.0, 0):  # every ball
+        half = masses >= 0.5
+        for side in dirs:
+            mu = _mass_below(tuple(rows[half] for rows in side), thresholds)
+            want = np.maximum(want, (1.0 - mu).max(axis=0, initial=0.0))
+    assert np.array_equal(_alpha_curve(mm, radii, "family", family=fam), want)
+
+
 def same_envelope(got, want):
     return np.array_equal(got.rs, want.rs) and np.array_equal(got.values, want.values)
 
@@ -483,6 +526,22 @@ def test_empty_threshold_grid_reads_no_tails():
     for thresholds in (np.empty(0), np.empty((len(fam), 0))):
         assert _mass_below(stack.values, thresholds).shape == (len(fam), 0)
         assert _count_below(-stack.values[0], -thresholds).shape == (len(fam), 0)
+
+
+def test_transfer_check_on_a_one_point_space_is_vacuous():
+    # no positive distance, so no breakpoint: the trivial envelope of an
+    # empty grid, and nothing for the transfer to check
+    mm = MetricMeasureSpace.with_uniform(QuasiMetricSpace([[0.0]]))
+    rep = enlargement_check_from_tail_bound(mm, tail_envelope(mm))
+    assert rep.hypothesis_ok and rep.conclusions_asserted and rep.passed
+    assert (rep.hypothesis_margin, rep.enlargement_margin, rep.alpha_margin) == (math.inf,) * 3
+
+
+def test_deviation_check_on_a_one_point_space_is_vacuous():
+    mm = MetricMeasureSpace.with_uniform(QuasiMetricSpace([[0.0]]))
+    rep = deviation_check(mm, [0.0], alpha_profile(mm, "exact"))
+    assert rep.upper == rep.lower == rep.twosided == CheckReport(True, math.inf)
+    assert rep.passed
 
 
 def test_tail_envelope_on_no_radii_is_the_trivial_bound():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccmm import observable
+from ccmm import observable, quasimetric
 from ccmm.concentration import alpha_profile
 from ccmm.lipschitz import LipschitzFamily, _FamilyStack, generate_family
 from ccmm.observable import (
@@ -186,7 +186,7 @@ def test_observable_diameters_do_not_depend_on_the_block_size(monkeypatch):
     spaces = [random_mm_space(seed, n_low=3, n_high=12) for seed in range(4)]
     fams = [generate_family(mm, count=2 * mm.n + 8, seed=1) for mm in spaces]
     default = [observable_diameters(mm, grid, fam) for mm, fam in zip(spaces, fams)]
-    monkeypatch.setattr(observable, "_STACK_BUDGET", 1)  # one member per block
+    monkeypatch.setattr(quasimetric, "_ROW_BUDGET", 1)  # one member per block
     assert [observable_diameters(mm, grid, fam) for mm, fam in zip(spaces, fams)] == default
 
 

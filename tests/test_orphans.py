@@ -6,6 +6,9 @@ each module of ``src/ccmm`` with ``ast`` and, for every top-level ``def``,
 ``class`` or assigned name that has one leading underscore, looks for a
 reference to that name anywhere in the package outside its own definition:
 a use of the name, an attribute of that name, or an import of it.
+
+Every blocked kernel also sizes its blocks from one byte budget,
+``quasimetric._ROW_BUDGET``: no other module defines a ``*_BUDGET`` name.
 """
 import ast
 from pathlib import Path
@@ -48,6 +51,14 @@ def orphans(src=SRC):
             and not any(name in names for j, names in enumerate(used) if j != i)]
 
 
+def budgets(src=SRC):
+    """(module, name) of every top-level name of the package at ``src``
+    that ends in ``_BUDGET``."""
+    return [(path.name, name) for path in sorted(src.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            for name in defined_names(node) if name.endswith("_BUDGET")]
+
+
 def test_every_private_function_and_class_has_a_reference():
     assert orphans() == []
 
@@ -61,3 +72,16 @@ def test_an_unreferenced_helper_is_reported(tmp_path):
         "def public():\n    return _used() + _READ\n")
     (tmp_path / "b.py").write_text("from .a import _Imported\n")
     assert orphans(tmp_path) == [("a.py", "_self_only"), ("a.py", "_UNREAD")]
+
+
+def test_one_block_budget():
+    assert budgets() == [("quasimetric.py", "_ROW_BUDGET")]
+
+
+def test_a_second_budget_is_reported(tmp_path):
+    (tmp_path / "quasimetric.py").write_text("_ROW_BUDGET = 8 << 20\n")
+    (tmp_path / "spectrum.py").write_text(
+        "from .quasimetric import _ROW_BUDGET\n\n"
+        "_SCRATCH_BUDGET: int = 32 << 20\n_BUDGETS = 1\n")
+    assert budgets(tmp_path) == [("quasimetric.py", "_ROW_BUDGET"),
+                                 ("spectrum.py", "_SCRATCH_BUDGET")]

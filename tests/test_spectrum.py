@@ -8,6 +8,7 @@ serial ones exactly.
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from ccmm.spectrum import (
     symmetric_oracle,
     symmetric_oracle_field,
 )
-from ccmm import spectrum
+from ccmm import quasimetric
 from ccmm.lipschitz import _positive, _slopes
 from ccmm.spectrum import (
     _descend,
@@ -305,10 +306,24 @@ def test_first_eigenvalue_blocks_match_one_block(monkeypatch, rows_per_block):
               build_space(catalog_entry("g1"), resolution=16)]
     whole = [first_eigenvalue(mm, restarts=8, seed=1) for mm in spaces]
     for mm, want in zip(spaces, whole):
-        monkeypatch.setattr(spectrum, "_SCRATCH_BUDGET", rows_per_block * 8 * mm.n ** 2)
+        monkeypatch.setattr(quasimetric, "_ROW_BUDGET", rows_per_block * 8 * mm.n ** 2)
         got = first_eigenvalue(mm, restarts=8, seed=1)
         assert got.value == want.value
         assert np.array_equal(got.certificate.values, want.certificate.values)
+
+
+def test_descent_raises_no_floating_point_warning():
+    # rows that left their stage, or never started, are still computed on
+    # at every step: none of them may overflow or divide by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(40):
+            mm = random_mm_space(seed)
+            first_eigenvalue(mm, restarts=8, seed=seed)
+            # a constant and a zero field, which cannot start, beside a cone
+            F0 = np.vstack([np.full(mm.n, 0.3), np.zeros(mm.n), mm.dist[0]])
+            dpos = _positive(mm.dist)
+            _descend(dpos, 1.0 / dpos, mm.weights, F0, np.empty((len(F0), mm.n, mm.n)))
 
 
 def test_first_eigenvalue_needs_two_points_of_mass():
