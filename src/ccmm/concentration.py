@@ -243,7 +243,8 @@ def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
     backward, balls, which end where the sorted row strictly rises so that
     ties enter together, then the median level sets of the family.  A ball's
     enlargements hold those of the balls inside it, so for min_mass > 0 (the
-    alpha curve) each center and direction gives only its smallest ball."""
+    alpha curve) each center and direction gives only its smallest ball, and
+    no level set that is one of those balls: equal sets have equal rows."""
     dist, w, n = mm.dist, mm.weights, mm.n
     if strategy == "exact":
         if n > EXACT_MAX_N:
@@ -251,16 +252,21 @@ def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
         masks = _subset_masks(n)
     elif strategy == "family":
         fam = family if family is not None else generate_family(mm, seed=seed)
+        seen = set()  # the yielded balls' sorted points, as np.intp bytes
         for lo in range(0, n, _BALL_CENTERS):
             order, vs, cw = _balls(dist, w, slice(lo, lo + _BALL_CENTERS))
             rises = np.append(vs[:, 1:] > vs[:, :-1], np.ones((len(vs), 1), bool), axis=1)
             for row, ends, masses in zip(order, rises & (cw[:, 1:] >= min_mass), cw[:, 1:]):
                 ends = np.flatnonzero(ends)[:1 if min_mass > 0 else None]
                 if len(ends):
+                    if min_mass > 0:
+                        seen.add(np.sort(row[:ends[0] + 1]).astype(np.intp).tobytes())
                     yield masses[ends], _ball_rows(dist, row, ends), n
         del order, vs, cw, rises, row, masses  # no ball table outlives the ball scan
         m = fam._stacked(w).medians[:, None]
         masks = np.stack([fam.values <= m, fam.values >= m], axis=1).reshape(-1, n)
+        if seen:  # only the alpha curve prunes
+            masks = masks[[np.flatnonzero(mask).tobytes() not in seen for mask in masks]]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     masses = masks @ w

@@ -87,21 +87,27 @@ def _jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Row j of one (n, 2n) work array holds column j of A, then column j of
     the eigenvector matrix V.  A rotation of the pair (p, q) updates the two
     columns of A and of V as two contiguous rows and then the two rows of A
-    as two strided columns, into buffers allocated once per call.
+    as two strided columns.  Each update is two calls into buffers allocated
+    once per call: the product of the rotation [[c, -s], [s, c]] with the
+    pair, entry by entry, then the sum of the product's two halves.  Negation
+    is exact and round-to-nearest is symmetric, so c x + (-s) y rounds as
+    c x - s y does: the result is bit for bit that of the four-call form.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     scale = float(np.max(np.abs(A)))
     if scale == 0.0:
         return np.zeros(n), np.eye(n)
-    work = np.empty((n, 2 * n))
+    # 8 spare entries per row keep the strided column pair's stride off a
+    # power of two (4096 bytes at n = 256), where its entries share cache sets
+    work = np.empty((n, 2 * n + 8))[:, :2 * n]
     work[:, :n] = A.T
     work[:, n:] = np.eye(n)
     cols = work.T  # cols[p] is row p of A, as column p of the work array
-    row_c, row_s = np.empty((2, 2, 2 * n))
-    col_c, col_s = np.empty((2, 2, n))
-    (row_c0, row_c1), (row_s0, row_s1) = row_c, row_s
-    (col_c0, col_c1), (col_s0, col_s1) = col_c, col_s
+    rot = np.empty((2, 2, 1))
+    rot_flat = rot.reshape(4)  # c, -s, s, c
+    row_prod, col_prod = np.empty((2, 2, 2 * n)), np.empty((2, 2, n))
+    (row_x, row_y), (col_x, col_y) = row_prod.swapaxes(0, 1), col_prod.swapaxes(0, 1)
     off = np.empty((n, n))
     skip = 1e-15 * scale
     item = work.item
@@ -121,16 +127,15 @@ def _jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
+                rot_flat[0] = rot_flat[3] = c
+                rot_flat[1] = -s
+                rot_flat[2] = s
                 pair = work[p:q + 1:q - p]
-                np.multiply(c, pair, out=row_c)
-                np.multiply(s, pair, out=row_s)
-                np.subtract(row_c0, row_s1, out=pair[0])
-                np.add(row_s0, row_c1, out=pair[1])
+                np.multiply(rot, pair, row_prod)
+                np.add(row_x, row_y, pair)
                 pair = cols[p:q + 1:q - p]
-                np.multiply(c, pair, out=col_c)
-                np.multiply(s, pair, out=col_s)
-                np.subtract(col_c0, col_s1, out=pair[0])
-                np.add(col_s0, col_c1, out=pair[1])
+                np.multiply(rot, pair, col_prod)
+                np.add(col_x, col_y, pair)
                 work[q, p] = 0.0
                 work[p, q] = 0.0
     vals = np.diagonal(work).copy()
@@ -297,10 +302,11 @@ def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, F0: np.ndarray,
     alone, bit for bit.
     """
     F, ok = _normalized(F0, w)
-    slope_scale = _slopes(dpos, F, buf[:len(F)]).max(axis=1)
+    slopes = _slopes(dpos, F, buf[:len(F)])  # the scale and the start's exact numerator
+    slope_scale = slopes.max(axis=1)
     start = slope_scale > 0.0  # a constant row, or one read as 0, cannot start
     slope_scale[~start] = 1.0  # any positive temperature keeps idle rows finite
-    best_val = np.where(start, _exact_numerator(dpos, w, F, buf), math.inf)
+    best_val = np.where(start, np.vecdot(slopes ** 2, w), math.inf)
     best_F = F.copy()
 
     def step(live: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:

@@ -396,6 +396,50 @@ def test_smallest_half_mass_balls_give_the_curve_of_every_ball(n, tied, seed):
     assert np.array_equal(_alpha_curve(mm, radii, "family", family=fam), want)
 
 
+def near_half_counts(counts):
+    """Weights counts / 128 on every point but 0, which weighs 1/2 - 2^-50,
+    and point 1 another 2^-50: every sum is a multiple of 2^-50 below 8, so
+    exact in any order, and a set holding point 0 but not point 1 weighs a
+    rounding below 1/2."""
+    weights = np.r_[0.5 - 2.0 ** -50, np.asarray(counts) / 128]
+    weights[1] += 2.0 ** -50
+    return weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.booleans(), st.integers(0, 2**32 - 1))
+def test_level_sets_that_are_balls_drop_without_moving_the_curve(n, near_half, seed):
+    # each distance cone's median level set is one of the smallest half-mass
+    # balls, and tied distances make more level sets balls; the curve of the
+    # pruned candidates must equal the curve of every ball and level set
+    rng = np.random.default_rng(seed)
+    dist = rng.integers(2, 5, (n, n)) / 2.0  # off the diagonal in {1, 1.5, 2}
+    np.fill_diagonal(dist, 0.0)
+    if near_half:
+        cuts = np.sort(rng.integers(0, 65, n - 2))
+        weights = near_half_counts(np.diff(cuts, prepend=0, append=64))
+    else:  # dyadic, points of zero weight included
+        cuts = np.sort(rng.integers(0, 65, n - 1))
+        weights = np.diff(cuts, prepend=0, append=64) / 64
+    mm = MetricMeasureSpace(validate(dist), ProbabilityMeasure(weights))
+    radii = breakpoint_radii(mm.space)
+    fam = generate_family(mm, count=2 * n + 4, seed=seed % 1000)  # the cones included
+    want = alpha_curve_plain(*candidate_rows(mm, "family", fam), mm.weights, radii)
+    assert np.array_equal(_alpha_curve(mm, radii, "family", family=fam), want)
+
+
+@pytest.mark.parametrize("cid, resolution, kept", [("t2", 16, 528), ("g1", 128, 144)])
+def test_alpha_curve_reads_only_the_level_sets_that_are_no_ball(cid, resolution, kept):
+    mm = build_space(catalog_entry(cid), resolution=resolution)
+    fam = generate_family(mm, count=2 * mm.n + 8, seed=0)  # the suite's family
+    *balls, (masses, _, _) = _candidate_groups(mm, "family", fam, 0.5, 0)
+    assert len(balls) == 2 * mm.n  # one smallest ball per center and direction
+    assert len(masses) == kept
+    # the isoperimetric scans (min_mass = 0) still read every level set
+    *_, (masses, _, _) = _candidate_groups(mm, "family", fam, 0.0, 0)
+    assert len(masses) == 2 * len(fam)
+
+
 @pytest.mark.parametrize("cid, resolution", [("t2", 16), ("g1", 128), ("r1", 64), ("s2", 8)])
 def test_catalog_family_curves_equal_the_curve_of_every_ball(cid, resolution):
     # without exact sums a dropped ball could still lower a value by an ulp;

@@ -6,6 +6,9 @@ batched descent are pinned bit for bit to the plain loops of
 serial ones exactly.
 """
 import math
+import os
+import platform
+import subprocess
 import sys
 import threading
 import warnings
@@ -13,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ccmm
 from ccmm.finsler import build_space, catalog_entry
 from ccmm.quasimetric import (
     MetricMeasureSpace,
@@ -126,13 +130,26 @@ def oracle_matrix(mm):
     return _oracle_matrix(sym, mm.weights, 4)[0]
 
 
+def catalog_oracle_matrix(cid, resolution):
+    return oracle_matrix(build_space(catalog_entry(cid), resolution=resolution))
+
+
 JACOBI_INPUTS = {
-    "t2@4": lambda: oracle_matrix(build_space(catalog_entry("t2"), resolution=4)),
-    "g1@16": lambda: oracle_matrix(build_space(catalog_entry("g1"), resolution=16)),
+    "t2@4": lambda: catalog_oracle_matrix("t2", 4),
+    # exactly symmetric: uniform weights scale both sides alike
+    "t2@8": lambda: catalog_oracle_matrix("t2", 8),
+    "g1@16": lambda: catalog_oracle_matrix("g1", 16),
+    # not symmetric, and many sweeps
+    "g1@64": lambda: catalog_oracle_matrix("g1", 64),
     **{f"random-{seed}": (lambda seed=seed: oracle_matrix(random_mm_space(seed)))
        for seed in range(20)},
     "1x1": lambda: np.array([[2.5]]),
     "zero": lambda: np.zeros((4, 4)),
+    # theta < 0: the rotation angle takes its negative branch
+    "2x2-negative": lambda: np.array([[1.0, -0.5], [-0.5, 3.0]]),
+    # point 0 is already decoupled: every (0, q) rotation is skipped
+    "zero-row": lambda: np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.3, 0.2],
+                                  [0.0, 0.3, 2.0, 0.1], [0.0, 0.2, 0.1, 3.0]]),
 }
 
 
@@ -165,6 +182,47 @@ def test_jacobi_random_oracle_matrices_not_bitwise_symmetric():
     # the two sides, so the pin above covers a non-symmetric input too
     assert any(not np.array_equal(a, a.T)
                for a in (oracle_matrix(random_mm_space(seed)) for seed in range(20)))
+    a = JACOBI_INPUTS["g1@64"]()
+    assert not np.array_equal(a, a.T)
+    a = JACOBI_INPUTS["t2@8"]()
+    assert np.array_equal(a, a.T)
+
+
+# Emulates an AVX2 host on an AVX-512 one: numpy's AVX-512 kernels off, and
+# OpenBLAS on its Haswell kernels.
+EMULATED_AVX2 = {"OPENBLAS_CORETYPE": "Haswell",
+                 "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+_JACOBI_CHILD = """
+import sys
+import numpy as np
+from ccmm.spectrum import _jacobi_eigh
+with np.load(sys.argv[1]) as inputs:
+    np.savez(sys.argv[2], **{name: np.concatenate([part.ravel() for part in _jacobi_eigh(a)])
+                             for name, a in inputs.items()})
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 emulation")
+def test_jacobi_is_bit_identical_on_an_emulated_avx2_host(tmp_path):
+    # the oracle start must not depend on the host's SIMD level or BLAS
+    # kernel: only elementwise multiplies and adds may touch the pairs
+    inputs = {name: make() for name, make in JACOBI_INPUTS.items()}
+    inputs["t2@6"] = catalog_oracle_matrix("t2", 6)
+    inputs["g1@32"] = catalog_oracle_matrix("g1", 32)
+    np.savez(tmp_path / "inputs.npz", **inputs)
+    src = os.path.dirname(os.path.dirname(ccmm.__file__))
+    env = {**os.environ, **EMULATED_AVX2,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-c", _JACOBI_CHILD, str(tmp_path / "inputs.npz"),
+                            str(tmp_path / "out.npz")], capture_output=True, text=True, env=env)
+    if "cannot disable CPU feature" in child.stderr:
+        pytest.skip("numpy keeps these CPU features in its baseline")
+    assert child.returncode == 0, child.stderr
+    with np.load(tmp_path / "out.npz") as out:
+        for name, a in inputs.items():
+            want = np.concatenate([part.ravel() for part in _jacobi_eigh(a)])
+            assert out[name].tobytes() == want.tobytes(), name
 
 
 def test_oracle_two_point_hand_laplacian():
