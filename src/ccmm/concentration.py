@@ -9,6 +9,9 @@ exactly on the two-sided breakpoint grid rather than on an r-mesh.
 Two strategies are available: "exact" enumerates all subsets (n <= 16),
 "family" restricts to metric balls and median sub/superlevel sets of a
 1-Lipschitz family, which yields a certified lower bound of alpha.
+Ordered by bit code, each subset is a smaller one plus its top point, so
+the exact rows of all of them come off one lattice in n exact minima, and
+each exact reader sorts its own chunks of it.
 Each candidate row is sorted once, stably; its mass below the breakpoint
 grid is constant between consecutive row values, so alpha and the transfer
 margins are read off the row's n + 1 segment ends, never off a (rows,
@@ -196,6 +199,17 @@ def _subset_masks(n: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
 
 
+def _subset_lattice(op, rows: np.ndarray, empty: float) -> np.ndarray:
+    """op over rows[k] for the points k of every subset, indexed by bit code
+    as _subset_masks orders them (code 0, the empty set, holds ``empty``):
+    codes h to 2h - 1 add point log2(h) to the codes below h, one op each."""
+    out = np.full((1 << len(rows), *rows.shape[1:]), empty)
+    for k, row in enumerate(rows):
+        h = 1 << k
+        op(out[:h], row, out=out[h:2 * h])
+    return out
+
+
 def _pow(x: np.ndarray, y: float) -> np.ndarray:
     """x ** y entry by entry through the C library's pow, which rounds as
     scalar float arithmetic does; numpy's vectorized pow can round
@@ -239,9 +253,10 @@ def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
     """Groups (masses, build, block) of the sets of mass >= min_mass: their
     masses in scan order, build(sel) -> (m_fwd, m_bwd) of the selected sets
     only, and the rows a full scan builds at once.  "exact" is every
-    nonempty subset (n <= 16); "family" is each center's forward, then
-    backward, balls, which end where the sorted row strictly rises so that
-    ties enter together, then the median level sets of the family.  A ball's
+    nonempty subset (n <= 16), whose rows come off one bit-code lattice of
+    them all; "family" is each center's forward, then backward, balls,
+    which end where the sorted row strictly rises so that ties enter
+    together, then the median level sets of the family.  A ball's
     enlargements hold those of the balls inside it, so for min_mass > 0 (the
     alpha curve) each center and direction gives only its smallest ball, and
     no level set that is one of those balls: equal sets have equal rows."""
@@ -250,6 +265,9 @@ def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
         if n > EXACT_MAX_N:
             raise ValueError(f"exact enumeration allowed only for n <= {EXACT_MAX_N}, got n = {n}")
         masks = _subset_masks(n)
+        # a set's rows and a point's (d(k, .), d(., k)) join by a minimum, exactly
+        lattice = _subset_lattice(np.minimum, np.stack([dist, dist.T], axis=1), np.inf)
+        rows = lambda picks: tuple(lattice[picks + 1].swapaxes(0, 1))
     elif strategy == "family":
         fam = family if family is not None else generate_family(mm, seed=seed)
         seen = set()  # the yielded balls' sorted points, as np.intp bytes
@@ -267,56 +285,20 @@ def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
         masks = np.stack([fam.values <= m, fam.values >= m], axis=1).reshape(-1, n)
         if seen:  # only the alpha curve prunes
             masks = masks[[np.flatnonzero(mask).tobytes() not in seen for mask in masks]]
+        rows = lambda picks: _set_distance_rows(dist, masks[picks])
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     masses = masks @ w
-    keep = (masses >= min_mass) & masks.any(axis=1)
-    if keep.any():
-        kept = masks[keep]
-        yield masses[keep], lambda sel: _set_distance_rows(dist, kept[sel]), _row_block(8 * n * n)
-
-
-@dataclass(frozen=True)
-class _SubsetRows:
-    """Every subset's rows, sorted once: per direction the sorted rows, their
-    weights and prefix masses, as _prefix_masses gives them.  A row's prefix
-    masses do not depend on the rows built with it, so a block's are slices."""
-
-    masses: np.ndarray
-    ms: np.ndarray
-    ws: np.ndarray
-    cw: np.ndarray
-
-    def blocks(self, size: int, min_mass: float = 0.0):
-        """(masses, fwd, bwd) per block of sets of mass >= min_mass."""
-        for lo in range(0, len(self.masses), size):
-            keep = np.flatnonzero(self.masses[lo:lo + size] >= min_mass) + lo
-            yield (self.masses[keep], *((ms[keep], ws[keep], cw[keep])
-                                        for ms, ws, cw in zip(self.ms, self.ws, self.cw)))
-
-
-def _subset_rows(mm: MetricMeasureSpace) -> _SubsetRows:
-    """The sorted rows of every nonempty subset (n <= 16), each block of rows
-    under _ROW_BUDGET sorted as it is built."""
-    masses, build, _ = next(_candidate_groups(mm, "exact", None, 0.0, 0))
-    ms = np.empty((2, len(masses), mm.n))
-    ws = np.empty(ms.shape)
-    cw = np.empty((2, len(masses), mm.n + 1))
-    step = _row_block(8 * mm.n * mm.n)
-    for lo in range(0, len(masses), step):
-        sl = slice(lo, lo + step)
-        for d, rows in enumerate(build(sl)):
-            ms[d, sl], ws[d, sl], cw[d, sl] = _prefix_masses(rows, mm.weights)
-    return _SubsetRows(masses, ms, ws, cw)
+    picks = np.flatnonzero((masses >= min_mass) & masks.any(axis=1))
+    if len(picks):
+        yield masses[picks], lambda sel: rows(picks[sel]), _row_block(8 * n * n)
 
 
 def _sorted_chunks(mm: MetricMeasureSpace, strategy: str, family: LipschitzFamily | None,
-                   min_mass: float, seed: int, rows: _SubsetRows | None = None):
+                   min_mass: float, seed: int):
     """(masses, fwd, bwd) per chunk of candidates of mass >= min_mass, each
-    direction as _prefix_masses gives it, in scan order; exact scans read
-    ``rows`` if given, and otherwise build and sort one chunk at a time."""
-    if strategy == "exact" and rows is not None:
-        return rows.blocks(_row_block(8 * mm.n * mm.n), min_mass)
+    direction as _prefix_masses gives it, in scan order, one chunk built and
+    sorted at a time."""
     return ((masses[lo:lo + block],
              *(_prefix_masses(m, mm.weights) for m in build(slice(lo, lo + block))))
             for masses, build, block in _candidate_groups(mm, strategy, family, min_mass, seed)
@@ -332,8 +314,7 @@ def _curve(order: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _alpha_curve(mm: MetricMeasureSpace, radii: np.ndarray, strategy: str,
-                 family: LipschitzFamily | None = None, seed: int = 0,
-                 rows: _SubsetRows | None = None) -> np.ndarray:
+                 family: LipschitzFamily | None = None, seed: int = 0) -> np.ndarray:
     """alpha at every radius, from each candidate row's segment ends.
 
     On the sorted thresholds t, a sorted row with prefix masses cw has
@@ -343,7 +324,7 @@ def _alpha_curve(mm: MetricMeasureSpace, radii: np.ndarray, strategy: str,
     order = np.argsort(radii, kind="stable")
     ts = snap_threshold(np.asarray(radii, dtype=float)[order])
     ends = np.zeros(len(ts) + 1)
-    for _, *dirs in _sorted_chunks(mm, strategy, family, 0.5, seed, rows):
+    for _, *dirs in _sorted_chunks(mm, strategy, family, 0.5, seed):
         for ms, _, cw in dirs:
             # flat operands take ufunc.at's fast path, about 10x the 2-d one
             np.maximum.at(ends, np.searchsorted(ts, ms, "right").ravel(),
@@ -420,16 +401,14 @@ def alpha(mm: MetricMeasureSpace, r: float, strategy: str = "exact",
 
 
 def alpha_profile(mm: MetricMeasureSpace, strategy: str = "exact",
-                  family: LipschitzFamily | None = None, seed: int = 0,
-                  rows: _SubsetRows | None = None) -> ConcentrationProfile:
+                  family: LipschitzFamily | None = None, seed: int = 0) -> ConcentrationProfile:
     """alpha sampled at every attained distance and just after it.
 
     The grid ends beyond the diameter where the profile reaches 0 exactly.
-    An exact profile reads the sorted subset ``rows`` when given.
     """
     radii = breakpoint_radii(mm.space)
     # a suffix maximum over the ascending radii: non-increasing exactly
-    curve = _alpha_curve(mm, radii, strategy, family, seed, rows)
+    curve = _alpha_curve(mm, radii, strategy, family, seed)
     return ConcentrationProfile(radii, np.clip(curve, 0.0, 0.5), strategy)
 
 
@@ -538,8 +517,7 @@ def check_linear_tail_decay(mm: MetricMeasureSpace, family: LipschitzFamily,
 # ---------------------------------------------------------------------------
 
 def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
-                  radii: np.ndarray | None = None, seed: int = 0,
-                  rows: _SubsetRows | None = None) -> SampledDecreasing:
+                  radii: np.ndarray | None = None, seed: int = 0) -> SampledDecreasing:
     """Measured mean-deviation tail envelope of the space (n <= 16).
 
     Dominates, by construction, the tails of every supplied family member at
@@ -547,8 +525,7 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     min(d(A, .), rho) and max(-d(., A), -rho) at the radii the enlargement
     argument consumes (mass(A) * rho).  Feeding it to
     :func:`enlargement_check_from_tail_bound` therefore exercises the full
-    transfer with a hypothesis that genuinely holds.  Its values never
-    rise, and it reads the sorted subset ``rows`` when given.
+    transfer with a hypothesis that genuinely holds.  Its values never rise.
 
     The cones are read in event form (:func:`_cone_front`): a row's tail at
     rho is set by two counts and two flags, which change only where rho, or
@@ -583,10 +560,12 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
     # tail at mass(A) rho) per (A, rho); the reversed cones have the same
     # centered deviations, so both directions reduce to this computation
-    rows = _subset_rows(mm) if rows is None else rows
-    for masses, *dirs in rows.blocks(_row_block(_CONE_ROW_BYTES * (mm.n + 2))):
+    masses, build, _ = next(_candidate_groups(mm, "exact", None, 0.0, seed))
+    step = _row_block(_CONE_ROW_BYTES * (mm.n + 2))
+    for lo in range(0, len(masses), step):
+        dirs = (_prefix_masses(m, mm.weights) for m in build(slice(lo, lo + step)))
         ms, ws, cw = (np.concatenate(parts) for parts in zip(*dirs))
-        front = _cone_front(front, np.tile(masses, 2), ms, ws, cw, radii)
+        front = _cone_front(front, np.tile(masses[lo:lo + step], 2), ms, ws, cw, radii)
 
     # t -> max{v : s >= t} changes value only at the first sample point past
     # a front sample, the last excepted: the envelope keeps it only there and
@@ -594,7 +573,7 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     ts, tv = front
     if not len(ts):
         return SampledDecreasing(np.empty(0), np.empty(0))
-    past = _first_points_past(np.append(0.0, ts[:-1]), radii, np.unique(rows.masses))
+    past = _first_points_past(np.append(0.0, ts[:-1]), radii, np.unique(masses))
     first, after = past[0], past[1:]
     # first reads the first front sample and after[j] the (j + 1)-th, so no
     # value repeats
@@ -855,8 +834,7 @@ def _first_points_past(t: np.ndarray, radii: np.ndarray, masses: np.ndarray) -> 
 def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
                                       family: LipschitzFamily | None = None,
                                       radii: np.ndarray | None = None,
-                                      seed: int = 0,
-                                      rows: _SubsetRows | None = None) -> TailTransferReport:
+                                      seed: int = 0) -> TailTransferReport:
     """Transfer a mean-deviation tail bound into enlargement bounds.
 
     Hypothesis (tested on the extreme-point family, all 2n distance cones
@@ -869,7 +847,7 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
     and alpha(r) <= beta(r/2), reporting worst margins.  mu is constant on
     segments of the grid, so a beta sampled without rises is read at both
     ends of each row's segments, O(n) points per row; any other beta on the
-    whole grid.  The sorted subset ``rows`` are read when given.
+    whole grid.
     """
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"transfer check requires n <= {EXACT_MAX_N}")
@@ -897,7 +875,7 @@ def enlargement_check_from_tail_bound(mm: MetricMeasureSpace, beta,
     at_ends = isinstance(b, SampledDecreasing) and bool(np.all(np.diff(b.values) <= 0))
     enl_margin = math.inf
     ends = np.zeros(B + 1)  # the exact alpha curve's events, from mass >= 1/2
-    for masses, *dirs in _sorted_chunks(mm, "exact", None, 0.0, seed, rows):
+    for masses, *dirs in _sorted_chunks(mm, "exact", None, 0.0, seed):
         half = masses >= 0.5
         for side in dirs:
             ms, _, cw = side

@@ -20,6 +20,7 @@ from .concentration import (
     VERDICT_TOL,
     CheckReport,
     ConcentrationProfile,
+    _subset_lattice,
     _subset_masks,
     alpha_profile,
 )
@@ -68,13 +69,12 @@ def partial_diameter(mm: MetricMeasureSpace, kappa: float,
     if exact:
         if n > EXACT_MAX_N:
             raise ValueError(f"exact partial diameter requires n <= {EXACT_MAX_N}")
-        best = math.inf
         masks = _subset_masks(n)
-        masses = masks @ w
-        for mask in masks[masses >= need]:
-            idx = np.nonzero(mask)[0]
-            best = min(best, float(d[np.ix_(idx, idx)].max()))
-        return best
+        # each subset's largest distance to every point; the largest of those
+        # at its own points is its diameter, every ordered pair read once
+        far = _subset_lattice(np.maximum, d, 0.0)[1:]
+        diams = far.max(axis=1, where=masks, initial=0.0)
+        return float(diams[masks @ w >= need].min(initial=math.inf))
 
     # heuristic: each center's smallest balls meeting the mass bar, then greedy peeling
     best = float(d.max())

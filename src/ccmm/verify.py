@@ -24,7 +24,6 @@ from .concentration import (
     _deviation_margins,
     _lq_norms,
     _moment_powers,
-    _subset_rows,
     alpha_profile,
     check_linear_tail_decay,
     check_moment_concentration,
@@ -127,17 +126,9 @@ class _SuiteContext:
         return generate_family(self.mm, count=2 * self.mm.n + 8, seed=self.seed)
 
     @cached_property
-    def subset_rows(self):
-        """Every subset's sorted rows (n <= 16), which the exact profile, the
-        tail envelope and the transfer check all read."""
-        return _subset_rows(self.mm)
-
-    @cached_property
     def profile(self):
         """Exact profile when feasible, family profile otherwise."""
-        if self.exact_ok:
-            return alpha_profile(self.mm, "exact", family=self.family, rows=self.subset_rows)
-        return alpha_profile(self.mm, "family", family=self.family)
+        return alpha_profile(self.mm, "exact" if self.exact_ok else "family", family=self.family)
 
     @cached_property
     def obsdiam(self):
@@ -170,9 +161,8 @@ def _run_mf3(ctx: _SuiteContext) -> VerifyEntry:
 
 
 def _run_prop32_1(ctx: _SuiteContext) -> VerifyEntry:
-    beta = tail_envelope(ctx.mm, family=ctx.family, rows=ctx.subset_rows)
-    rep = enlargement_check_from_tail_bound(ctx.mm, beta, family=ctx.family,
-                                            rows=ctx.subset_rows)
+    beta = tail_envelope(ctx.mm, family=ctx.family)
+    rep = enlargement_check_from_tail_bound(ctx.mm, beta, family=ctx.family)
     if not rep.hypothesis_ok:
         return _skip("measured tail hypothesis not satisfied; conclusions not asserted")
     worst = min(rep.enlargement_margin, rep.alpha_margin)

@@ -617,15 +617,18 @@ def thm39_plain(mm, rows, rs, first_moment_tail):
 # the tail envelope on the whole grid: every subset row at every radius
 # ---------------------------------------------------------------------------
 
-def tail_envelope_plain(mm, family=None, radii=None, seed=0, rows=None):
+def tail_envelope_plain(mm, family=None, radii=None, seed=0):
     """The measured mean-deviation tail envelope, with every (subset row,
-    radius) pair evaluated: each block's rows at all radii, cut to their
-    tops, and the first sample point past each front sample found by
-    sorting every block's products of masses and radii."""
+    radius) pair evaluated: each block's rows, built by min-plus products of
+    the subsets' indicators, at all radii, cut to their tops, and the first
+    sample point past each front sample found by sorting every block's
+    products of masses and radii."""
     from ccmm.concentration import (
         EXACT_MAX_N,
         SampledDecreasing,
-        _subset_rows,
+        _prefix_masses,
+        _set_distance_rows,
+        _subset_masks,
     )
     from ccmm.lipschitz import generate_family
     from ccmm.quasimetric import _count_below, _row_block, breakpoint_radii
@@ -656,12 +659,15 @@ def tail_envelope_plain(mm, family=None, radii=None, seed=0, rows=None):
     # a chunk's count table has a column per distinct value of its rows, at
     # most n rows + 1: chunks of sqrt(budget / 8n) rows keep it in the budget
     chunk = math.isqrt(_row_block(8 * mm.n))
-    rows = _subset_rows(mm) if rows is None else rows
+    masks = _subset_masks(mm.n)
+    subset_masses = masks @ w
 
     # truncated distance cones min(d(A, .), rho): one point (mass(A) rho,
     # tail at mass(A) rho) per (A, rho); the reversed cones have the same
     # centered deviations, so both directions reduce to this computation
-    for masses, *dirs in rows.blocks(chunk):
+    for lo in range(0, len(masks), chunk):
+        masses = subset_masses[lo:lo + chunk]
+        dirs = [_prefix_masses(m, w) for m in _set_distance_rows(mm.dist, masks[lo:lo + chunk])]
         s = masses[:, None] * radii[None, :]
         # relative and absolute shrink: the absolute part covers the
         # membership snap and mean rounding for tiny-mass subsets
@@ -695,8 +701,8 @@ def tail_envelope_plain(mm, family=None, radii=None, seed=0, rows=None):
         # the sample points again, chunk by chunk: the same products of the
         # masses and radii, bit for bit
         yield radii
-        for lo in range(0, len(rows.masses), chunk):
-            yield rows.masses[lo:lo + chunk, None] * radii[None, :]
+        for lo in range(0, len(subset_masses), chunk):
+            yield subset_masses[lo:lo + chunk, None] * radii[None, :]
 
     # t -> max{v : s >= t} changes value only at the first sample point past
     # a front sample, the last excepted: the envelope keeps it only there and

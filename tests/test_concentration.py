@@ -30,7 +30,6 @@ from ccmm.concentration import (
     _set_distance_rows,
     _sorted_chunks,
     _subset_masks,
-    _subset_rows,
 )
 from ccmm.isoperimetry import isoperimetric_profile, mesh_scale, profile_enlargement_check
 from ccmm.lipschitz import LipschitzFamily, generate_family
@@ -621,16 +620,40 @@ def test_subset_rows_sum_tied_masses_in_stable_order():
     np.fill_diagonal(dist, 0.0)
     w = rng.random(n) + 0.05
     mm = MetricMeasureSpace(validate(dist), ProbabilityMeasure(w / w.sum()))
-    rows = _subset_rows(mm)
+    chunks = list(_sorted_chunks(mm, "exact", None, 0.0, 0))
     for d, built in enumerate(_set_distance_rows(mm.dist, _subset_masks(n))):
+        ws, cws = (np.concatenate([chunk[1 + d][f] for chunk in chunks]) for f in (1, 2))
         for k in range(0, len(built), 5):
             order = sorted(range(n), key=lambda x: built[k, x])  # a stable sort
             cw = [0.0]
             for x in order:
                 cw.append(cw[-1] + mm.weights[x])
             cw[-1] = 1.0  # a whole row has mass one by definition
-            assert rows.ws[d, k].tolist() == mm.weights[order].tolist(), (d, k)
-            assert rows.cw[d, k].tolist() == cw, (d, k)
+            assert ws[k].tolist() == mm.weights[order].tolist(), (d, k)
+            assert cws[k].tolist() == cw, (d, k)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_lattice_rows_equal_min_plus_rows(n):
+    rng = np.random.default_rng(n)
+    # off-diagonal distances in {2, 3, 4}: a metric with ties in every row
+    dist = rng.integers(2, 5, (n, n)).astype(float)
+    np.fill_diagonal(dist, 0.0)
+    w = rng.random(n) + 0.05
+    mm = MetricMeasureSpace(validate(dist), ProbabilityMeasure(w / w.sum()))
+    masks = _subset_masks(n)
+    want = _set_distance_rows(mm.dist, masks)
+    masses = masks @ mm.weights
+    for min_mass in (0.0, 0.5):
+        (got, build, _), = _candidate_groups(mm, "exact", None, min_mass, 0)
+        keep = np.flatnonzero(masses >= min_mass)
+        assert np.array_equal(got, masses[keep])
+        # slices as the sorted chunks take them, index arrays as the
+        # isoperimetric stride takes them
+        for sel in (slice(None), slice(len(keep) // 3, None, 2), slice(-1, None),
+                    np.arange(len(keep))[::-7], np.array([], dtype=int)):
+            rows = build(sel)
+            assert all(np.array_equal(r, m[keep[sel]]) for r, m in zip(rows, want)), sel
 
 
 def test_set_distance_rows_blocks_match_one_block(monkeypatch):

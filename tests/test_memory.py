@@ -11,16 +11,19 @@ imported scipy for its shortest paths.  On that machine the scans peaked at
 51 MB (family profile of t2, which keeps the family's sort orders and
 deviations) and 47 MB (enlargement check on g1) with their rows built in
 blocks, against 584 MB and 181 MB when every row was built at once (both
-with scipy loaded).  The full suite on a random n = 16 space, whose 65535
-subsets' sorted rows, weights and prefix masses one run shares, peaked at
-102 MB; with scipy loaded it peaked at 99 MB when the run shared only the
-rows and their sort order, and at 147 MB when the exact profile, the tail
-envelope and the transfer check each built them and the envelope kept
-every row's tops.  Sampled validation of a 1024-point matrix, the check
-``io.load_space`` makes above 2000 points, peaked at 70 MB with its triples
-drawn in blocks (89 MB in an earlier measurement on the same VM), against
-556 MB (with scipy) when all 10 n^2 were drawn at once.  Each bound is the
-peak measured without scipy plus about 40 MB of headroom.
+with scipy loaded).  The full suite on a random n = 16 space peaked at
+73 MB with each exact reader building the rows of its 65535 subsets off
+one bit-code lattice, 17 MB at n = 16, and sorting them a block at a time.
+It peaked at 102 MB when one run shared every subset's sorted rows,
+weights and prefix masses; with scipy loaded, at 99 MB when the run shared
+only the rows and their sort order, and at 147 MB when the exact profile,
+the tail envelope and the transfer check each built them by min-plus
+products and the envelope kept every row's tops.  Sampled validation of a
+1024-point matrix, the check ``io.load_space`` makes above 2000 points,
+peaked at 70 MB with its triples drawn in blocks (89 MB in an earlier
+measurement on the same VM), against 556 MB (with scipy) when all 10 n^2
+were drawn at once.  Each bound is the peak measured without scipy plus
+about 40 MB of headroom.
 """
 import os
 import subprocess
@@ -31,7 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 T2_FAMILY_PROFILE_MB = 92      # measured 51.4 MB (75.7 MB with scipy)
 G1_ENLARGEMENT_CHECK_MB = 87   # measured 47.0 MB (71.2 MB with scipy)
-N16_VERIFY_MB = 140            # measured 101.9 MB (98.7 MB with scipy)
+N16_VERIFY_MB = 113            # measured 73.1 MB (101.9 MB with shared sorted rows)
 SAMPLED_VALIDATE_MB = 110      # measured 70.1 MB (97.2 MB with scipy)
 
 LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"

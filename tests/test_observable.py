@@ -49,8 +49,10 @@ def test_partial_diameter_examples():
 
 
 def test_partial_diameter_matches_bruteforce():
-    for seed in range(8):
-        mm = random_mm_space(seed, n_low=3, n_high=8)
+    spaces = [random_mm_space(seed, n_low=3, n_high=8) for seed in range(8)]
+    # twelve points reach the subset lattice's eleventh doubling
+    spaces += [random_mm_space(seed, n_low=12, n_high=12) for seed in range(2)]
+    for mm in spaces:
         for kappa in (0.2, 0.5, 0.8):
             assert partial_diameter(mm, kappa) == pytest.approx(
                 partial_diameter_bruteforce(mm, kappa), abs=1e-12)
