@@ -17,7 +17,8 @@ grid is constant between consecutive row values, so alpha and the transfer
 margins are read off the row's n + 1 segment ends, never off a (rows,
 radii) table.  The family readers (median and mean tails, moments) slice
 the family's one sorted stack, and every whole-row mass or tail is read
-off sorted prefix masses at counts from one exact integer kernel.
+off sorted prefix masses at counts from one exact integer kernel.  The
+tail envelope finds its sample points among exact products mass * radius.
 
 The module also carries the explicit constants that convert between
 concentration decay, median and mean deviation tails, moment bounds, and
@@ -534,8 +535,9 @@ def tail_envelope(mm: MetricMeasureSpace, family: LipschitzFamily | None = None,
     stretches the front already covers are dropped, and the crossings of
     the thresholds inside the rest are placed and confirmed, so a row costs
     a few readings rather than one per radius.  The first sample point past
-    each front sample comes from a search over the sorted masses.  The
-    envelope is the same, bit for bit, as reading every row at every radius.
+    each front sample comes from one search per radius among the products
+    mass * radius.  The envelope is the same, bit for bit, as reading every
+    row at every radius.
     """
     if mm.n > EXACT_MAX_N:
         raise ValueError(f"tail envelope enumeration requires n <= {EXACT_MAX_N}")
@@ -805,29 +807,15 @@ def _merge_front(front: tuple[np.ndarray, np.ndarray], s: np.ndarray,
 
 
 def _first_points_past(t: np.ndarray, radii: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """The smallest sample point above each t >= 0, inf if none.
-
-    The sample points are the radii and the products mass * radius.  For one
-    radius the products never fall as the mass grows, so the first product
-    past t lies at the first of the sorted distinct ``masses`` whose product
-    exceeds t: a search for t / radius lands next to it, and steps over
-    single masses find it, computed as the same float product.
-    """
+    """The smallest sample point above each t >= 0, inf if none: a radius
+    or a product mass * radius.  The distinct ``masses`` are sorted, so the
+    float products of one radius r > 0 never fall, and one search among
+    them, inf appended, finds the first past t as the product itself."""
     best = np.append(radii, np.inf)[np.searchsorted(radii, t, side="right")]
-    pos = radii[radii > 0]
-    M = len(masses)
-    step = _row_block(32 * len(pos))
-    for lo in range(0, len(t), step):
-        tb = t[lo:lo + step, None]
-        k = np.searchsorted(masses, tb / pos, side="right")
-        while True:
-            down = (k > 0) & (masses[np.maximum(k - 1, 0)] * pos > tb)
-            up = (k < M) & (masses[np.minimum(k, M - 1)] * pos <= tb)
-            if not (down.any() or up.any()):
-                break
-            k += up.astype(np.intp) - down
-        prod = np.where(k < M, masses[np.minimum(k, M - 1)] * pos, np.inf)
-        best[lo:lo + step] = np.minimum(best[lo:lo + step], prod.min(axis=1, initial=np.inf))
+    ext = np.append(masses, np.inf)
+    for r in radii[radii > 0]:
+        prods = ext * r
+        np.minimum(best, prods[np.searchsorted(prods, t, side="right")], out=best)
     return best
 
 

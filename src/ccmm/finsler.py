@@ -174,8 +174,8 @@ def _chord_lengths(spec: RandersSpec, P: np.ndarray, Q: np.ndarray,
     """Composite-midpoint quadrature of F along every straight chord P[k] -> Q[k].
 
     The metric and the one-form are read once per midpoint, chord by chord;
-    one batched solve checks the one-form norms, and each chord's terms are
-    added left to right from 0.0, as a loop over its midpoints adds them.
+    one batched solve checks the one-form norms, and ``np.cumsum`` adds each
+    chord's terms left to right, as a loop over its midpoints does.
     Aborts naming the first midpoint, in that order, where the one-form
     reaches unit norm, and otherwise the first where v a v < 0.
     """
@@ -199,10 +199,7 @@ def _chord_lengths(spec: RandersSpec, P: np.ndarray, Q: np.ndarray,
     if (vav < 0).any():
         raise ValueError(f"metric is not positive definite at point {X[np.argmax(vav < 0)].tolist()}")
     terms = (np.sqrt(vav) + np.vecdot(B, Vx)).reshape(len(V), subdivisions)
-    acc = np.zeros(len(V))
-    for j in range(subdivisions):
-        acc += terms[:, j]
-    return acc / subdivisions
+    return np.cumsum(terms, axis=1)[:, -1] / subdivisions
 
 
 def finsler_length(spec: RandersSpec, polyline, subdivisions: int = 16) -> float:
@@ -218,10 +215,7 @@ def finsler_length(spec: RandersSpec, polyline, subdivisions: int = 16) -> float
     pts = np.array([np.asarray(p, dtype=float) for p in polyline])
     if len(pts) < 2:
         raise ValueError("polyline needs at least two points")
-    total = 0.0
-    for length in _chord_lengths(spec, pts[:-1], pts[1:], subdivisions).tolist():
-        total += length
-    return total
+    return float(np.cumsum(_chord_lengths(spec, pts[:-1], pts[1:], subdivisions))[-1])
 
 
 def stencil_chordal_bound(domain: Domain) -> float:

@@ -108,20 +108,20 @@ def isoperimetric_profile(mm: MetricMeasureSpace, scale: float,
     "exact" scans all subsets (n <= 16); "family" scans balls and median
     level sets, giving an upper bound of the profile at the masses those
     sets realize.  The profile is 0 at mass 0 and mass 1 by definition.
-    Masses are grouped after rounding to 12 decimals.
+    Masses are grouped after Python's ``round`` to 12 decimals.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    best: dict[float, float] = {0.0: 0.0, 1.0: 0.0}
+    keys, contents = [np.array([0.0, 1.0])], [np.zeros(2)]
     for masses, fwd, bwd in _sorted_chunks(mm, strategy, family, 0.0, seed):
-        contents = np.minimum(*_content_rows(masses, fwd, bwd, float(scale)))
-        for mass, cont in zip(masses, contents):
-            key = round(float(mass), 12)
-            if key >= 1.0 - 1e-12:
-                continue
-            if key not in best or cont < best[key]:
-                best[key] = float(cont)
-    return sorted(best.items())
+        key = np.frompyfunc(round, 2, 1)(masses, 12).astype(float)
+        keep = key < 1.0 - 1e-12
+        keys.append(key[keep])
+        contents.append(np.minimum(*_content_rows(masses, fwd, bwd, float(scale)))[keep])
+    key, at = np.unique(np.concatenate(keys), return_inverse=True)
+    best = np.full(len(key), np.inf)
+    np.minimum.at(best, at, np.concatenate(contents))
+    return list(zip(key.tolist(), best.tolist()))
 
 
 # ---------------------------------------------------------------------------

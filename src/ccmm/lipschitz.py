@@ -1,14 +1,15 @@
 """Lipschitz constants, medians, means, and 1-Lipschitz test families.
 
 On an irreversible metric the Lipschitz condition is one-sided,
-f(z) - f(x) <= L d(x, z), so the constant is a maximum over ordered pairs.
-The generated families (distance cones plus inf-convolution regularizations
-of random fields) are the search space used by the concentration and
-observable-diameter suprema downstream.  A family is one (m, n) stack of
-fields, and the per-field statistics here are row operations on a stack;
-the one-field functions are their one-row calls.  A family keeps its rows
-sorted for the measure last asked (:class:`_FamilyStack`), so every median,
-partial diameter, tail and moment reader of one run slices one stable sort.
+f(z) - f(x) <= L d(x, z), so the constant is a maximum over ordered pairs:
+the largest ascending slope, whose unfilled diagonal quotient 0 / inf sits
+under the zero floor.  The generated families (distance cones plus
+inf-convolution regularizations of random fields) are the search space of
+the concentration and observable-diameter suprema.  A family is one (m, n)
+stack of fields, and the per-field statistics here are row operations on a
+stack; the one-field functions are their one-row calls.  A family keeps its
+rows sorted for the measure last asked (:class:`_FamilyStack`), so every
+median, tail and moment reader of one run slices one stable sort.
 """
 from __future__ import annotations
 
@@ -174,25 +175,16 @@ def _positive(dist: np.ndarray) -> np.ndarray:
     return np.where(dist > 0, dist, np.inf)
 
 
-def _fill_diagonal(q: np.ndarray, value: float) -> None:
-    """Set q[..., i, i] = value in a contiguous matrix or stack of square
-    matrices, through a strided view of the diagonal."""
-    diagonal = q.reshape(*q.shape[:-2], -1)[..., ::q.shape[-1] + 1]
-    # a copy would take the value and leave q as it was
-    assert np.may_share_memory(diagonal, q)
-    diagonal[...] = value
-
-
 def _slopes(dpos: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Ascending slope max_z (f(z) - f(x))^+ / d(x, z) at every point.
 
     f is one field (n,) or a stack of fields (R, n); dpos is
     ``_positive(dist)`` and ``out`` an optional scratch buffer of shape
-    f.shape + (n,).
+    f.shape + (n,).  The diagonal quotient (f(x) - f(x)) / inf is +0.0, so
+    the zero floor needs no fill of it.
     """
     q = np.subtract(f[..., None, :], f[..., :, None], out=out)
     np.divide(q, dpos, out=q)
-    _fill_diagonal(q, -np.inf)
     return np.maximum(q.max(axis=-1), 0.0)
 
 

@@ -294,7 +294,7 @@ class ViolationReport:
 
     @property
     def ok(self) -> bool:
-        return not (self.triangles or self.diagonal or self.positivity)
+        return not (self.triangles or self.diagonal or self.positivity or self.truncated)
 
     def __str__(self) -> str:
         lines = []
@@ -338,16 +338,21 @@ def validate(
         raise ValueError("matrix has negative entries")
     n = d.shape[0]
 
-    diagonal = tuple(int(i) for i in np.nonzero(np.diag(d) != 0)[0][:max_report])
-    offmask = ~np.eye(n, dtype=bool)
-    bad_pos = np.argwhere((d <= 0) & offmask)
+    bad_diag = np.flatnonzero(np.diag(d) != 0)
+    diagonal = tuple(bad_diag[:max_report].tolist())
+    bad_pos = np.argwhere((d <= 0) & ~np.eye(n, dtype=bool))
     positivity = tuple((int(i), int(j)) for i, j in bad_pos[:max_report])
 
+    slack = rel_tol * (max(1.0, float(d.max())) if n else 1.0)
     triangles: list[tuple[int, int, int]] = []
-    truncated = len(np.nonzero(np.diag(d) != 0)[0]) > max_report or len(bad_pos) > max_report
-    scale = max(1.0, float(d.max())) if n else 1.0
-    slack = rel_tol * scale
 
+    def listed(i, j, k) -> bool:
+        """List the triples (i, j, k) up to ``max_report``; True once full."""
+        room = max_report - len(triangles)
+        triangles.extend(zip(i[:room].tolist(), j[:room].tolist(), k[:room].tolist()))
+        return len(i) > 0 and len(triangles) >= max_report
+
+    full = False
     if sampled and n > 2:
         rng = np.random.default_rng(seed)
         m = 10 * n * n
@@ -357,28 +362,18 @@ def validate(
         for lo in range(0, m, step):
             ii, jj, kk = rng.integers(0, n, (min(step, m - lo), 3)).T
             bad = d[ii, kk] > d[ii, jj] + d[jj, kk] + slack
-            for i, j, k in zip(ii[bad], jj[bad], kk[bad]):
-                triangles.append((int(i), int(j), int(k)))
-                if len(triangles) >= max_report:
-                    truncated = True
-                    break
-            if truncated:
+            if full := listed(ii[bad], jj[bad], kk[bad]):
                 break
     elif (d > _min_plus(d, d) + slack).any():
         # fl(d(i,j) + d(j,k)) + slack is monotone in the sum, so some j
         # violates at (i, k) exactly when the least sum over j does
         for j in range(n):
             # d(i,k) <= d(i,j) + d(j,k) for this middle point j
-            bound = d[:, j][:, None] + d[j, :][None, :]
-            bad = np.argwhere(d > bound + slack)
-            for i, k in bad:
-                triangles.append((int(i), int(j), int(k)))
-                if len(triangles) >= max_report:
-                    truncated = True
-                    break
-            if truncated:
+            i, k = np.nonzero(d > d[:, j][:, None] + d[j, :][None, :] + slack)
+            if full := listed(i, np.full_like(i, j), k):
                 break
 
+    truncated = full or len(bad_diag) > max_report or len(bad_pos) > max_report
     report = ViolationReport(tuple(triangles), diagonal, positivity, truncated)
     if report.ok:
         return QuasiMetricSpace(d, tuple(labels) if labels is not None else None)

@@ -9,19 +9,21 @@ centerings exactly for the squared loss).
 The quotient is nonsmooth and multi-modal, so the minimizer anneals a
 log-sum-exp smoothing of the slope over six temperature stages with
 multi-start initialization (a symmetric graph-Laplacian eigenvector,
-distance cones, random fields) and polishes with exact subgradient steps.
+distance cones, random fields) and polishes with exact subgradient steps;
+both steps read one (rows, n, n) quotient stack built by ``_quotients``.
 All internal scales are relative, which makes the whole pipeline exactly
 equivariant under rescaling distances by powers of two.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .concentration import VERDICT_TOL, _pow
-from .lipschitz import ScalarField, _fill_diagonal, _positive, _slopes, as_field
+from .lipschitz import ScalarField, _positive, _slopes, as_field
 from .quasimetric import MetricMeasureSpace, SNAP_RTOL, _row_block, as_pointset, diameter
 
 __all__ = [
@@ -238,6 +240,17 @@ def _exact_numerator(dpos: np.ndarray, w: np.ndarray, F: np.ndarray,
     return np.vecdot(_slopes(dpos, F, buf[:len(F)]) ** 2, w)
 
 
+def _quotients(invd: np.ndarray, F: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The quotients (f(z) - f(x)) / d(x, z) of the rows f of F in ``buf``,
+    -inf on the diagonal through one strided view of the flattened buffer
+    (a buffer with no such view makes the reshape raise, not copy)."""
+    k, n = F.shape
+    q = np.subtract(F[:, None, :], F[:, :, None], out=buf[:k])
+    np.multiply(q, invd, out=q)
+    buf.reshape(len(buf), -1, copy=False)[:k, ::n + 1] = -np.inf
+    return q
+
+
 def _smooth_grad(invd: np.ndarray, w: np.ndarray, F: np.ndarray, T: np.ndarray,
                  buf: np.ndarray) -> np.ndarray:
     """Gradient of the smoothed numerator at every row of F (unit-variance
@@ -249,9 +262,7 @@ def _smooth_grad(invd: np.ndarray, w: np.ndarray, F: np.ndarray, T: np.ndarray,
     (0 on the diagonal); every (rows, n, n) intermediate lives in the
     scratch buffer ``buf``.
     """
-    q = np.subtract(F[:, None, :], F[:, :, None], out=buf[:len(F)])
-    np.multiply(q, invd, out=q)
-    _fill_diagonal(q, -np.inf)
+    q = _quotients(invd, F, buf)
     m = np.maximum(q.max(axis=2), 0.0)
     e = np.subtract(q, m[:, :, None], out=q)
     np.divide(e, T[:, None, None], out=e)
@@ -274,9 +285,7 @@ def _subgradient(invd: np.ndarray, w: np.ndarray, F: np.ndarray,
     ascending x, target first.
     """
     k, n = F.shape
-    q = np.subtract(F[:, None, :], F[:, :, None], out=buf[:k])
-    np.multiply(q, invd, out=q)
-    _fill_diagonal(q, -np.inf)
+    q = _quotients(invd, F, buf)
     arg = q.argmax(axis=2)
     s = np.maximum(q.max(axis=2), 0.0)
     row, x = np.nonzero(s > 0)
@@ -441,8 +450,7 @@ class GMDecayReport:
     passed: bool
 
 
-def spectral_mass_decay_check(mm: MetricMeasureSpace, A, epsilon: float,
-                              max_steps: int | None = None) -> GMDecayReport:
+def spectral_mass_decay_check(mm: MetricMeasureSpace, A, epsilon: float) -> GMDecayReport:
     """Run the two-set recursion behind the spectral concentration bound.
 
     Starting from a half-mass set, repeatedly take the closed backward
@@ -466,14 +474,12 @@ def spectral_mass_decay_check(mm: MetricMeasureSpace, A, epsilon: float,
     # index order, rounds just below it
     if a0 < 0.5 - VERDICT_TOL:
         raise ValueError(f"starting set must have mass at least 1/2, got {a0}")
-    if max_steps is None:
-        max_steps = mm.n + 1
 
     closed_thr = epsilon + SNAP_RTOL * max(1.0, epsilon)
     steps: list[GMStep] = []
-    terminated = "max steps reached"
     passed = True
-    for k in range(max_steps):
+    # a step that does not end the chain adds a point: n steps at most
+    for k in itertools.count():
         # distance from each point to the current set (backward direction)
         m_to_set = dist[:, mask].min(axis=1)
         next_mask = m_to_set <= closed_thr

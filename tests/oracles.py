@@ -207,6 +207,46 @@ def isoperimetric_profile_bruteforce(mm, scale):
     return sorted(out.items())
 
 
+def isoperimetric_profile_grouped_plain(mm, scale, strategy="exact", family=None, seed=0):
+    """The library's candidate contents grouped by a plain loop: one dict
+    entry per Python-rounded mass, lowered by every smaller content."""
+    from ccmm.concentration import _sorted_chunks
+    from ccmm.isoperimetry import _content_rows
+
+    best = {0.0: 0.0, 1.0: 0.0}
+    for masses, fwd, bwd in _sorted_chunks(mm, strategy, family, 0.0, seed):
+        contents = np.minimum(*_content_rows(masses, fwd, bwd, float(scale)))
+        for mass, cont in zip(masses, contents):
+            key = round(float(mass), 12)
+            if key >= 1.0 - 1e-12:
+                continue
+            if key not in best or cont < best[key]:
+                best[key] = float(cont)
+    return sorted(best.items())
+
+
+def first_point_past_plain(t, radii, masses):
+    """The smallest radius, or product mass * radius with radius > 0, above
+    t, by a scan over every pair; inf if none."""
+    points = [float(r) for r in radii]
+    points += [float(m) * float(r) for m in masses for r in radii if r > 0]
+    return min((p for p in points if p > t), default=math.inf)
+
+
+def slopes_plain(dist, f):
+    """Ascending slope max(0, max over z != x of (f(z) - f(x)) / d(x, z)) at
+    every point x, by a loop over the ordered pairs from 0.0."""
+    n = len(f)
+    out = []
+    for x in range(n):
+        s = 0.0
+        for z in range(n):
+            if z != x and dist[x][z] > 0:
+                s = max(s, (float(f[z]) - float(f[x])) / float(dist[x][z]))
+        out.append(s)
+    return np.array(out)
+
+
 def cheby_tail(weights, values, r):
     mean = float(np.dot(weights, values))
     return float(sum(w for w, v in zip(weights, values) if abs(v - mean) >= r))

@@ -26,6 +26,7 @@ from ccmm.concentration import (
     tail_envelope,
     _alpha_curve,
     _candidate_groups,
+    _first_points_past,
     _prefix_masses,
     _set_distance_rows,
     _sorted_chunks,
@@ -48,6 +49,7 @@ from ccmm.quasimetric import (
 from oracles import (
     alpha_bruteforce,
     alpha_curve_plain,
+    first_point_past_plain,
     mu_below_plain,
     tail_envelope_plain,
     transfer_margins_plain,
@@ -592,6 +594,29 @@ def test_tail_envelope_on_no_radii_is_the_trivial_bound():
     env = tail_envelope(mm, radii=np.array([]))
     assert env.rs.shape == env.values.shape == (0,)
     assert env(0.5) == 1.0
+
+
+def test_first_points_past_are_the_least_sample_points_above_t():
+    rng = np.random.default_rng(0)
+    crossings = 0
+    for trial in range(60):
+        masses = np.unique(np.append(0.0, rng.random(int(rng.integers(1, 10)))))
+        radii = np.sort(np.append(0.0, rng.random(int(rng.integers(1, 6))) * 4))
+        prods = np.concatenate([masses * r for r in radii[radii > 0]])
+        # every product and radius, one ulp either side of each, and
+        # points between and past them all
+        points = np.concatenate([prods, radii])
+        t = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, np.inf),
+                            rng.random(8) * 4, [0.0, 5.0]])
+        t = t[t >= 0]
+        got = _first_points_past(t, radii, masses)
+        assert got.tolist() == [first_point_past_plain(x, radii, masses) for x in t], trial
+        # the cases a search for t / r misplaces: the quotient rounds
+        # across a mass whose product sits on the other side of t
+        for r in radii[radii > 0]:
+            k = np.searchsorted(masses, t / r, side="right")
+            crossings += int(np.sum(k != np.searchsorted(masses * r, t, side="right")))
+    assert crossings > 0
 
 
 def test_tail_envelope_never_rises():

@@ -92,7 +92,10 @@ def _tilted_torus_metric(x):
      [[0.4, 0.2], [2.5, 1.1], [1.1, 6.0]]),
     (RandersSpec(Torus(1.0, dim=2), _tilted_torus_metric, _tilted_torus_form, 8),
      [[0.0, 0.0], [0.3, -0.2], [1.4, 0.9], [1.4, 0.95]]),
-], ids=["varying-interval", "s2", "s2-with-form", "tilted-torus"])
+    # more chords than numpy's pairwise sum adds one by one
+    (RandersSpec(Torus(1.0, dim=2), _tilted_torus_metric, _tilted_torus_form, 8),
+     [[0.13 * k, (0.37 * k * k) % 1.0] for k in range(40)]),
+], ids=["varying-interval", "s2", "s2-with-form", "tilted-torus", "tilted-torus-40-points"])
 def test_finsler_length_bit_identical_to_plain_loop(spec, polyline, subdivisions):
     pts = [np.array(p) for p in polyline]
     assert finsler_length(spec, pts, subdivisions) == finsler_length_plain(spec, pts, subdivisions)

@@ -25,7 +25,11 @@ from ccmm.quasimetric import (
     validate,
 )
 from ccmm.lipschitz import generate_family
-from oracles import isoperimetric_profile_bruteforce, strided_enlargement_rows_plain
+from oracles import (
+    isoperimetric_profile_bruteforce,
+    isoperimetric_profile_grouped_plain,
+    strided_enlargement_rows_plain,
+)
 
 
 def path3():
@@ -86,6 +90,19 @@ def test_isoperimetric_profile_matches_bruteforce():
         assert set(got) == set(want)
         for k in want:
             assert got[k] == pytest.approx(want[k], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_profile_groups_as_the_plain_dict_loop(n):
+    # one minimum per Python-rounded mass, the same floats and keys as a
+    # dict lowered candidate by candidate
+    for seed in range(2):
+        mm = random_mm_space(seed, n_low=n, n_high=n)
+        scale = float(mm.dist[mm.dist > 0].min()) * 1.1
+        for strategy in ("exact", "family"):
+            got = isoperimetric_profile(mm, scale, strategy)
+            want = isoperimetric_profile_grouped_plain(mm, scale, strategy)
+            assert repr(got) == repr(want), (seed, strategy)
 
 
 def test_family_profile_above_exact():

@@ -7,6 +7,8 @@ from ccmm.finsler import build_space, catalog_entry
 from ccmm.lipschitz import (
     ScalarField,
     _lipschitz_constants,
+    _positive,
+    _slopes,
     generate_family,
     inf_convolution,
     lipschitz_constant,
@@ -19,7 +21,7 @@ from ccmm.quasimetric import (
     random_mm_space,
 )
 from ccmm.spectrum import dual_slope
-from oracles import lipschitz_constant_bruteforce
+from oracles import lipschitz_constant_bruteforce, slopes_plain
 
 
 def test_constant_field_has_zero_constant():
@@ -157,3 +159,19 @@ def test_lipschitz_constants_are_the_largest_ascending_slopes():
     for mm, rows in cases:
         slopes = np.array([dual_slope(mm, f).max() for f in rows])
         assert np.array_equal(_lipschitz_constants(mm.dist, rows), slopes)
+
+
+def test_slopes_on_signed_zeros_and_ties_match_the_plain_loop():
+    # fields of +0.0, -0.0 and tied values, so that quotients of -0.0, +0.0
+    # and ties meet the unfilled diagonal's +0.0 and the zero floor; the
+    # slopes must equal the plain loop's in every bit, the sign of zero too
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        n = int(rng.integers(2, 9))
+        dist = rng.integers(1, 4, (n, n)).astype(float)
+        np.fill_diagonal(dist, 0.0)
+        F = rng.choice([0.0, -0.0, -1.0, 1.0, 0.5], size=(3, n))
+        got = _slopes(_positive(dist), F)
+        for f, row in zip(F, got):
+            assert row.tobytes() == slopes_plain(dist, f).tobytes(), trial
+            assert row.tobytes() == _slopes(_positive(dist), f).tobytes(), trial

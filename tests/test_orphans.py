@@ -9,6 +9,9 @@ a use of the name, an attribute of that name, or an import of it.
 
 Every blocked kernel also sizes its blocks from one byte budget,
 ``quasimetric._ROW_BUDGET``: no other module defines a ``*_BUDGET`` name.
+
+The package holds no ``assert`` statement: ``python -O`` strips them, so a
+condition the code relies on at run time raises instead.
 """
 import ast
 from pathlib import Path
@@ -59,6 +62,13 @@ def budgets(src=SRC):
             for name in defined_names(node) if name.endswith("_BUDGET")]
 
 
+def asserts(src=SRC):
+    """(module, line) of every ``assert`` statement of the package at ``src``."""
+    return [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)]
+
+
 def test_every_private_function_and_class_has_a_reference():
     assert orphans() == []
 
@@ -85,3 +95,15 @@ def test_a_second_budget_is_reported(tmp_path):
         "_SCRATCH_BUDGET: int = 32 << 20\n_BUDGETS = 1\n")
     assert budgets(tmp_path) == [("quasimetric.py", "_ROW_BUDGET"),
                                  ("spectrum.py", "_SCRATCH_BUDGET")]
+
+
+def test_no_assert_statement():
+    assert asserts() == []
+
+
+def test_an_assert_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x):\n    # assert x, in a comment\n    if x:\n        assert x > 0\n"
+        "    return 'assert'\n")
+    (tmp_path / "b.py").write_text("assert True\n")
+    assert asserts(tmp_path) == [("a.py", 4), ("b.py", 1)]

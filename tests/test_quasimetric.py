@@ -87,6 +87,52 @@ def test_validate_lists_the_plain_scans_violations(rel_tol):
     assert outcomes == {"valid", "listed", "truncated"}
 
 
+def test_validate_lists_triangles_past_a_full_diagonal_listing():
+    # four nonzero diagonal entries overflow max_report = 3 before any
+    # triangle is listed; the triangle listing still fills to three
+    d = np.ones((5, 5))
+    np.fill_diagonal(d, 1.0)
+    d[0, 4] = d[3, 1] = 10.0
+    report = validate(d, max_report=3)
+    triples, _ = triangle_violations_plain(d, 0.0, 3)
+    assert len(triples) == 3
+    assert report.triangles == tuple(triples)
+    assert report.diagonal == (0, 1, 2) and report.truncated
+
+
+def test_validate_at_max_report_zero_lists_nothing_and_accepts_nothing():
+    d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    for sampled in (False, True):
+        report = validate(d, sampled=sampled, max_report=0)
+        assert report == ViolationReport(truncated=True)
+        assert not report.ok
+    bad_diagonal = d.copy()
+    bad_diagonal[0, 2] = bad_diagonal[2, 0] = 2.0
+    bad_diagonal[1, 1] = 0.5
+    assert validate(bad_diagonal, max_report=0) == ViolationReport(truncated=True)
+    for sampled in (False, True):
+        valid = validate(np.ones((4, 4)) - np.eye(4), sampled=sampled, max_report=0)
+        assert isinstance(valid, QuasiMetricSpace)
+
+
+def test_validate_samples_triangles_past_a_full_diagonal_listing(monkeypatch):
+    # diagonal entries of 0.5 overflow the diagonal listing and break no
+    # triangle, so the sampled scan lists the triples of the zero diagonal
+    n = 30
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    d[0, 1] = d[5, 7] = 10.0
+    monkeypatch.setattr(quasimetric, "_ROW_BUDGET", 64 * 7)
+    for max_report in (2, 5, 100):
+        want = validate(d, sampled=True, seed=3, max_report=max_report)
+        half = d.copy()
+        np.fill_diagonal(half, 0.5)
+        got = validate(half, sampled=True, seed=3, max_report=max_report)
+        assert got.triangles == want.triangles and len(got.triangles) > 1
+        assert got.diagonal == tuple(range(min(n, max_report)))
+        assert got.truncated == (want.truncated or n > max_report)
+
+
 def test_validate_sampled_mode_finds_gross_violation():
     d = np.ones((30, 30)) + 9 * np.eye(30)[::-1]  # d[i, 29-i] = 10 breaks triangles
     np.fill_diagonal(d, 0.0)

@@ -44,6 +44,7 @@ from ccmm.spectrum import (
     _descend,
     _jacobi_eigh,
     _oracle_matrix,
+    _quotients,
     _smooth_grad,
     _subgradient,
 )
@@ -275,6 +276,17 @@ def test_smooth_value_grad_bit_identical_to_temporaries(T):
             assert np.array_equal(grad, ref_grad)
             alone = _smooth_grad(invd, mm.weights, f[None], np.array([t]), buf)
             assert np.array_equal(alone[0], ref_grad)
+
+
+def test_quotients_refuse_a_buffer_with_no_flat_view():
+    # the diagonal is written through a view of the flattened buffer; a
+    # buffer that only a copy could flatten raises rather than lose it
+    F = np.array([[0.0, 1.0, 3.0]])
+    invd = 1.0 / _positive(np.ones((3, 3)) - np.eye(3))
+    q = _quotients(invd, F, np.empty((2, 3, 3)))
+    assert np.diag(q[0]).tolist() == [-np.inf] * 3
+    with pytest.raises(ValueError):
+        _quotients(invd, F, np.empty((2, 3, 3)).transpose(0, 2, 1))
 
 
 def test_subgradient_bit_identical_to_plain_loop():
