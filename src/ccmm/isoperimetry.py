@@ -71,12 +71,11 @@ def mesh_scale(mm: MetricMeasureSpace) -> float:
     return float(d[d > 0].min()) * (1.0 + 1e-9)
 
 
-def _content_rows(masses: np.ndarray, fwd, bwd, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward contents (mu(B(E, scale)) - mu(E)) / scale per
-    row, from each direction's rows as _prefix_masses gives them."""
+def _content_rows(masses: np.ndarray, rows, scale: float) -> np.ndarray:
+    """One direction's contents (mu(B(E, scale)) - mu(E)) / scale per row,
+    from its rows as _prefix_masses gives them."""
     thr = np.array([snap_threshold(scale)])
-    return tuple(np.maximum(_mass_below(rows, thr)[:, 0] - masses, 0.0) / scale
-                 for rows in (fwd, bwd))
+    return np.maximum(_mass_below(rows, thr)[:, 0] - masses, 0.0) / scale
 
 
 def minkowski_content(mm: MetricMeasureSpace, E, scale: float) -> MinkowskiContent:
@@ -95,7 +94,7 @@ def minkowski_content(mm: MetricMeasureSpace, E, scale: float) -> MinkowskiConte
     idx = ps.array()
     rows = _set_distance_rows(mm.dist, np.isin(np.arange(mm.n), idx)[None, :])
     mE = np.array([float(mm.weights[idx].sum())])
-    fwd, bwd = _content_rows(mE, *(_prefix_masses(m, mm.weights) for m in rows), float(scale))
+    fwd, bwd = (_content_rows(mE, _prefix_masses(m, mm.weights), float(scale)) for m in rows)
     return MinkowskiContent(float(fwd[0]), float(bwd[0]), float(scale))
 
 
@@ -117,7 +116,8 @@ def isoperimetric_profile(mm: MetricMeasureSpace, scale: float,
         key = np.frompyfunc(round, 2, 1)(masses, 12).astype(float)
         keep = key < 1.0 - 1e-12
         keys.append(key[keep])
-        contents.append(np.minimum(*_content_rows(masses, fwd, bwd, float(scale)))[keep])
+        contents.append(np.minimum(*(_content_rows(masses, d, float(scale))
+                                     for d in (fwd, bwd)))[keep])
     key, at = np.unique(np.concatenate(keys), return_inverse=True)
     best = np.full(len(key), np.inf)
     np.minimum.at(best, at, np.concatenate(contents))
@@ -218,8 +218,15 @@ def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
     if total > _MAX_SUBSETS:
         subsets += f" (strided to {len(masses)} rows)"
 
-    fwd, bwd = (_prefix_masses(m, mm.weights) for m in rows)
-    contents = np.minimum(*_content_rows(masses, fwd, bwd, float(scale)))
+    # one direction at a time: keep its contents and its masses below the
+    # grid, and drop its sorted rows before the other direction is sorted
+    thresholds, contents, below = snap_threshold(rs), [], []
+    for m in rows:
+        ordered = _prefix_masses(m, mm.weights)
+        contents.append(_content_rows(masses, ordered, float(scale)))
+        below.append(_mass_below(ordered, thresholds))
+        del ordered
+    contents = np.minimum(*contents)
     bases = np.array([gaussian_phi_inv(min(max(float(m), 1e-300), 1.0 - 1e-15))
                       for m in masses])
     targets = sqrt_k * INV_SQRT_2PI * np.exp(-0.5 * bases ** 2)
@@ -230,8 +237,7 @@ def profile_enlargement_check(mm: MetricMeasureSpace, scale: float, r_grid,
     if not hypothesis_ok:
         return Lemma51Report(False, hyp_margin, False, None, True, subsets, float(scale))
 
-    thresholds = snap_threshold(rs)
-    lhs = np.minimum(_mass_below(fwd, thresholds), _mass_below(bwd, thresholds))
+    lhs = np.minimum(*below)
     shifted = bases[:, None] / sqrt_k + rs[None, :] - float(scale)
     rhs = np.array([[gaussian_phi(sqrt_k * t) for t in row] for row in shifted])
     concl_margin = float(np.min(lhs - rhs)) if lhs.size else 0.0

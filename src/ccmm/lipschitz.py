@@ -24,7 +24,6 @@ from .quasimetric import (
     _frozen_array,
     _mass_below,
     _min_plus,
-    _row_block,
     _sorted_rows,
     _stable_order,
     diameter,
@@ -190,18 +189,10 @@ def _slopes(dpos: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> n
 
 def _lipschitz_constants(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each row's smallest L >= 0 with f(z) - f(x) <= L d(x, z) over ordered
-    pairs x != z: its largest ascending slope, in blocks whose (rows, n, n)
-    quotients fit _ROW_BUDGET; a maximum is exact, so the blocks change no
-    constant."""
-    m, n = rows.shape
-    out = np.empty(m)
+    pairs x != z: its largest ascending slope, one row's (n, n) quotients
+    at a time."""
     dpos = _positive(dist)
-    step = _row_block(8 * n * n)
-    buf = np.empty((min(step, m), n, n))  # one block's quotients at a time
-    for lo in range(0, m, step):
-        v = rows[lo:lo + step]
-        out[lo:lo + step] = _slopes(dpos, v, buf[:len(v)]).max(axis=1)
-    return out
+    return np.array([_slopes(dpos, v).max() for v in rows])
 
 
 def lipschitz_constant(space: QuasiMetricSpace, f) -> float:

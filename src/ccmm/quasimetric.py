@@ -47,9 +47,9 @@ def snap_threshold(r: float | np.ndarray) -> float | np.ndarray:
     return r - SNAP_RTOL * np.maximum(1.0, r)
 
 
-# Bytes one block of rows may use: no blocked temporary (subset rows, family
-# certification and construction, exact validation, the shortest-path
-# closure) is larger, so memory does not grow with the number of rows.
+# Bytes one block of rows may use: no blocked temporary (subset rows, exact
+# validation, the shortest-path closure, the descent's restarts) is larger,
+# so memory does not grow with the number of rows.
 _ROW_BUDGET = 8 << 20
 
 
@@ -60,13 +60,11 @@ def _row_block(row_bytes: int) -> int:
 
 
 def _min_plus(dist: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """min_z (G[r, z] + dist[z, x]) for every row r of G and point x, in
-    blocks whose (rows, n, n) sums fit _ROW_BUDGET; a minimum is exact, so
-    the blocks change no value."""
+    """min_z (G[r, z] + dist[z, x]) for every row r of G and point x, one
+    row's (n, n) sums at a time."""
     out = np.empty(G.shape)
-    step = _row_block(8 * dist.size)
-    for lo in range(0, len(G), step):
-        out[lo:lo + step] = (G[lo:lo + step, :, None] + dist).min(axis=1)
+    for g, row in zip(G, out):
+        np.min(g[:, None] + dist, axis=0, out=row)
     return out
 
 

@@ -387,9 +387,9 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
     # the cones out of and into every point, best numerator first
     cones, ok = _normalized(np.concatenate((dist, -dist.T)), w)
     cones = cones[ok]
-    nums = np.empty(len(cones))
-    for i in range(0, len(cones), block):
-        nums[i:i + block] = _exact_numerator(dpos, w, cones[i:i + block], buf)
+    # one cone's (n, n) quotients at a time; a 1-d vecdot takes the same dot
+    # product as each row of _exact_numerator's 2-d one
+    nums = np.array([np.vecdot(_slopes(dpos, c) ** 2, w) for c in cones])
     n_cone = min(len(cones), max(0, (restarts - len(inits)) // 2))
     inits.extend(cones[np.argsort(nums, kind="stable")[:n_cone]])
 

@@ -93,6 +93,46 @@ def strided_enlargement_rows_plain(chunks, max_rows):
     return masses[::stride], m_fwd[::stride], m_bwd[::stride]
 
 
+def profile_enlargement_check_both_directions(mm, scale, r_grid, K=1.0, family=None, seed=0):
+    """profile_enlargement_check with both directions' rows sorted at once
+    and read together: the same candidates, contents and Gaussian bounds,
+    the forward and backward tables side by side."""
+    from ccmm.concentration import EXACT_MAX_N, VERDICT_TOL, _candidate_groups, _prefix_masses
+    from ccmm.isoperimetry import (
+        _MAX_SUBSETS,
+        INV_SQRT_2PI,
+        Lemma51Report,
+        _content_rows,
+        _strided_rows,
+        gaussian_phi,
+        gaussian_phi_inv,
+    )
+    from ccmm.quasimetric import _mass_below, snap_threshold
+
+    rs = np.asarray(r_grid, dtype=float)
+    sqrt_k = math.sqrt(K)
+    subsets = "exact" if mm.n <= EXACT_MAX_N else "family"
+    masses, *rows, total = _strided_rows(_candidate_groups(mm, subsets, family, 0.0, seed))
+    if total > _MAX_SUBSETS:
+        subsets += f" (strided to {len(masses)} rows)"
+    fwd, bwd = (_prefix_masses(m, mm.weights) for m in rows)
+    contents = np.minimum(_content_rows(masses, fwd, float(scale)),
+                          _content_rows(masses, bwd, float(scale)))
+    bases = np.array([gaussian_phi_inv(min(max(float(m), 1e-300), 1.0 - 1e-15))
+                      for m in masses])
+    targets = sqrt_k * INV_SQRT_2PI * np.exp(-0.5 * bases ** 2)
+    hyp_margin = float(np.min(contents - targets)) if len(masses) else math.inf
+    if not hyp_margin >= -float(scale) - VERDICT_TOL:
+        return Lemma51Report(False, hyp_margin, False, None, True, subsets, float(scale))
+    thresholds = snap_threshold(rs)
+    lhs = np.minimum(_mass_below(fwd, thresholds), _mass_below(bwd, thresholds))
+    shifted = bases[:, None] / sqrt_k + rs[None, :] - float(scale)
+    rhs = np.array([[gaussian_phi(sqrt_k * t) for t in row] for row in shifted])
+    concl_margin = float(np.min(lhs - rhs)) if lhs.size else 0.0
+    return Lemma51Report(True, hyp_margin, True, concl_margin,
+                         bool(concl_margin >= -VERDICT_TOL), subsets, float(scale))
+
+
 def partial_diameter_bruteforce(mm, kappa):
     n = mm.n
     best = math.inf
@@ -177,6 +217,20 @@ def pushforward_pardiam_plain(weights, values, kappa):
     return best
 
 
+def min_plus_plain(dist, G):
+    """min over z of G[r][z] + dist[z][x] for every row r of G and point x,
+    by a triple loop."""
+    n = len(dist)
+    out = np.empty((len(G), n))
+    for r in range(len(G)):
+        for x in range(n):
+            best = math.inf
+            for z in range(n):
+                best = min(best, float(G[r][z]) + float(dist[z][x]))
+            out[r, x] = best
+    return out
+
+
 def lipschitz_constant_bruteforce(space, f):
     n = space.n
     best = 0.0
@@ -215,7 +269,8 @@ def isoperimetric_profile_grouped_plain(mm, scale, strategy="exact", family=None
 
     best = {0.0: 0.0, 1.0: 0.0}
     for masses, fwd, bwd in _sorted_chunks(mm, strategy, family, 0.0, seed):
-        contents = np.minimum(*_content_rows(masses, fwd, bwd, float(scale)))
+        contents = np.minimum(_content_rows(masses, fwd, float(scale)),
+                              _content_rows(masses, bwd, float(scale)))
         for mass, cont in zip(masses, contents):
             key = round(float(mass), 12)
             if key >= 1.0 - 1e-12:

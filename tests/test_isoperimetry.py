@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ccmm.concentration import _candidate_groups
+from ccmm.finsler import build_space, catalog_entry
 from ccmm.isoperimetry import (
     _MAX_SUBSETS,
     _strided_rows,
@@ -12,6 +13,7 @@ from ccmm.isoperimetry import (
     gaussian_phi,
     gaussian_phi_inv,
     isoperimetric_profile,
+    mesh_scale,
     minkowski_content,
     normal_concentration_bound,
     obsdiam_bound_from_curvature,
@@ -19,6 +21,7 @@ from ccmm.isoperimetry import (
 )
 from ccmm.quasimetric import (
     MetricMeasureSpace,
+    breakpoint_radii,
     from_digraph,
     random_mm_space,
     reverse,
@@ -28,6 +31,7 @@ from ccmm.lipschitz import generate_family
 from oracles import (
     isoperimetric_profile_bruteforce,
     isoperimetric_profile_grouped_plain,
+    profile_enlargement_check_both_directions,
     strided_enlargement_rows_plain,
 )
 
@@ -236,3 +240,23 @@ def test_enlargement_check_labels_its_stride():
     rep = profile_enlargement_check(mm, scale, [0.5, 1.0], K=50.0)
     # 1022 proper nonempty subsets, every second one kept
     assert rep.subsets == "exact (strided to 511 rows)"
+
+
+@pytest.mark.parametrize("space, K, gate", [
+    ("g1@32", 1.0, True), ("g1@32", 10.0, False),
+    ("g1@64", 1.0, True), ("g1@64", 10.0, False),
+    ("s2@8", 1.0, False), ("s2@8", 0.1, True),
+    ("random-1", 1.0, False), ("random-1", 0.1, True),
+])
+def test_enlargement_check_one_direction_at_a_time_matches_both_at_once(space, K, gate):
+    if space.startswith("random"):
+        mm = random_mm_space(int(space.split("-")[1]))
+    else:
+        name, resolution = space.split("@")
+        mm = build_space(catalog_entry(name), resolution=int(resolution))
+    scale = mesh_scale(mm)
+    rs = breakpoint_radii(mm.space)
+    rs = rs[rs > scale][::8]
+    rep = profile_enlargement_check(mm, scale, rs, K=K)
+    assert rep.hypothesis_ok is gate
+    assert rep == profile_enlargement_check_both_directions(mm, scale, rs, K=K)

@@ -161,6 +161,19 @@ def test_lipschitz_constants_are_the_largest_ascending_slopes():
         assert np.array_equal(_lipschitz_constants(mm.dist, rows), slopes)
 
 
+def test_lipschitz_constants_match_the_plain_slope_loop():
+    # one row, one point, and tied values, which meet the zero floor
+    rng = np.random.default_rng(1)
+    dist = random_mm_space(5, n_low=9, n_high=9).dist
+    cases = [(dist, rng.normal(size=(1, 9))),
+             (np.zeros((1, 1)), np.array([[3.0], [-1.0]])),
+             (dist, rng.choice([0.0, 1.0, 1.0 + 2 ** -52], size=(6, 9))),
+             (dist, np.full((2, 9), 0.25))]
+    for d, rows in cases:
+        want = np.array([slopes_plain(d, f).max() for f in rows])
+        assert _lipschitz_constants(d, rows).tobytes() == want.tobytes()
+
+
 def test_slopes_on_signed_zeros_and_ties_match_the_plain_loop():
     # fields of +0.0, -0.0 and tied values, so that quotients of -0.0, +0.0
     # and ties meet the unfilled diagonal's +0.0 and the zero floor; the

@@ -7,6 +7,10 @@ each module of ``src/ccmm`` with ``ast`` and, for every top-level ``def``,
 reference to that name anywhere in the package outside its own definition:
 a use of the name, an attribute of that name, or an import of it.
 
+That check counts an import as a reader, so a second one asks that every
+name a module imports from a sibling ``ccmm`` module is used there;
+``__init__.py``, which re-exports names, is exempt.
+
 Every blocked kernel also sizes its blocks from one byte budget,
 ``quasimetric._ROW_BUDGET``: no other module defines a ``*_BUDGET`` name.
 
@@ -54,6 +58,22 @@ def orphans(src=SRC):
             and not any(name in names for j, names in enumerate(used) if j != i)]
 
 
+def unused_sibling_imports(src=SRC):
+    """(module, name) of every name a module of the package at ``src``, other
+    than ``__init__.py``, imports from a sibling module and never uses."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        found += [(path.name, alias.asname or alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").split(".")[0] == "ccmm")
+                  for alias in node.names if (alias.asname or alias.name) not in used]
+    return found
+
+
 def budgets(src=SRC):
     """(module, name) of every top-level name of the package at ``src``
     that ends in ``_BUDGET``."""
@@ -82,6 +102,23 @@ def test_an_unreferenced_helper_is_reported(tmp_path):
         "def public():\n    return _used() + _READ\n")
     (tmp_path / "b.py").write_text("from .a import _Imported\n")
     assert orphans(tmp_path) == [("a.py", "_self_only"), ("a.py", "_UNREAD")]
+
+
+def test_every_sibling_import_is_used():
+    assert unused_sibling_imports() == []
+
+
+def test_an_unused_sibling_import_is_reported(tmp_path):
+    (tmp_path / "quasimetric.py").write_text("_ROW_BUDGET = 1\n\n\ndef _row_block(b):\n    return b\n")
+    (tmp_path / "lipschitz.py").write_text(
+        "import numpy as np\n"
+        "from .quasimetric import _row_block, _ROW_BUDGET as budget\n"
+        "from ccmm.quasimetric import _ROW_BUDGET\n\n\n"
+        "def f():\n    from .quasimetric import _row_block as local\n    return np.ones(budget)\n")
+    (tmp_path / "__init__.py").write_text("from .quasimetric import _row_block\n")
+    assert unused_sibling_imports(tmp_path) == [
+        ("lipschitz.py", "_row_block"), ("lipschitz.py", "_ROW_BUDGET"),
+        ("lipschitz.py", "local")]
 
 
 def test_one_block_budget():

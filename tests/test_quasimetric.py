@@ -20,7 +20,7 @@ from ccmm.quasimetric import (
     reverse,
     validate,
 )
-from oracles import shortest_paths_plain, triangle_violations_plain
+from oracles import min_plus_plain, shortest_paths_plain, triangle_violations_plain
 
 
 def test_validate_symmetric_two_point():
@@ -355,6 +355,26 @@ def test_closure_temporaries_stay_near_the_row_budget(monkeypatch):
     # every block's arrays together, frontier chunks included (about 1.3
     # budgets measured; sizing each array alone to the budget gave 10)
     assert max(peaks) <= 2 * budget, max(peaks) / budget
+
+
+def min_plus_cases():
+    """(dist, G) pairs: indicator rows of 0 and inf, no rows, one point, and
+    real-valued rows on a 40-point space."""
+    rng = np.random.default_rng(0)
+    d7 = random_mm_space(3, n_low=7, n_high=7).dist
+    yield d7, np.where(rng.random((9, 7)) < 0.4, 0.0, np.inf)
+    yield d7, np.vstack([np.full(7, np.inf), np.zeros(7)])
+    yield d7, np.empty((0, 7))
+    yield np.zeros((1, 1)), np.array([[0.0], [np.inf], [2.5]])
+    d40 = random_mm_space(4, n_low=40, n_high=40).dist
+    yield d40, rng.uniform(-1.0, 3.0, (12, 40))
+
+
+def test_min_plus_matches_the_triple_loop():
+    for dist, G in min_plus_cases():
+        got = quasimetric._min_plus(dist, G)
+        assert got.shape == G.shape
+        assert got.tobytes() == min_plus_plain(dist, G).tobytes()
 
 
 def test_forward_neighborhood_strictness():
