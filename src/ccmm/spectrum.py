@@ -8,7 +8,8 @@ centerings exactly for the squared loss).
 
 The quotient is nonsmooth and multi-modal, so the minimizer anneals a
 log-sum-exp smoothing of the slope over six temperature stages with
-multi-start initialization (a symmetric graph-Laplacian eigenvector,
+multi-start initialization (a symmetric graph-Laplacian eigenvector, which
+a forked child computes on larger spaces while the other starts descend,
 distance cones, random fields) and polishes with exact subgradient steps;
 both steps read one (rows, n, n) quotient stack built by ``_quotients``.
 All internal scales are relative, which makes the whole pipeline exactly
@@ -18,6 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +79,7 @@ def rayleigh_quotient(mm: MetricMeasureSpace, f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# symmetric graph-Laplacian oracle (in-module Jacobi eigensolver)
+# symmetric graph-Laplacian oracle (in-module Jacobi eigensolver, forkable)
 # ---------------------------------------------------------------------------
 
 def _jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,57 +356,103 @@ def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, F0: np.ndarray,
     return best_val, np.where(ok[:, None], best_F, F0)
 
 
+# A forked child computes the oracle start from this many points on.  Per
+# call (restarts=8, 2-core x86-64) at n = 12, 16, 24, 32, 48, 64, 96: 21, 27,
+# 46, 67, 132, 230, 501 ms inline, 32, 35, 51, 62, 110, 159, 308 ms forked.
+_FORK_MIN_N = 32
+
+
+def _fork_oracle(sym: np.ndarray, w: np.ndarray):
+    """Fork a child that writes the oracle start's raw float64 bytes to a pipe
+    and leaves by ``os._exit``; returns its pid and the pipe's read end, or
+    (0, None) when no process can be forked."""
+    fd, out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for end in (fd, out):
+            os.close(end)
+        return 0, None
+    if pid == 0:
+        try:
+            os.close(fd)
+            with open(out, "wb") as pipe:
+                pipe.write(_oracle_eigenpair(sym, w, DEFAULT_ORACLE_K)[1].tobytes())
+            os._exit(0)  # never returns, so the finally runs only on a failure
+        finally:
+            os._exit(1)
+    os.close(out)
+    return pid, open(fd, "rb")
+
+
 def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
                      seed: int = 0) -> EigenEstimate:
     """Multi-start slope-descent estimate of the first eigenvalue.
 
     Starts are the symmetric-oracle eigenvector (on the symmetrized
     distances when the space is irreversible), the best distance cones, and
-    random fields with amplitude equal to the diameter.  All restarts
-    descend together.
+    random fields with amplitude equal to the diameter, descending together
+    in ``_ROW_BUDGET`` blocks.  With ``_FORK_MIN_N`` points or more, positive
+    weights, ``os.fork`` and one thread, a forked child computes the oracle
+    start while the others descend; it descends alone after them, bit for bit.
     Deterministic given the seed; the returned value is the quotient of the
     certificate field, the first of the best restarts.  Raises ValueError
-    unless at least two points carry mass.
+    unless at least two points carry mass, RuntimeError if the child fails.
     """
     w = mm.weights
     if np.count_nonzero(w > 0) < 2:
         raise ValueError("the first eigenvalue needs at least two points of positive mass")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    dist = mm.dist
-    n = mm.n
+    dist, n = mm.dist, mm.n
     dpos = _positive(dist)
     invd = 1.0 / dpos
     block = min(restarts, _row_block(8 * n * n))
     buf = np.empty((block, n, n))
 
-    inits: list[np.ndarray] = []
     sym = 0.5 * (dist + dist.T)
+    oracle = not np.any(w <= 0)  # the test _oracle_matrix makes
+    pid, pipe = 0, None  # no child
+    if oracle and n >= _FORK_MIN_N and hasattr(os, "fork") and threading.active_count() == 1:
+        pid, pipe = _fork_oracle(sym, w)
     try:
-        _, vec = _oracle_eigenpair(sym, w, DEFAULT_ORACLE_K)
-        inits.append(vec)
-    except ValueError:
-        pass  # zero-weight points: skip the oracle start
+        inits = []
+        if oracle:  # row 0; a placeholder while the child computes it
+            inits.append(np.zeros(n) if pid else _oracle_eigenpair(sym, w, DEFAULT_ORACLE_K)[1])
 
-    # the cones out of and into every point, best numerator first
-    cones, ok = _normalized(np.concatenate((dist, -dist.T)), w)
-    cones = cones[ok]
-    # one cone's (n, n) quotients at a time; a 1-d vecdot takes the same dot
-    # product as each row of _exact_numerator's 2-d one
-    nums = np.array([np.vecdot(_slopes(dpos, c) ** 2, w) for c in cones])
-    n_cone = min(len(cones), max(0, (restarts - len(inits)) // 2))
-    inits.extend(cones[np.argsort(nums, kind="stable")[:n_cone]])
+        # the cones out of and into every point, best numerator first
+        cones, ok = _normalized(np.concatenate((dist, -dist.T)), w)
+        cones = cones[ok]
+        # one cone's (n, n) quotients at a time; a 1-d vecdot takes the same dot
+        # product as each row of _exact_numerator's 2-d one
+        nums = np.array([np.vecdot(_slopes(dpos, c) ** 2, w) for c in cones])
+        n_cone = min(len(cones), max(0, (restarts - len(inits)) // 2))
+        inits.extend(cones[np.argsort(nums, kind="stable")[:n_cone]])
 
-    rng = np.random.default_rng(seed)
-    amp = diameter(mm.space)
-    while len(inits) < restarts:
-        inits.append(rng.uniform(0.0, 1.0, n) * amp)
-    F0 = np.array(inits[:restarts])
+        rng = np.random.default_rng(seed)
+        amp = diameter(mm.space)
+        while len(inits) < restarts:
+            inits.append(rng.uniform(0.0, 1.0, n) * amp)
+        F0 = np.array(inits[:restarts])
 
-    vals = np.empty(restarts)
-    fields = np.empty((restarts, n))
-    for i in range(0, restarts, block):
-        vals[i:i + block], fields[i:i + block] = _descend(dpos, invd, w, F0[i:i + block], buf)
+        vals, fields = np.empty(restarts), np.empty((restarts, n))
+        for i in range(1 if pid else 0, restarts, block):
+            vals[i:i + block], fields[i:i + block] = _descend(dpos, invd, w, F0[i:i + block], buf)
+        if pid:
+            data = pipe.read()  # to the end: the child has exited or died
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = 0  # reaped
+            if code != 0 or len(data) != 8 * n:
+                raise RuntimeError(f"the oracle's child exited {code} after "
+                                   f"sending {len(data)} of {8 * n} bytes")
+            F0[0] = np.frombuffer(data)
+            vals[:1], fields[:1] = _descend(dpos, invd, w, F0[:1], buf)
+    finally:
+        if pid:  # the parent raised before reaping the child
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if pipe:
+            pipe.close()
     best = int(np.argmin(vals))  # the first minimum, as a strict < scan keeps
     if not vals[best] < math.inf:
         raise RuntimeError("no usable start produced a nonconstant field")

@@ -347,7 +347,8 @@ def test_threads_is_a_verify_option_only(space_file):
 
 
 # An interpreter that refuses every scipy import, then runs the CLI on its
-# arguments; importing ccmm.cli must leave no scipy module behind.
+# arguments; importing ccmm.cli must leave no scipy module behind, and load
+# neither multiprocessing nor concurrent.futures (the oracle forks on its own).
 _WITHOUT_SCIPY = """
 import sys
 
@@ -367,6 +368,10 @@ import ccmm.cli
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 if loaded:
     sys.exit(f"import ccmm.cli loaded {loaded}")
+pools = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+               or m.split(".")[:2] == ["concurrent", "futures"])
+if pools:
+    sys.exit(f"import ccmm.cli loaded the process pools {pools}")
 sys.exit(ccmm.cli.main(sys.argv[1:]))
 """
 

@@ -1,5 +1,6 @@
-"""Peak memory of the subset-row scans and of family certification: the
-RSS of a fresh interpreter, and the traced allocations of one call.
+"""Peak memory of the subset-row scans, of family certification and of the
+first eigenvalue: the RSS of a fresh interpreter and of the children it
+reaps, and the traced allocations of one call.
 
 ``ru_maxrss`` is a process's high-water mark, so every RSS measurement runs
 in its own subprocess.  Linux carries the mark across exec: a child started
@@ -26,7 +27,10 @@ products and the envelope kept every row's tops.  Sampled validation of a
 1024-point matrix, the check ``io.load_space`` makes above 2000 points,
 peaked at 70 MB with its triples drawn in blocks (89 MB in an earlier
 measurement on the same VM), against 556 MB (with scipy) when all 10 n^2
-were drawn at once.  Each bound is the peak measured without scipy plus
+were drawn at once.  ``first_eigenvalue`` on g1 at resolution 128
+peaked at 39.6 MB, and the child it forks for the Jacobi oracle at
+26.6 MB, most of it pages shared with the parent (39.7 MB with the oracle
+computed in process).  Each bound is the peak measured without scipy plus
 about 40 MB of headroom.  The same code reads up to about 1.5 MB apart
 from one checkout directory to another, through the allocation layout.
 
@@ -54,6 +58,8 @@ T2_FAMILY_PROFILE_MB = 92      # measured 49.1 MB (75.7 MB with scipy)
 G1_ENLARGEMENT_CHECK_MB = 87   # measured 44.6 MB (71.2 MB with scipy)
 N16_VERIFY_MB = 113            # measured 73.1 MB (101.9 MB with shared sorted rows)
 SAMPLED_VALIDATE_MB = 110      # measured 69.9 MB (97.2 MB with scipy)
+G1_EIGENVALUE_MB = 80          # measured 39.6 MB (39.7 MB with the oracle inline)
+G1_EIGENVALUE_CHILD_MB = 67    # measured 26.6 MB, the oracle's forked child
 
 G1_FAMILY_TRACED_MB = 3          # measured 0.9 MB (9.4 MB in blocks)
 T2_FAMILY_TRACED_MB = 6          # measured 3.8 MB (11.3 MB in blocks)
@@ -62,11 +68,13 @@ G1_ENLARGEMENT_TRACED_MB = 4.25  # measured 3.5 MB (5.0 MB both directions at on
 LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
 
 
-def peak_rss_mb(body: str) -> float:
-    """Peak RSS, in MB, of a fresh interpreter that runs ``body``."""
+def peak_rss_with_children_mb(body: str) -> tuple[float, float]:
+    """Peak RSS, in MB, of a fresh interpreter that runs ``body``, and the
+    largest peak among the children it reaped."""
     code = textwrap.dedent(body) + textwrap.dedent("""
         import resource
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+              resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
         """)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -74,7 +82,13 @@ def peak_rss_mb(body: str) -> float:
     proc = subprocess.run([sys.executable, "-c", LAUNCH, code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.split()[-1]) / 1024  # Linux reports kilobytes
+    own, children = proc.stdout.split()[-2:]
+    return int(own) / 1024, int(children) / 1024  # Linux reports kilobytes
+
+
+def peak_rss_mb(body: str) -> float:
+    """Peak RSS, in MB, of a fresh interpreter that runs ``body``."""
+    return peak_rss_with_children_mb(body)[0]
 
 
 def test_family_profile_peak_rss():
@@ -111,6 +125,17 @@ def test_verify_all_on_sixteen_points_peak_rss():
         run_verify(random_mm_space(0, n_low=16, n_high=16), sections=sorted(SECTIONS))
         """)
     assert peak <= N16_VERIFY_MB, peak
+
+
+def test_first_eigenvalue_peak_rss_with_its_child():
+    # the benchmark's peak_rss_mb sees only the parent; the forked oracle
+    # child's own peak, mostly pages it shares with the parent, is gated too
+    own, child = peak_rss_with_children_mb("""
+        from ccmm import build_space, catalog_entry, first_eigenvalue
+        first_eigenvalue(build_space(catalog_entry("g1"), resolution=128), restarts=8)
+        """)
+    assert own <= G1_EIGENVALUE_MB, own
+    assert 0 < child <= G1_EIGENVALUE_CHILD_MB, child
 
 
 def test_sampled_validation_peak_rss():

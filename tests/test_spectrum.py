@@ -3,14 +3,17 @@
 The in-place Jacobi solver, the vectorized subgradient and every row of the
 batched descent are pinned bit for bit to the plain loops of
 ``tests/oracles.py``, and concurrent ``first_eigenvalue`` calls must equal
-serial ones exactly.
+serial ones exactly, as must the forked-oracle path the inline one, with no
+child process left behind.
 """
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -38,7 +41,7 @@ from ccmm.spectrum import (
     symmetric_oracle,
     symmetric_oracle_field,
 )
-from ccmm import quasimetric
+from ccmm import quasimetric, spectrum
 from ccmm.lipschitz import _positive, _slopes
 from ccmm.spectrum import (
     _descend,
@@ -429,6 +432,134 @@ def test_first_eigenvalue_concurrent_calls_match_serial():
     for got, want in zip(results, serial):
         assert got.value == want.value
         assert np.array_equal(got.certificate.values, want.certificate.values)
+
+
+def forks_counted(monkeypatch) -> list:
+    """Patch ``os.fork`` to record each call; returns the list it appends to."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_mm_space(3), lambda: random_mm_space(11),
+    lambda: build_space(catalog_entry("t2"), resolution=5),
+    lambda: build_space(catalog_entry("g1"), resolution=32),
+    lambda: random_mm_space(0, 40, 40), lambda: random_mm_space(0)],
+    ids=["random-3", "random-11", "t2@5", "g1@32", "random-0-n40", "random-0"])
+def test_forked_oracle_matches_inline(monkeypatch, make):
+    # the oracle row descends alone after the others: the same bits (on
+    # random_mm_space(0) the oracle start gives the estimate)
+    mm = make()
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", 1 << 60)
+    inline = first_eigenvalue(mm, restarts=8, seed=1)
+    forks = forks_counted(monkeypatch)
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", 2)
+    forked = first_eigenvalue(mm, restarts=8, seed=1)
+    assert len(forks) == 1
+    assert forked.value == inline.value
+    assert forked.certificate.values.tobytes() == inline.certificate.values.tobytes()
+    assert_no_child_left()
+
+
+def test_no_fork_without_the_oracle_start(monkeypatch):
+    # a zero-weight point leaves no oracle start: nothing to fork for
+    mm = build_space(catalog_entry("g1"), resolution=32)
+    w = mm.weights.copy()
+    w[[0, 1]] = 0.0
+    w /= w.sum()
+    atoms = MetricMeasureSpace(mm.space, ProbabilityMeasure(w))
+    forks = forks_counted(monkeypatch)
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", 2)
+    est = first_eigenvalue(atoms, restarts=4, seed=0)
+    assert forks == [] and math.isfinite(est.value)
+
+
+def test_failed_fork_falls_back_inline(monkeypatch):
+    # a fork refused for want of processes: the oracle runs in process, and
+    # the pipe made for the child is closed
+    mm = build_space(catalog_entry("g1"), resolution=32)
+    inline = first_eigenvalue(mm, restarts=8, seed=1)
+
+    def refused():
+        raise BlockingIOError("fork: no process to spare")
+
+    monkeypatch.setattr(os, "fork", refused)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    got = first_eigenvalue(mm, restarts=8, seed=1)
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == fds
+    assert got.value == inline.value
+    assert np.array_equal(got.certificate.values, inline.certificate.values)
+
+
+def test_forked_oracle_parent_error_leaves_no_child(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    def raising_descend(*args):
+        raise Boom
+
+    forks = forks_counted(monkeypatch)
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", 2)
+    monkeypatch.setattr(spectrum, "_descend", raising_descend)
+    with pytest.raises(Boom):
+        first_eigenvalue(build_space(catalog_entry("g1"), resolution=32), restarts=8)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_forked_oracle_child_failure_raises_promptly(monkeypatch):
+    # the child inherits the failing oracle, exits 1 and sends nothing; an
+    # alarm turns a hang into an error instead of a stuck run
+    def failing_oracle(*args):
+        raise ArithmeticError("oracle failed")
+
+    def hung(signum, frame):
+        raise TimeoutError("the parent waited on its child")
+
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", 2)
+    monkeypatch.setattr(spectrum, "_oracle_eigenpair", failing_oracle)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    start = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="child exited 1 after sending 0 of 256 bytes"):
+            first_eigenvalue(build_space(catalog_entry("g1"), resolution=32), restarts=8)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    # g1@32 forks when called alone; with a second thread alive it must not
+    mm = build_space(catalog_entry("g1"), resolution=32)
+    forks = forks_counted(monkeypatch)
+    serial = first_eigenvalue(mm, restarts=8, seed=2)
+    assert len(forks) == 1
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a live thread"))
+        threaded = first_eigenvalue(mm, restarts=8, seed=2)
+    finally:
+        release.set()
+        waiter.join()
+    assert threaded.value == serial.value
+    assert np.array_equal(threaded.certificate.values, serial.certificate.values)
 
 
 def test_first_eigenvalue_two_point_exact():
