@@ -8,9 +8,10 @@ centerings exactly for the squared loss).
 
 The quotient is nonsmooth and multi-modal, so the minimizer anneals a
 log-sum-exp smoothing of the slope over six temperature stages with
-multi-start initialization (a symmetric graph-Laplacian eigenvector, which
-a forked child computes on larger spaces while the other starts descend,
-distance cones, random fields) and polishes with exact subgradient steps;
+multi-start initialization (a symmetric graph-Laplacian eigenvector,
+distance cones, random fields; on larger spaces a forked child computes the
+eigenvector while the other starts descend, and under ``run_verify`` while
+the entries before sec6 run too) and polishes with exact subgradient steps;
 both steps read one (rows, n, n) quotient stack built by ``_quotients``.
 All internal scales are relative, which makes the whole pipeline exactly
 equivariant under rescaling distances by powers of two.
@@ -362,20 +363,27 @@ def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, F0: np.ndarray,
 _FORK_MIN_N = 32
 
 
-def _fork_oracle(sym: np.ndarray, w: np.ndarray):
+def _start_oracle(mm: MetricMeasureSpace):
     """Fork a child that writes the oracle start's raw float64 bytes to a pipe
     and leaves by ``os._exit``; returns its pid and the pipe's read end, or
-    (0, None) when no process can be forked."""
+    None: below ``_FORK_MIN_N`` points, with no oracle start (a weight <= 0,
+    the test _oracle_matrix makes), without ``os.fork``, beside a second
+    thread, or when no process can be forked."""
+    w = mm.weights
+    if (mm.n < _FORK_MIN_N or np.any(w <= 0) or not hasattr(os, "fork")
+            or threading.active_count() != 1):
+        return None
     fd, out = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         for end in (fd, out):
             os.close(end)
-        return 0, None
+        return None
     if pid == 0:
         try:
             os.close(fd)
+            sym = 0.5 * (mm.dist + mm.dist.T)
             with open(out, "wb") as pipe:
                 pipe.write(_oracle_eigenpair(sym, w, DEFAULT_ORACLE_K)[1].tobytes())
             os._exit(0)  # never returns, so the finally runs only on a failure
@@ -385,40 +393,48 @@ def _fork_oracle(sym: np.ndarray, w: np.ndarray):
     return pid, open(fd, "rb")
 
 
+def _stop_oracle(child) -> None:
+    """Kill and reap an oracle child whose start is not read, and close its pipe."""
+    pid, pipe = child
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pipe.close()
+
+
 def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
-                     seed: int = 0) -> EigenEstimate:
+                     seed: int = 0, *, oracle=None) -> EigenEstimate:
     """Multi-start slope-descent estimate of the first eigenvalue.
 
     Starts are the symmetric-oracle eigenvector (on the symmetrized
     distances when the space is irreversible), the best distance cones, and
     random fields with amplitude equal to the diameter, descending together
-    in ``_ROW_BUDGET`` blocks.  With ``_FORK_MIN_N`` points or more, positive
-    weights, ``os.fork`` and one thread, a forked child computes the oracle
-    start while the others descend; it descends alone after them, bit for bit.
-    Deterministic given the seed; the returned value is the quotient of the
-    certificate field, the first of the best restarts.  Raises ValueError
+    in ``_ROW_BUDGET`` blocks.  A child forked by ``_start_oracle`` (see its
+    gate) computes the oracle start while the others descend; it descends
+    alone after them, bit for bit.  ``oracle`` passes a child the caller
+    started earlier, as ``run_verify`` does; this call then reaps it and forks
+    none.  Deterministic given the seed; the returned value is the quotient of
+    the certificate field, the first of the best restarts.  Raises ValueError
     unless at least two points carry mass, RuntimeError if the child fails.
     """
-    w = mm.weights
-    if np.count_nonzero(w > 0) < 2:
-        raise ValueError("the first eigenvalue needs at least two points of positive mass")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    dist, n = mm.dist, mm.n
-    dpos = _positive(dist)
-    invd = 1.0 / dpos
-    block = min(restarts, _row_block(8 * n * n))
-    buf = np.empty((block, n, n))
-
-    sym = 0.5 * (dist + dist.T)
-    oracle = not np.any(w <= 0)  # the test _oracle_matrix makes
-    pid, pipe = 0, None  # no child
-    if oracle and n >= _FORK_MIN_N and hasattr(os, "fork") and threading.active_count() == 1:
-        pid, pipe = _fork_oracle(sym, w)
+    child = oracle
     try:
+        w = mm.weights
+        if np.count_nonzero(w > 0) < 2:
+            raise ValueError("the first eigenvalue needs at least two points of positive mass")
+        if restarts < 1:
+            raise ValueError("restarts must be at least 1")
+        child = child or _start_oracle(mm)
+        dist, n = mm.dist, mm.n
+        dpos = _positive(dist)
+        invd = 1.0 / dpos
+        block = min(restarts, _row_block(8 * n * n))
+        buf = np.empty((block, n, n))
+
         inits = []
-        if oracle:  # row 0; a placeholder while the child computes it
-            inits.append(np.zeros(n) if pid else _oracle_eigenpair(sym, w, DEFAULT_ORACLE_K)[1])
+        if child:  # row 0, a placeholder while the child computes it
+            inits.append(np.zeros(n))
+        elif not np.any(w <= 0):  # the test _oracle_matrix makes
+            inits.append(_oracle_eigenpair(0.5 * (dist + dist.T), w, DEFAULT_ORACLE_K)[1])
 
         # the cones out of and into every point, best numerator first
         cones, ok = _normalized(np.concatenate((dist, -dist.T)), w)
@@ -436,23 +452,22 @@ def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
         F0 = np.array(inits[:restarts])
 
         vals, fields = np.empty(restarts), np.empty((restarts, n))
-        for i in range(1 if pid else 0, restarts, block):
+        for i in range(1 if child else 0, restarts, block):
             vals[i:i + block], fields[i:i + block] = _descend(dpos, invd, w, F0[i:i + block], buf)
-        if pid:
+        if child:
+            pid, pipe = child
             data = pipe.read()  # to the end: the child has exited or died
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pid = 0  # reaped
+            pipe.close()
+            child = None  # reaped
             if code != 0 or len(data) != 8 * n:
                 raise RuntimeError(f"the oracle's child exited {code} after "
                                    f"sending {len(data)} of {8 * n} bytes")
             F0[0] = np.frombuffer(data)
             vals[:1], fields[:1] = _descend(dpos, invd, w, F0[:1], buf)
     finally:
-        if pid:  # the parent raised before reaping the child
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if pipe:
-            pipe.close()
+        if child:  # raised before reading the child
+            _stop_oracle(child)
     best = int(np.argmin(vals))  # the first minimum, as a strict < scan keeps
     if not vals[best] < math.inf:
         raise RuntimeError("no usable start produced a nonconstant field")

@@ -30,7 +30,11 @@ measurement on the same VM), against 556 MB (with scipy) when all 10 n^2
 were drawn at once.  ``first_eigenvalue`` on g1 at resolution 128
 peaked at 39.6 MB, and the child it forks for the Jacobi oracle at
 26.6 MB, most of it pages shared with the parent (39.7 MB with the oracle
-computed in process).  Each bound is the peak measured without scipy plus
+computed in process).  ``run_verify`` with every section on g1 at
+resolution 128 peaked at 45.6 MB, and the oracle child it forks before its
+first entry at 25.4 MB (30.3 MB when ``first_eigenvalue`` forked it after
+sec3 to sec5 had built the family); the benchmark's ``peak_rss_mb`` reads
+the first only.  Each bound is the peak measured without scipy plus
 about 40 MB of headroom.  The same code reads up to about 1.5 MB apart
 from one checkout directory to another, through the allocation layout.
 
@@ -60,6 +64,8 @@ N16_VERIFY_MB = 113            # measured 73.1 MB (101.9 MB with shared sorted r
 SAMPLED_VALIDATE_MB = 110      # measured 69.9 MB (97.2 MB with scipy)
 G1_EIGENVALUE_MB = 80          # measured 39.6 MB (39.7 MB with the oracle inline)
 G1_EIGENVALUE_CHILD_MB = 67    # measured 26.6 MB, the oracle's forked child
+G1_VERIFY_MB = 86              # measured 45.6 MB
+G1_VERIFY_CHILD_MB = 66        # measured 25.4 MB (30.3 MB forked after sec5)
 
 G1_FAMILY_TRACED_MB = 3          # measured 0.9 MB (9.4 MB in blocks)
 T2_FAMILY_TRACED_MB = 6          # measured 3.8 MB (11.3 MB in blocks)
@@ -136,6 +142,20 @@ def test_first_eigenvalue_peak_rss_with_its_child():
         """)
     assert own <= G1_EIGENVALUE_MB, own
     assert 0 < child <= G1_EIGENVALUE_CHILD_MB, child
+
+
+def test_verify_all_on_g1_peak_rss_with_the_oracle_child():
+    # run_verify forks the oracle child before its first entry, so the
+    # child's peak, mostly pages it shares with the parent, is gated too
+    own, child = peak_rss_with_children_mb("""
+        from ccmm import build_space, catalog_entry, run_verify
+        from ccmm.verify import SECTIONS
+        entry = catalog_entry("g1")
+        run_verify(build_space(entry, resolution=128), sections=sorted(SECTIONS),
+                   certified=entry.certified)
+        """)
+    assert own <= G1_VERIFY_MB, own
+    assert 0 < child <= G1_VERIFY_CHILD_MB, child
 
 
 def test_sampled_validation_peak_rss():

@@ -4,8 +4,10 @@ The in-place Jacobi solver, the vectorized subgradient and every row of the
 batched descent are pinned bit for bit to the plain loops of
 ``tests/oracles.py``, and concurrent ``first_eigenvalue`` calls must equal
 serial ones exactly, as must the forked-oracle path the inline one, with no
-child process left behind.
+child process left behind, whether ``first_eigenvalue`` forks its own child
+or ``run_verify`` forks it before its first entry.
 """
+import json
 import math
 import os
 import platform
@@ -41,7 +43,8 @@ from ccmm.spectrum import (
     symmetric_oracle,
     symmetric_oracle_field,
 )
-from ccmm import quasimetric, spectrum
+from ccmm import quasimetric, spectrum, verify
+from ccmm.verify import SECTIONS, run_verify
 from ccmm.lipschitz import _positive, _slopes
 from ccmm.spectrum import (
     _descend,
@@ -472,13 +475,21 @@ def test_forked_oracle_matches_inline(monkeypatch, make):
     assert_no_child_left()
 
 
-def test_no_fork_without_the_oracle_start(monkeypatch):
-    # a zero-weight point leaves no oracle start: nothing to fork for
-    mm = build_space(catalog_entry("g1"), resolution=32)
+def refuse_fork():
+    raise BlockingIOError("fork: no process to spare")
+
+
+def with_zero_weights(mm):
+    """``mm`` with its first two points weighing nothing: no oracle start."""
     w = mm.weights.copy()
     w[[0, 1]] = 0.0
     w /= w.sum()
-    atoms = MetricMeasureSpace(mm.space, ProbabilityMeasure(w))
+    return MetricMeasureSpace(mm.space, ProbabilityMeasure(w))
+
+
+def test_no_fork_without_the_oracle_start(monkeypatch):
+    # a zero-weight point leaves no oracle start: nothing to fork for
+    atoms = with_zero_weights(build_space(catalog_entry("g1"), resolution=32))
     forks = forks_counted(monkeypatch)
     monkeypatch.setattr(spectrum, "_FORK_MIN_N", 2)
     est = first_eigenvalue(atoms, restarts=4, seed=0)
@@ -490,11 +501,7 @@ def test_failed_fork_falls_back_inline(monkeypatch):
     # the pipe made for the child is closed
     mm = build_space(catalog_entry("g1"), resolution=32)
     inline = first_eigenvalue(mm, restarts=8, seed=1)
-
-    def refused():
-        raise BlockingIOError("fork: no process to spare")
-
-    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, "fork", refuse_fork)
     fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     got = first_eigenvalue(mm, restarts=8, seed=1)
     if fds is not None:
@@ -560,6 +567,98 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
         waiter.join()
     assert threaded.value == serial.value
     assert np.array_equal(threaded.certificate.values, serial.certificate.values)
+
+
+def catalog_target(cid, resolution):
+    """A catalog space and the certificates ``ccmm verify`` passes with it."""
+    entry = catalog_entry(cid)
+    certified = dict(entry.certified)
+    certified.setdefault("dim", entry.spec.domain.dim)
+    return build_space(entry, resolution=resolution), certified
+
+
+def verify_all(mm, certified, sections=tuple(SECTIONS)):
+    """The report of ``run_verify`` on the given sections, as JSON."""
+    return json.dumps(run_verify(mm, sections=sections, certified=certified).to_dict())
+
+
+@pytest.mark.parametrize("cid, resolution", [("g1", 32), ("t2", 5)])
+def test_run_verify_early_oracle_matches_refused_fork(monkeypatch, cid, resolution):
+    # the child run_verify forks before its first entry gives the report of
+    # the oracle computed in process, byte for byte, with one fork per call
+    mm, certified = catalog_target(cid, resolution)
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", 2)
+    forks = forks_counted(monkeypatch)
+    early = verify_all(mm, certified)
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    assert verify_all(mm, certified) == early
+
+
+@pytest.mark.parametrize("case", ["sec6 not requested", "zero-weight point",
+                                  "second thread", "below the gate"])
+def test_run_verify_forks_only_for_the_oracle_start(monkeypatch, case):
+    mm, certified = catalog_target("g1", 32)
+    sections = tuple(SECTIONS)
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", mm.n + 1 if case == "below the gate" else 2)
+    if case == "sec6 not requested":
+        sections = ("sec3", "sec4", "sec5")
+    if case == "zero-weight point":
+        mm = with_zero_weights(mm)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    if case == "second thread":
+        waiter.start()
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail(f"forked with {case}"))
+    try:
+        report = json.loads(verify_all(mm, certified, sections))
+    finally:
+        release.set()
+        if waiter.is_alive():
+            waiter.join()
+    # the eigenvalue entries ran, on the oracle computed in process
+    assert (report["results"]["thm61"]["status"] == "skipped") == (case == "sec6 not requested")
+
+
+def test_run_verify_entry_error_leaves_no_child(monkeypatch):
+    # a sec3 entry raising while the oracle child works: the error reaches
+    # the caller and the child is killed and reaped
+    class Boom(Exception):
+        pass
+
+    def raising(ctx):
+        raise Boom
+
+    suite = tuple((tid, sec, needs, raising if tid == "thm38" else run)
+                  for tid, sec, needs, run in verify._SUITE)
+    monkeypatch.setattr(verify, "_SUITE", suite)
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", 2)
+    forks = forks_counted(monkeypatch)
+    with pytest.raises(Boom):
+        verify_all(*catalog_target("g1", 32))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_run_verify_calls_first_eigenvalue_once_by_its_module_name(monkeypatch):
+    # the benchmark's tracer rebinds ccmm.verify.first_eigenvalue: each
+    # run_verify calls that name once, handing it the child it forked
+    handed = []
+
+    def wrapper(*args, **kwargs):
+        handed.append(kwargs["oracle"])
+        return first_eigenvalue(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "first_eigenvalue", wrapper)
+    monkeypatch.setattr(spectrum, "_FORK_MIN_N", 2)
+    forks = forks_counted(monkeypatch)
+    mm, certified = catalog_target("g1", 32)
+    for calls in (1, 2):
+        verify_all(mm, certified)
+        assert len(handed) == len(forks) == calls
+        assert handed[-1] is not None
+    assert_no_child_left()
 
 
 def test_first_eigenvalue_two_point_exact():
