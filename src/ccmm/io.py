@@ -78,14 +78,14 @@ def space_from_dict(doc: dict) -> MetricMeasureSpace:
     return MetricMeasureSpace(space, pm)
 
 
+def _fields_after_dist(mm: MetricMeasureSpace) -> dict:
+    return {"edges": None, "measure": [float(x) for x in mm.weights],
+            "labels": list(mm.space.labels) if mm.space.labels else None}
+
+
 def space_to_dict(mm: MetricMeasureSpace) -> dict:
-    return {
-        "n": mm.n,
-        "dist": [[float(x) for x in row] for row in mm.dist],
-        "edges": None,
-        "measure": [float(x) for x in mm.weights],
-        "labels": list(mm.space.labels) if mm.space.labels else None,
-    }
+    return {"n": mm.n, "dist": [[float(x) for x in row] for row in mm.dist],
+            **_fields_after_dist(mm)}
 
 
 def save_space(mm: MetricMeasureSpace, path) -> None:
@@ -94,10 +94,13 @@ def save_space(mm: MetricMeasureSpace, path) -> None:
 
 def space_hash(mm: MetricMeasureSpace) -> str:
     """Hash of the canonical space serialization, json.dumps with sorted keys
-    (identifies the input), fed to the hash chunk by chunk, never whole."""
-    digest = hashlib.sha256()
-    for chunk in json.JSONEncoder(sort_keys=True).iterencode(space_to_dict(mm)):
-        digest.update(chunk.encode())
+    (identifies the input), fed to the hash one distance row at a time,
+    never whole: "dist" sorts first, and the other keys follow it."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    digest = hashlib.sha256(b'{"dist": [')
+    for i, row in enumerate(mm.dist):
+        digest.update((", " * (i > 0) + encode(row.tolist())).encode())
+    digest.update(("], " + encode({"n": mm.n, **_fields_after_dist(mm)})[1:]).encode())
     return digest.hexdigest()[:16]
 
 

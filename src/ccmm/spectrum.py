@@ -8,10 +8,9 @@ centerings exactly for the squared loss).
 
 The quotient is nonsmooth and multi-modal, so the minimizer anneals a
 log-sum-exp smoothing of the slope over six temperature stages with
-multi-start initialization (a symmetric graph-Laplacian eigenvector,
-distance cones, random fields; on larger spaces a forked child computes the
-eigenvector while the other starts descend, and under ``run_verify`` while
-the entries before sec6 run too) and polishes with exact subgradient steps;
+multi-start initialization (a symmetric graph-Laplacian eigenvector, from
+an in-module Jacobi solver below 32 points and from LAPACK at 32 or more,
+distance cones, random fields) and polishes with exact subgradient steps;
 both steps read one (rows, n, n) quotient stack built by ``_quotients``.
 All internal scales are relative, which makes the whole pipeline exactly
 equivariant under rescaling distances by powers of two.
@@ -20,9 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +76,7 @@ def rayleigh_quotient(mm: MetricMeasureSpace, f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# symmetric graph-Laplacian oracle (in-module Jacobi eigensolver, forkable)
+# symmetric graph-Laplacian oracle (in-module Jacobi eigensolver, LAPACK from 32 points)
 # ---------------------------------------------------------------------------
 
 def _jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,11 +169,32 @@ def _oracle_matrix(dist: np.ndarray, w: np.ndarray, k: int) -> tuple[np.ndarray,
     return L * inv_sqrt[:, None] * inv_sqrt[None, :], inv_sqrt
 
 
+# LAPACK diagonalizes the oracle matrix from this many points on, the Jacobi
+# below, where its bits are pinned.  On random spaces (one BLAS thread,
+# x86-64) the Jacobi took 1.8, 16, 72, 443 and 2384 ms at n = 12, 32, 64,
+# 128 and 256; LAPACK 0.03, 0.09, 0.38, 1.6 and 6.0 ms.
+_LAPACK_MIN_N = 32
+
+
 def _oracle_eigenpair(dist: np.ndarray, w: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    """Spectral-gap eigenpair of the oracle Laplacian of ``_oracle_matrix``."""
+    """Spectral-gap eigenpair of the oracle Laplacian of ``_oracle_matrix``.
+
+    Below ``_LAPACK_MIN_N`` points ``_jacobi_eigh`` diagonalizes it, bit for
+    bit on every host.  From there on LAPACK's symmetric eigensolver
+    (``np.linalg.eigh``) does, and reads only the lower triangle: the
+    matrix is not bitwise symmetric under nonuniform weights.  Its vector
+    has an arbitrary sign and last bits that vary with the BLAS thread
+    count, so the vector is rounded to multiples of 2^-24 and then flipped to
+    make its largest-magnitude entry (the first on ties) positive.  A gap of
+    multiplicity above one still leaves the vector LAPACK's choice of basis.
+    """
     B, inv_sqrt = _oracle_matrix(dist, w, k)
-    vals, vecs = _jacobi_eigh(B)
-    return float(vals[1]), vecs[:, 1] * inv_sqrt
+    if len(B) < _LAPACK_MIN_N:
+        vals, vecs = _jacobi_eigh(B)
+        return float(vals[1]), vecs[:, 1] * inv_sqrt
+    vals, vecs = np.linalg.eigh(B)
+    v = np.ldexp(np.round(np.ldexp(vecs[:, 1] * inv_sqrt, 24)), -24)
+    return float(vals[1]), v if v[np.argmax(np.abs(v))] > 0.0 else -v
 
 
 DEFAULT_ORACLE_K = 4
@@ -187,7 +204,8 @@ def symmetric_oracle(mm: MetricMeasureSpace, k: int = DEFAULT_ORACLE_K) -> float
     """Spectral gap of the k-NN graph Laplacian on a symmetric space.
 
     A cross-check and initializer for the slope-based estimate, not ground
-    truth for it; raises on asymmetric input.
+    truth for it; raises on asymmetric input.  From ``_LAPACK_MIN_N``
+    points on the value is LAPACK's, last bits included.
     """
     if not mm.space.is_symmetric():
         raise ValueError("symmetric_oracle requires a symmetric space")
@@ -357,117 +375,52 @@ def _descend(dpos: np.ndarray, invd: np.ndarray, w: np.ndarray, F0: np.ndarray,
     return best_val, np.where(ok[:, None], best_F, F0)
 
 
-# A forked child computes the oracle start from this many points on.  Per
-# call (restarts=8, 2-core x86-64) at n = 12, 16, 24, 32, 48, 64, 96: 21, 27,
-# 46, 67, 132, 230, 501 ms inline, 32, 35, 51, 62, 110, 159, 308 ms forked.
-_FORK_MIN_N = 32
-
-
-def _start_oracle(mm: MetricMeasureSpace):
-    """Fork a child that writes the oracle start's raw float64 bytes to a pipe
-    and leaves by ``os._exit``; returns its pid and the pipe's read end, or
-    None: below ``_FORK_MIN_N`` points, with no oracle start (a weight <= 0,
-    the test _oracle_matrix makes), without ``os.fork``, beside a second
-    thread, or when no process can be forked."""
-    w = mm.weights
-    if (mm.n < _FORK_MIN_N or np.any(w <= 0) or not hasattr(os, "fork")
-            or threading.active_count() != 1):
-        return None
-    fd, out = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for end in (fd, out):
-            os.close(end)
-        return None
-    if pid == 0:
-        try:
-            os.close(fd)
-            sym = 0.5 * (mm.dist + mm.dist.T)
-            with open(out, "wb") as pipe:
-                pipe.write(_oracle_eigenpair(sym, w, DEFAULT_ORACLE_K)[1].tobytes())
-            os._exit(0)  # never returns, so the finally runs only on a failure
-        finally:
-            os._exit(1)
-    os.close(out)
-    return pid, open(fd, "rb")
-
-
-def _stop_oracle(child) -> None:
-    """Kill and reap an oracle child whose start is not read, and close its pipe."""
-    pid, pipe = child
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    pipe.close()
-
-
 def first_eigenvalue(mm: MetricMeasureSpace, restarts: int = 32,
-                     seed: int = 0, *, oracle=None) -> EigenEstimate:
+                     seed: int = 0) -> EigenEstimate:
     """Multi-start slope-descent estimate of the first eigenvalue.
 
     Starts are the symmetric-oracle eigenvector (on the symmetrized
     distances when the space is irreversible), the best distance cones, and
     random fields with amplitude equal to the diameter, descending together
-    in ``_ROW_BUDGET`` blocks.  A child forked by ``_start_oracle`` (see its
-    gate) computes the oracle start while the others descend; it descends
-    alone after them, bit for bit.  ``oracle`` passes a child the caller
-    started earlier, as ``run_verify`` does; this call then reaps it and forks
-    none.  Deterministic given the seed; the returned value is the quotient of
-    the certificate field, the first of the best restarts.  Raises ValueError
-    unless at least two points carry mass, RuntimeError if the child fails.
+    in ``_ROW_BUDGET`` blocks.  Deterministic given the seed; the returned
+    value is the quotient of the certificate field, the first of the best
+    restarts.  Raises ValueError unless at least two points carry mass.
     """
-    child = oracle
-    try:
-        w = mm.weights
-        if np.count_nonzero(w > 0) < 2:
-            raise ValueError("the first eigenvalue needs at least two points of positive mass")
-        if restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        child = child or _start_oracle(mm)
-        dist, n = mm.dist, mm.n
-        dpos = _positive(dist)
-        invd = 1.0 / dpos
-        block = min(restarts, _row_block(8 * n * n))
-        buf = np.empty((block, n, n))
+    w = mm.weights
+    if np.count_nonzero(w > 0) < 2:
+        raise ValueError("the first eigenvalue needs at least two points of positive mass")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    dist, n = mm.dist, mm.n
+    dpos = _positive(dist)
+    invd = 1.0 / dpos
 
-        inits = []
-        if child:  # row 0, a placeholder while the child computes it
-            inits.append(np.zeros(n))
-        elif not np.any(w <= 0):  # the test _oracle_matrix makes
-            inits.append(_oracle_eigenpair(0.5 * (dist + dist.T), w, DEFAULT_ORACLE_K)[1])
+    inits = []
+    if not np.any(w <= 0):  # the test _oracle_matrix makes
+        inits.append(_oracle_eigenpair(0.5 * (dist + dist.T), w, DEFAULT_ORACLE_K)[1])
 
-        # the cones out of and into every point, best numerator first
-        cones, ok = _normalized(np.concatenate((dist, -dist.T)), w)
-        cones = cones[ok]
-        # one cone's (n, n) quotients at a time; a 1-d vecdot takes the same dot
-        # product as each row of _exact_numerator's 2-d one
-        nums = np.array([np.vecdot(_slopes(dpos, c) ** 2, w) for c in cones])
-        n_cone = min(len(cones), max(0, (restarts - len(inits)) // 2))
-        inits.extend(cones[np.argsort(nums, kind="stable")[:n_cone]])
+    # the cones out of and into every point, best numerator first
+    cones, ok = _normalized(np.concatenate((dist, -dist.T)), w)
+    cones = cones[ok]
+    # one cone's (n, n) quotients at a time; a 1-d vecdot takes the same dot
+    # product as each row of _exact_numerator's 2-d one
+    nums = np.array([np.vecdot(_slopes(dpos, c) ** 2, w) for c in cones])
+    n_cone = min(len(cones), max(0, (restarts - len(inits)) // 2))
+    inits.extend(cones[np.argsort(nums, kind="stable")[:n_cone]])
 
-        rng = np.random.default_rng(seed)
-        amp = diameter(mm.space)
-        while len(inits) < restarts:
-            inits.append(rng.uniform(0.0, 1.0, n) * amp)
-        F0 = np.array(inits[:restarts])
+    rng = np.random.default_rng(seed)
+    amp = diameter(mm.space)
+    while len(inits) < restarts:
+        inits.append(rng.uniform(0.0, 1.0, n) * amp)
+    F0 = np.array(inits[:restarts])
 
-        vals, fields = np.empty(restarts), np.empty((restarts, n))
-        for i in range(1 if child else 0, restarts, block):
-            vals[i:i + block], fields[i:i + block] = _descend(dpos, invd, w, F0[i:i + block], buf)
-        if child:
-            pid, pipe = child
-            data = pipe.read()  # to the end: the child has exited or died
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pipe.close()
-            child = None  # reaped
-            if code != 0 or len(data) != 8 * n:
-                raise RuntimeError(f"the oracle's child exited {code} after "
-                                   f"sending {len(data)} of {8 * n} bytes")
-            F0[0] = np.frombuffer(data)
-            vals[:1], fields[:1] = _descend(dpos, invd, w, F0[:1], buf)
-    finally:
-        if child:  # raised before reading the child
-            _stop_oracle(child)
+    # the scratch comes after the starts: the oracle's and the cone ranking's
+    # temporaries are freed by then
+    block = min(restarts, _row_block(8 * n * n))
+    buf = np.empty((block, n, n))
+    vals, fields = np.empty(restarts), np.empty((restarts, n))
+    for i in range(0, restarts, block):
+        vals[i:i + block], fields[i:i + block] = _descend(dpos, invd, w, F0[i:i + block], buf)
     best = int(np.argmin(vals))  # the first minimum, as a strict < scan keeps
     if not vals[best] < math.inf:
         raise RuntimeError("no usable start produced a nonconstant field")

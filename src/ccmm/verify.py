@@ -7,8 +7,7 @@ violated strengthened inequality proves nothing), and "skipped" when a
 precondition is missing (exact enumeration infeasible, no curvature
 certificate, section not requested).  Failing entries carry a serialized
 witness.  Entries run one after another, in report order, so reports are
-deterministic for fixed inputs and seed; only the eigenvalue's oracle start
-runs beside them, in a child forked before the first entry.
+deterministic for fixed inputs and seed.
 """
 from __future__ import annotations
 
@@ -54,8 +53,6 @@ from .isoperimetry import (
 from .quasimetric import MetricMeasureSpace, _balls, _count_below
 from .spectrum import (
     ChengInputs,
-    _start_oracle,
-    _stop_oracle,
     alpha_bound_from_spectral_gap,
     cheng_upper_bound,
     first_eigenvalue,
@@ -123,7 +120,6 @@ class _SuiteContext:
         self.K = (certified or {}).get("K", 0.0)
         self.cheng = cheng
         self.exact_ok = mm.n <= EXACT_MAX_N
-        self.oracle = None  # the oracle child run_verify started, until eigen takes it
 
     @cached_property
     def family(self):
@@ -141,9 +137,8 @@ class _SuiteContext:
 
     @cached_property
     def eigen(self):
-        oracle, self.oracle = self.oracle, None  # first_eigenvalue reaps it
         # by the module-level name, which a tracer may rebind
-        return first_eigenvalue(self.mm, restarts=self.restarts, seed=self.seed, oracle=oracle)
+        return first_eigenvalue(self.mm, restarts=self.restarts, seed=self.seed)
 
     @cached_property
     def lem51(self):
@@ -435,9 +430,7 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
     two points carry mass.  ``certified`` carries analytic curvature
     constants (catalog provenance), ``cheng`` the inputs of the diameter
     bound.  Deterministic given the seed.  Entries run serially in report
-    order, while a child forked before the first one (``_start_oracle``'s
-    gate) computes sec6's oracle start; it is reaped on every exit.
-    ``threads`` is validated (at least 1) and accepted for compatibility,
+    order.  ``threads`` is validated (at least 1) and accepted for compatibility,
     but does not change how the suite runs.
     """
     sections = tuple(sections)
@@ -456,26 +449,19 @@ def run_verify(mm: MetricMeasureSpace, sections=("sec3", "sec4", "sec5", "sec6")
     ctx = _SuiteContext(mm, seed, restarts, certified, cheng)
     # a measure on fewer than two points has no first eigenvalue to estimate
     no_gap = np.count_nonzero(mm.weights > 0) < 2
-    if "sec6" in sections and mm.n >= 2 and not no_gap:
-        # sec3 to sec5 run while a forked child computes the oracle start
-        ctx.oracle = _start_oracle(mm)
     entries = {}
-    try:
-        for tid, section, needs, run in _SUITE:
-            unmet = needs and needs(ctx)
-            if section not in sections:
-                entries[tid] = _skip("section not requested")
-            elif mm.n < 2:
-                entries[tid] = _skip("one-point space: nothing to check")
-            elif no_gap and section == "sec6":
-                # sec6, the eigenvalue section, holds exactly the entries that read ctx.eigen
-                entries[tid] = _skip("the first eigenvalue needs at least two points "
-                                     "of positive mass")
-            else:
-                entries[tid] = _skip(unmet) if unmet else run(ctx)
-    finally:
-        if ctx.oracle:  # an entry raised before sec6 read the child
-            _stop_oracle(ctx.oracle)
+    for tid, section, needs, run in _SUITE:
+        unmet = needs and needs(ctx)
+        if section not in sections:
+            entries[tid] = _skip("section not requested")
+        elif mm.n < 2:
+            entries[tid] = _skip("one-point space: nothing to check")
+        elif no_gap and section == "sec6":
+            # sec6, the eigenvalue section, holds exactly the entries that read ctx.eigen
+            entries[tid] = _skip("the first eigenvalue needs at least two points "
+                                 "of positive mass")
+        else:
+            entries[tid] = _skip(unmet) if unmet else run(ctx)
 
     meta = {
         "seed": seed,

@@ -40,6 +40,8 @@ def test_space_hash_is_the_hash_of_the_whole_json_text():
     spaces += [build_space(catalog_entry(name)) for name in ("g1", "t2", "r1")]
     spaces.append(MetricMeasureSpace.with_uniform(QuasiMetricSpace(
         [[0, 1, 2], [1, 0, 1.5], [2, 2, 0]], labels=("α", "Ω", "☃"))))
+    # one row: the hash is fed no row separator
+    spaces.append(MetricMeasureSpace.with_uniform(QuasiMetricSpace([[0.0]])))
     for mm in spaces:
         text = json.dumps(space_to_dict(mm), sort_keys=True)
         assert space_hash(mm) == hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -348,7 +350,7 @@ def test_threads_is_a_verify_option_only(space_file):
 
 # An interpreter that refuses every scipy import, then runs the CLI on its
 # arguments; importing ccmm.cli must leave no scipy module behind, and load
-# neither multiprocessing nor concurrent.futures (the oracle forks on its own).
+# neither multiprocessing nor concurrent.futures (the suite runs in one process).
 _WITHOUT_SCIPY = """
 import sys
 

@@ -1,6 +1,6 @@
 """Peak memory of the subset-row scans, of family certification and of the
-first eigenvalue: the RSS of a fresh interpreter and of the children it
-reaps, and the traced allocations of one call.
+first eigenvalue: the RSS of a fresh interpreter, and the traced
+allocations of one call.
 
 ``ru_maxrss`` is a process's high-water mark, so every RSS measurement runs
 in its own subprocess.  Linux carries the mark across exec: a child started
@@ -27,14 +27,11 @@ products and the envelope kept every row's tops.  Sampled validation of a
 1024-point matrix, the check ``io.load_space`` makes above 2000 points,
 peaked at 70 MB with its triples drawn in blocks (89 MB in an earlier
 measurement on the same VM), against 556 MB (with scipy) when all 10 n^2
-were drawn at once.  ``first_eigenvalue`` on g1 at resolution 128
-peaked at 39.6 MB, and the child it forks for the Jacobi oracle at
-26.6 MB, most of it pages shared with the parent (39.7 MB with the oracle
-computed in process).  ``run_verify`` with every section on g1 at
-resolution 128 peaked at 45.6 MB, and the oracle child it forks before its
-first entry at 25.4 MB (30.3 MB when ``first_eigenvalue`` forked it after
-sec3 to sec5 had built the family); the benchmark's ``peak_rss_mb`` reads
-the first only.  Each bound is the peak measured without scipy plus
+were drawn at once.  ``first_eigenvalue`` on g1 at resolution 128, its
+oracle start from LAPACK, peaked at 40.7 MB (39.6 MB while a forked child
+ran the Jacobi oracle, the child itself at 26.6 MB), and ``run_verify``
+with every section on g1 at resolution 128 at 45.7 MB (45.6 MB, the child
+at 25.4 MB).  Each bound is the peak measured without scipy plus
 about 40 MB of headroom.  The same code reads up to about 1.5 MB apart
 from one checkout directory to another, through the allocation layout.
 
@@ -62,10 +59,8 @@ T2_FAMILY_PROFILE_MB = 92      # measured 49.1 MB (75.7 MB with scipy)
 G1_ENLARGEMENT_CHECK_MB = 87   # measured 44.6 MB (71.2 MB with scipy)
 N16_VERIFY_MB = 113            # measured 73.1 MB (101.9 MB with shared sorted rows)
 SAMPLED_VALIDATE_MB = 110      # measured 69.9 MB (97.2 MB with scipy)
-G1_EIGENVALUE_MB = 80          # measured 39.6 MB (39.7 MB with the oracle inline)
-G1_EIGENVALUE_CHILD_MB = 67    # measured 26.6 MB, the oracle's forked child
-G1_VERIFY_MB = 86              # measured 45.6 MB
-G1_VERIFY_CHILD_MB = 66        # measured 25.4 MB (30.3 MB forked after sec5)
+G1_EIGENVALUE_MB = 81          # measured 40.7 MB
+G1_VERIFY_MB = 86              # measured 45.7 MB
 
 G1_FAMILY_TRACED_MB = 3          # measured 0.9 MB (9.4 MB in blocks)
 T2_FAMILY_TRACED_MB = 6          # measured 3.8 MB (11.3 MB in blocks)
@@ -74,13 +69,11 @@ G1_ENLARGEMENT_TRACED_MB = 4.25  # measured 3.5 MB (5.0 MB both directions at on
 LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
 
 
-def peak_rss_with_children_mb(body: str) -> tuple[float, float]:
-    """Peak RSS, in MB, of a fresh interpreter that runs ``body``, and the
-    largest peak among the children it reaped."""
+def peak_rss_mb(body: str) -> float:
+    """Peak RSS, in MB, of a fresh interpreter that runs ``body``."""
     code = textwrap.dedent(body) + textwrap.dedent("""
         import resource
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-              resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         """)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -88,13 +81,7 @@ def peak_rss_with_children_mb(body: str) -> tuple[float, float]:
     proc = subprocess.run([sys.executable, "-c", LAUNCH, code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    own, children = proc.stdout.split()[-2:]
-    return int(own) / 1024, int(children) / 1024  # Linux reports kilobytes
-
-
-def peak_rss_mb(body: str) -> float:
-    """Peak RSS, in MB, of a fresh interpreter that runs ``body``."""
-    return peak_rss_with_children_mb(body)[0]
+    return int(proc.stdout.split()[-1]) / 1024  # Linux reports kilobytes
 
 
 def test_family_profile_peak_rss():
@@ -133,29 +120,23 @@ def test_verify_all_on_sixteen_points_peak_rss():
     assert peak <= N16_VERIFY_MB, peak
 
 
-def test_first_eigenvalue_peak_rss_with_its_child():
-    # the benchmark's peak_rss_mb sees only the parent; the forked oracle
-    # child's own peak, mostly pages it shares with the parent, is gated too
-    own, child = peak_rss_with_children_mb("""
+def test_first_eigenvalue_peak_rss():
+    peak = peak_rss_mb("""
         from ccmm import build_space, catalog_entry, first_eigenvalue
         first_eigenvalue(build_space(catalog_entry("g1"), resolution=128), restarts=8)
         """)
-    assert own <= G1_EIGENVALUE_MB, own
-    assert 0 < child <= G1_EIGENVALUE_CHILD_MB, child
+    assert peak <= G1_EIGENVALUE_MB, peak
 
 
-def test_verify_all_on_g1_peak_rss_with_the_oracle_child():
-    # run_verify forks the oracle child before its first entry, so the
-    # child's peak, mostly pages it shares with the parent, is gated too
-    own, child = peak_rss_with_children_mb("""
+def test_verify_all_on_g1_peak_rss():
+    peak = peak_rss_mb("""
         from ccmm import build_space, catalog_entry, run_verify
         from ccmm.verify import SECTIONS
         entry = catalog_entry("g1")
         run_verify(build_space(entry, resolution=128), sections=sorted(SECTIONS),
                    certified=entry.certified)
         """)
-    assert own <= G1_VERIFY_MB, own
-    assert 0 < child <= G1_VERIFY_CHILD_MB, child
+    assert peak <= G1_VERIFY_MB, peak
 
 
 def test_sampled_validation_peak_rss():
