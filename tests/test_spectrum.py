@@ -3,7 +3,9 @@
 The in-place Jacobi solver, the vectorized subgradient and every row of the
 batched descent are pinned bit for bit to the plain loops of
 ``tests/oracles.py``, and concurrent ``first_eigenvalue`` calls must equal
-serial ones exactly.  From ``_LAPACK_MIN_N`` points on the oracle start
+serial ones exactly; so must the oracle row descended alone after the
+others and in the shared block.  Neither ``first_eigenvalue`` nor
+``run_verify`` forks.  From ``_LAPACK_MIN_N`` points on the oracle start
 comes from LAPACK: its sign and grid are fixed, its bytes do not depend on
 the BLAS thread count where the gap is simple, and the pinned benchmark
 reports of the two catalog workloads are reproduced exactly.
@@ -564,6 +566,74 @@ def test_first_eigenvalue_concurrent_calls_match_serial():
         assert np.array_equal(got.certificate.values, want.certificate.values)
 
 
+def forbid_fork(monkeypatch, why="forked"):
+    """Patch ``os.fork`` to fail the test if anything calls it."""
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail(why))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_mm_space(3), lambda: random_mm_space(11),
+    lambda: build_space(catalog_entry("t2"), resolution=5),
+    lambda: build_space(catalog_entry("g1"), resolution=32),
+    lambda: random_mm_space(0, 40, 40), lambda: random_mm_space(0)],
+    ids=["random-3", "random-11", "t2@5", "g1@32", "random-0-n40", "random-0"])
+def test_forked_oracle_matches_inline(monkeypatch, make):
+    # the oracle row descended alone after the others, as a forked child
+    # once ran it, gives the bits it gets in the shared block (on
+    # random_mm_space(0) the oracle start gives the estimate)
+    mm = make()
+    inline = first_eigenvalue(mm, restarts=8, seed=1)
+    descend, split = spectrum._descend, []
+
+    def oracle_row_last(dpos, invd, w, F0, buf):
+        if split:
+            return descend(dpos, invd, w, F0, buf)
+        split.append(F0[0])
+        vals, fields = descend(dpos, invd, w, F0[1:], buf)
+        val, field = descend(dpos, invd, w, F0[:1], buf)
+        return np.concatenate((val, vals)), np.concatenate((field, fields))
+
+    monkeypatch.setattr(spectrum, "_descend", oracle_row_last)
+    forbid_fork(monkeypatch)
+    alone = first_eigenvalue(mm, restarts=8, seed=1)
+    assert split and split[0].tobytes() == oracle_start(mm).tobytes()
+    assert alone.value == inline.value
+    assert alone.certificate.values.tobytes() == inline.certificate.values.tobytes()
+
+
+def with_zero_weights(mm):
+    """``mm`` with its first two points weighing nothing: no oracle start."""
+    w = mm.weights.copy()
+    w[[0, 1]] = 0.0
+    w /= w.sum()
+    return MetricMeasureSpace(mm.space, ProbabilityMeasure(w))
+
+
+def test_no_fork_without_the_oracle_start(monkeypatch):
+    # a zero-weight point leaves no oracle start; the descent still runs
+    atoms = with_zero_weights(build_space(catalog_entry("g1"), resolution=32))
+    forbid_fork(monkeypatch)
+    est = first_eigenvalue(atoms, restarts=4, seed=0)
+    assert math.isfinite(est.value)
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    # g1@32, alone and beside a live thread: no fork, the same bits
+    mm = build_space(catalog_entry("g1"), resolution=32)
+    forbid_fork(monkeypatch)
+    serial = first_eigenvalue(mm, restarts=8, seed=2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        threaded = first_eigenvalue(mm, restarts=8, seed=2)
+    finally:
+        release.set()
+        waiter.join()
+    assert threaded.value == serial.value
+    assert np.array_equal(threaded.certificate.values, serial.certificate.values)
+
+
 def catalog_target(cid, resolution):
     """A catalog space and the certificates ``ccmm verify`` passes with it."""
     entry = catalog_entry(cid)
@@ -577,14 +647,48 @@ def verify_all(mm, certified, sections=tuple(SECTIONS)):
     return json.dumps(run_verify(mm, sections=sections, certified=certified).to_dict())
 
 
-def test_no_fork_in_first_eigenvalue_or_run_verify(monkeypatch):
-    # the oracle start is computed in process at every size, LAPACK's included
+def test_failed_fork_falls_back_inline(monkeypatch):
+    # the oracle start is computed in process at every size, LAPACK's
+    # included: first_eigenvalue and run_verify call os.fork zero times, and
+    # give the estimate and the report they give with fork left in place
     mm, certified = catalog_target("g1", 32)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    est = first_eigenvalue(mm, restarts=8, seed=1)
-    assert math.isfinite(est.value)
-    report = json.loads(verify_all(mm, certified))
-    assert report["results"]["thm61"]["status"] != "skipped"
+    inline, report = first_eigenvalue(mm, restarts=8, seed=1), verify_all(mm, certified)
+    forbid_fork(monkeypatch)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    got = first_eigenvalue(mm, restarts=8, seed=1)
+    assert got.value == inline.value
+    assert np.array_equal(got.certificate.values, inline.certificate.values)
+    assert verify_all(mm, certified) == report
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == fds
+    assert json.loads(report)["results"]["thm61"]["status"] != "skipped"
+
+
+@pytest.mark.parametrize("case", ["sec6 not requested", "zero-weight point",
+                                  "second thread", "below the gate"])
+def test_run_verify_forks_only_for_the_oracle_start(monkeypatch, case):
+    # no case forks, the Jacobi's (below the gate) and LAPACK's oracle alike
+    mm, certified = catalog_target("g1", 32)
+    sections = tuple(SECTIONS)
+    if case == "below the gate":
+        monkeypatch.setattr(spectrum, "_LAPACK_MIN_N", mm.n + 1)
+    if case == "sec6 not requested":
+        sections = ("sec3", "sec4", "sec5")
+    if case == "zero-weight point":
+        mm = with_zero_weights(mm)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    if case == "second thread":
+        waiter.start()
+    forbid_fork(monkeypatch, f"forked with {case}")
+    try:
+        report = json.loads(verify_all(mm, certified, sections))
+    finally:
+        release.set()
+        if waiter.is_alive():
+            waiter.join()
+    # the eigenvalue entries ran, on the oracle computed in process
+    assert (report["results"]["thm61"]["status"] == "skipped") == (case == "sec6 not requested")
 
 
 def test_run_verify_calls_first_eigenvalue_once_by_its_module_name(monkeypatch):
