@@ -133,8 +133,7 @@ def cmd_alpha(args) -> int:
         profile_to_csv(profile, args.out)
         print(f"wrote {args.out} ({len(profile.radii)} breakpoints)")
     else:
-        for r, a in profile.breakpoints:
-            print(f"{r:.12g},{a:.12g}")
+        profile_to_csv(profile, sys.stdout)
     return 0
 
 

@@ -9,8 +9,8 @@ shortest-path closure turns the graph into a quasi-metric space; measures
 are weighted by e^{-psi} times the Riemannian volume density.
 
 Metric and one-form callables receive covering-space coordinates along
-chords; supply periodic callables on periodic domains (the catalog entries
-use constant or coordinate-periodic data throughout).
+chords; supply periodic callables on periodic domains (the catalog's
+documents use constant or coordinate-periodic data throughout).
 """
 from __future__ import annotations
 
@@ -281,76 +281,40 @@ def build_space(entry: CatalogEntry, resolution: int | None = None) -> MetricMea
 # the catalog
 # ---------------------------------------------------------------------------
 
-def _identity_metric(dim: int):
-    eye = np.eye(dim)
-
-    def a(_x: np.ndarray) -> np.ndarray:
-        return eye
-
-    return a
+def _round_sphere(x: np.ndarray) -> np.ndarray:
+    """The round unit sphere's tensor diag(1, sin^2 theta) at (theta, phi)."""
+    s = math.sin(float(x[0]))
+    return np.array([[1.0, 0.0], [0.0, s * s]])
 
 
-def _zero_form(dim: int):
-    zero = np.zeros(dim)
-
-    def b(_x: np.ndarray) -> np.ndarray:
-        return zero
-
-    return b
+# The shipped example spaces, as the documents that ``entry_from_dict`` reads.
+_CATALOG = (
+    {"id": "g1", "domain": {"type": "interval", "x0": -5.0, "x1": 5.0},
+     "resolution": 128, "density": {"type": "quadratic", "k": 1.0},
+     "certified": {"K": 1.0, "D": 10.0},
+     "note": "Gaussian-weighted flat line: the flat metric has zero curvature and "
+             "the weighted term equals the density Hessian, which is K = 1; the "
+             "diameter of the interval is 10."},
+    {"id": "t2", "domain": {"type": "torus", "side": 1.0, "dim": 2},
+     "resolution": 16, "certified": {"K": 0.0, "a": 0.0, "D": 1.0 / math.sqrt(2.0)},
+     "note": "Flat unit square torus with uniform density: flat, undistorted, "
+             "diameter attained at the half-diagonal offset."},
+    {"id": "r1", "domain": {"type": "torus", "side": 1.0, "dim": 1},
+     "resolution": 64, "one_form": [0.3],
+     "note": "Flat circle with a constant one-form of norm 0.3: the canonical "
+             "irreversibility exerciser, no curvature certificate."},
+    {"id": "s2", "domain": {"type": "sphere"}, "resolution": 16, "metric": "round",
+     "certified": {"K": 1.0, "a": 0.0, "D": math.pi},
+     "note": "Round unit sphere on a pole-staggered latitude-longitude grid with "
+             "uniform density: constant curvature one, no distortion, diameter pi."},
+)
 
 
 def catalog() -> list[CatalogEntry]:
-    """The shipped example spaces with analytically certified constants."""
-    entries = []
-
-    entries.append(CatalogEntry(
-        id="g1",
-        spec=RandersSpec(Interval(-5.0, 5.0), _identity_metric(1), _zero_form(1),
-                         resolution=128),
-        density=lambda x: 0.5 * float(x[0]) ** 2,
-        certified={"K": 1.0, "D": 10.0},
-        note="Gaussian-weighted flat line: the flat metric has zero curvature and "
-             "the weighted term equals the density Hessian, which is K = 1; the "
-             "diameter of the interval is 10.",
-    ))
-
-    entries.append(CatalogEntry(
-        id="t2",
-        spec=RandersSpec(Torus(1.0, dim=2), _identity_metric(2), _zero_form(2),
-                         resolution=16),
-        density=lambda x: 0.0,
-        certified={"K": 0.0, "a": 0.0, "D": 1.0 / math.sqrt(2.0)},
-        note="Flat unit square torus with uniform density: flat, undistorted, "
-             "diameter attained at the half-diagonal offset.",
-    ))
-
-    def r1_form(_x: np.ndarray) -> np.ndarray:
-        return np.array([0.3])
-
-    entries.append(CatalogEntry(
-        id="r1",
-        spec=RandersSpec(Torus(1.0, dim=1), _identity_metric(1), r1_form,
-                         resolution=64),
-        density=lambda x: 0.0,
-        certified=None,
-        note="Flat circle with a constant one-form of norm 0.3: the canonical "
-             "irreversibility exerciser, no curvature certificate.",
-    ))
-
-    def sphere_metric(x: np.ndarray) -> np.ndarray:
-        s = math.sin(float(x[0]))
-        return np.array([[1.0, 0.0], [0.0, s * s]])
-
-    entries.append(CatalogEntry(
-        id="s2",
-        spec=RandersSpec(LatLongSphere(), sphere_metric, _zero_form(2),
-                         resolution=16),
-        density=lambda x: 0.0,
-        certified={"K": 1.0, "a": 0.0, "D": math.pi},
-        note="Round unit sphere on a pole-staggered latitude-longitude grid with "
-             "uniform density: constant curvature one, no distortion, diameter pi.",
-    ))
-    return entries
+    """The shipped example spaces with analytically certified constants,
+    built by ``entry_from_dict`` from the same documents that
+    ``ccmm gen --spec`` reads."""
+    return [entry_from_dict(doc) for doc in _CATALOG]
 
 
 def catalog_entry(entry_id: str) -> CatalogEntry:
@@ -362,23 +326,25 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
 
 
 def entry_from_dict(doc: dict) -> CatalogEntry:
-    """A declarative JSON-friendly mirror of CatalogEntry.
+    """The package's one CatalogEntry constructor, from a JSON-friendly
+    document: the catalog's own entries and ``ccmm gen --spec`` files alike.
 
-    Schema:
+    Schema (a missing key takes the first form listed):
       { "id": str,
         "domain": {"type": "interval", "x0": f, "x1": f}
                 | {"type": "torus", "side": f, "dim": 1|2}
                 | {"type": "sphere"},
         "resolution": int,
-        "metric": "euclidean" | "round" | [[...]] (constant matrix),
-        "one_form": [b_1, ...] (constant covector) | null,
+        "metric": "euclidean" (np.eye(dim)) | [[...]] (constant matrix)
+                | "round" (sphere only: diag(1, sin^2 theta)),
+        "one_form": null (zero covector) | [b_1, ...] (constant covector),
         "density": {"type": "uniform"}
                  | {"type": "quadratic", "k": f}   (psi = k |x|^2 / 2),
-        "certified": {"K": f, "a": f, "D": f} | null,
+        "certified": null | {"K": f, "a": f, "D": f},
         "note": str }
 
-    Only constant metric/one-form data and the listed densities are
-    expressible declaratively; richer fields need the Python API.
+    Only constant data, the round sphere and the listed densities are
+    expressible declaratively; richer fields need RandersSpec callables.
     """
     dom = doc["domain"]
     kind = dom["type"]
@@ -392,26 +358,21 @@ def entry_from_dict(doc: dict) -> CatalogEntry:
         raise ValueError(f"unknown domain type {kind!r}")
 
     metric = doc.get("metric", "euclidean")
-    if metric == "euclidean":
-        riem = _identity_metric(domain.dim)
-    elif metric == "round":
+    if metric == "round":
         if kind != "sphere":
             raise ValueError("the 'round' metric is the sphere's coordinate tensor")
-        riem = catalog_entry("s2").spec.riemannian
+        riem = _round_sphere
     else:
-        const = np.asarray(metric, dtype=float)
+        const = np.eye(domain.dim) if metric == "euclidean" else np.asarray(metric, dtype=float)
         if const.shape != (domain.dim, domain.dim):
             raise ValueError(f"metric matrix must be {domain.dim}x{domain.dim}")
         riem = lambda _x, _m=const: _m
 
     form = doc.get("one_form")
-    if form is None:
-        one_form = _zero_form(domain.dim)
-    else:
-        vec = np.asarray(form, dtype=float)
-        if vec.shape != (domain.dim,):
-            raise ValueError(f"one_form must have length {domain.dim}")
-        one_form = lambda _x, _b=vec: _b
+    vec = np.zeros(domain.dim) if form is None else np.asarray(form, dtype=float)
+    if vec.shape != (domain.dim,):
+        raise ValueError(f"one_form must have length {domain.dim}")
+    one_form = lambda _x, _b=vec: _b
 
     dens = doc.get("density", {"type": "uniform"})
     if dens["type"] == "uniform":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +105,16 @@ def space_hash(mm: MetricMeasureSpace) -> str:
     return digest.hexdigest()[:16]
 
 
-def profile_to_csv(profile: ConcentrationProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "alpha", "strategy"])
-        for r, a in zip(profile.radii, profile.alphas):
-            writer.writerow([fmt17(r), fmt17(a), profile.strategy])
+def profile_to_csv(profile: ConcentrationProfile, out) -> None:
+    """``r,alpha,strategy`` rows after a header, to ``out``: a path, or an
+    open text stream such as ``sys.stdout``."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="") as fh:
+            return profile_to_csv(profile, fh)
+    writer = csv.writer(out)
+    writer.writerow(["r", "alpha", "strategy"])
+    for r, a in zip(profile.radii, profile.alphas):
+        writer.writerow([fmt17(r), fmt17(a), profile.strategy])
 
 
 def load_profile_csv(path) -> ConcentrationProfile:

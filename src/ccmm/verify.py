@@ -324,14 +324,16 @@ def _run_thm61(ctx: _SuiteContext) -> VerifyEntry:
     return _estimated(margins[j], {"r": float(rs[j])})
 
 
-def _estimated(margin: float, witness: dict) -> VerifyEntry:
-    """The entry of a check strengthened by the estimated eigenvalue, an
-    upper bound of the true one: a negative margin proves nothing."""
+def _estimated(margin: float, witness: dict,
+               passed: str = "strengthened bound with the estimated eigenvalue",
+               overshoot: str = "estimated eigenvalue overshoots; tighten the estimate",
+               ) -> VerifyEntry:
+    """The entry of a check that reads the estimated eigenvalue, an upper
+    bound of the true one: a negative margin proves nothing.  ``passed``
+    and ``overshoot`` are the notes of the two outcomes."""
     if margin >= -VERDICT_TOL:
-        return VerifyEntry("pass", float(margin),
-                           "strengthened bound with the estimated eigenvalue")
-    return VerifyEntry("inconclusive", float(margin),
-                       "estimated eigenvalue overshoots; tighten the estimate", witness)
+        return VerifyEntry("pass", float(margin), passed)
+    return VerifyEntry("inconclusive", float(margin), overshoot, witness)
 
 
 def _run_gm(ctx: _SuiteContext) -> VerifyEntry:
@@ -366,15 +368,11 @@ def _run_thm63(ctx: _SuiteContext) -> VerifyEntry:
     if ctx.cheng is None:
         return _skip("no Cheng inputs (dimension, distortion, curvature, diameter)")
     bound = cheng_upper_bound(ctx.cheng)
-    m = bound - ctx.eigen.value
-    if m >= -VERDICT_TOL:
-        return VerifyEntry("pass", float(m),
-                           f"estimated eigenvalue {ctx.eigen.value:.6g} below the "
-                           f"diameter bound {bound:.6g}")
-    return VerifyEntry("inconclusive", float(m),
-                       "estimated eigenvalue exceeds the bound; the estimate is an "
-                       "upper bound of the true eigenvalue, so nothing is violated",
-                       {"lambda_hat": ctx.eigen.value, "bound": bound})
+    lam = ctx.eigen.value
+    return _estimated(bound - lam, {"lambda_hat": lam, "bound": bound},
+                      f"estimated eigenvalue {lam:.6g} below the diameter bound {bound:.6g}",
+                      "estimated eigenvalue exceeds the bound; the estimate is an "
+                      "upper bound of the true eigenvalue, so nothing is violated")
 
 
 def _exact(note: str):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ccmm import finsler
 from ccmm.finsler import build_space, catalog_entry
 from ccmm.io import load_profile_csv, load_space, save_space, space_hash, space_to_dict
 from ccmm.quasimetric import MetricMeasureSpace, QuasiMetricSpace, random_mm_space
@@ -124,6 +125,24 @@ def test_alpha_csv_roundtrip(tmp_path, space_file):
     direct = alpha_profile(mm)
     assert np.array_equal(prof.radii, direct.radii)
     assert np.array_equal(prof.alphas, direct.alphas)
+
+
+@pytest.mark.parametrize("strategy", ["exact", "family"])
+def test_alpha_stdout_is_the_out_file(tmp_path, space_file, strategy):
+    out = tmp_path / "profile.csv"
+    cmd = [sys.executable, "-m", "ccmm.cli", "alpha", str(space_file), "--strategy", strategy]
+    printed = subprocess.run(cmd, capture_output=True)
+    written = subprocess.run(cmd + ["--out", str(out)], capture_output=True)
+    assert printed.returncode == written.returncode == 0, printed.stderr + written.stderr
+    assert printed.stdout == out.read_bytes()
+    back_path = tmp_path / "printed.csv"
+    back_path.write_bytes(printed.stdout)
+    back = load_profile_csv(back_path)
+    from ccmm.concentration import alpha_profile
+    direct = alpha_profile(load_space(space_file), strategy=strategy, seed=0)
+    assert np.array_equal(back.radii, direct.radii)
+    assert np.array_equal(back.alphas, direct.alphas)
+    assert back.strategy == strategy
 
 
 def test_obsdiam_command(tmp_path, space_file):
@@ -295,7 +314,7 @@ def test_alpha_one_point_space_is_zero_at_every_radius(tmp_path):
     for strategy in ("exact", "family"):
         res = run_cli("alpha", str(path), "--strategy", strategy)
         assert res.returncode == 0, res.stderr
-        assert res.stdout == ""  # no attained distance, so no breakpoint
+        assert res.stdout == "r,alpha,strategy\n"  # no attained distance, so no breakpoint
         out = tmp_path / f"{strategy}.csv"
         assert run_cli("alpha", str(path), "--strategy", strategy,
                        "--out", str(out)).returncode == 0
@@ -322,6 +341,26 @@ def test_gen_torus_of_unsupported_dimension_is_usage_error(tmp_path, dim):
     assert res.returncode == 2
     assert f"error: torus dim must be 1 or 2, got {dim}" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("doc", finsler._CATALOG, ids=lambda doc: doc["id"])
+def test_catalog_document_as_spec_file_gives_the_catalog_space(tmp_path, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    for resolution in ((), ("--resolution", "8")):
+        by_spec = run_cli("gen", "--spec", str(spec), *resolution)
+        by_id = run_cli("gen", "--catalog", doc["id"], *resolution)
+        assert by_spec.returncode == by_id.returncode == 0, by_spec.stderr + by_id.stderr
+        assert json.loads(by_spec.stdout) == json.loads(by_id.stdout)
+
+
+def test_gen_round_metric_off_the_sphere_is_usage_error(tmp_path):
+    spec = tmp_path / "round-torus.json"
+    spec.write_text(json.dumps({"domain": {"type": "torus", "side": 1.0, "dim": 2},
+                                "resolution": 4, "metric": "round"}))
+    res = run_cli("gen", "--spec", str(spec))
+    assert res.returncode == 2
+    assert res.stderr == "error: the 'round' metric is the sphere's coordinate tensor\n"
 
 
 def test_verify_zero_restarts_is_usage_error(tmp_path):

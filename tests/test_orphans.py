@@ -14,6 +14,10 @@ name a module imports from a sibling ``ccmm`` module is used there;
 Every blocked kernel also sizes its blocks from one byte budget,
 ``quasimetric._ROW_BUDGET``: no other module defines a ``*_BUDGET`` name.
 
+Every ``CatalogEntry`` comes from one constructor, ``finsler.entry_from_dict``:
+the catalog's entries are documents it reads, as ``ccmm gen --spec`` files
+are, and no other code of the package calls ``CatalogEntry(...)``.
+
 The package holds no ``assert`` statement: ``python -O`` strips them, so a
 condition the code relies on at run time raises instead.
 """
@@ -82,6 +86,21 @@ def budgets(src=SRC):
             for name in defined_names(node) if name.endswith("_BUDGET")]
 
 
+def catalog_entry_calls(src=SRC):
+    """(module, line) of every call of ``CatalogEntry``, by name or as an
+    attribute, in the package at ``src`` outside ``finsler.entry_from_dict``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(sub) for node in tree.body
+                   if path.name == "finsler.py" and isinstance(node, ast.FunctionDef)
+                   and node.name == "entry_from_dict" for sub in ast.walk(node)}
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and "CatalogEntry" in referenced_names(node.func)]
+    return found
+
+
 def asserts(src=SRC):
     """(module, line) of every ``assert`` statement of the package at ``src``."""
     return [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
@@ -144,3 +163,20 @@ def test_an_assert_is_reported(tmp_path):
         "    return 'assert'\n")
     (tmp_path / "b.py").write_text("assert True\n")
     assert asserts(tmp_path) == [("a.py", 4), ("b.py", 1)]
+
+
+def test_one_catalog_entry_constructor():
+    assert catalog_entry_calls() == []
+
+
+def test_a_second_catalog_entry_constructor_is_reported(tmp_path):
+    (tmp_path / "finsler.py").write_text(
+        "class CatalogEntry:\n    pass\n\n\n"
+        "def entry_from_dict(doc):\n    return CatalogEntry(doc)\n\n\n"
+        "def catalog():\n    # CatalogEntry(...) in a comment\n"
+        "    return [entry_from_dict(d) for d in 'ab'] + [CatalogEntry('c')]\n")
+    (tmp_path / "cli.py").write_text(
+        "from . import finsler\n\n\n"
+        "def entry_from_dict(doc):\n    return finsler.CatalogEntry(doc)\n\n\n"
+        "ENTRY = finsler.entry_from_dict('CatalogEntry(')\n")
+    assert catalog_entry_calls(tmp_path) == [("cli.py", 5), ("finsler.py", 11)]

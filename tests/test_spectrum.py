@@ -833,6 +833,28 @@ def test_cheng_bound_monotonicity():
         ChengInputs(1, 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("D, status", [(1.0, "pass"), (1e3, "inconclusive")])
+def test_thm63_entry_on_either_side_of_the_bound(D, status):
+    # thm63 reads the estimated eigenvalue, an upper bound of the true one,
+    # so an estimate above the bound is inconclusive, never a failure
+    mm = random_mm_space(0)
+    cheng = ChengInputs(2, 0.0, 0.0, D)
+    entry = run_verify(mm, sections=["sec6"], cheng=cheng).results["thm63"]
+    lam = first_eigenvalue(mm, restarts=8, seed=0).value
+    bound = cheng_upper_bound(cheng)
+    assert lam == pytest.approx(0.51568, rel=1e-5)
+    assert bound == pytest.approx({1.0: 4608.0, 1e3: 4.608e-3}[D])
+    assert (entry.status, entry.margin) == (status, bound - lam)
+    if status == "pass":
+        assert entry.notes == f"estimated eigenvalue {lam:.6g} below the diameter bound {bound:.6g}"
+        assert entry.notes == "estimated eigenvalue 0.51568 below the diameter bound 4608"
+        assert entry.witness is None
+    else:
+        assert entry.notes == ("estimated eigenvalue exceeds the bound; the estimate is an "
+                               "upper bound of the true eigenvalue, so nothing is violated")
+        assert entry.witness == {"lambda_hat": lam, "bound": bound}
+
+
 def test_gap_obsdiam_bound_values():
     assert obsdiam_bound_from_spectral_gap(1.0, 2 / math.e) == pytest.approx(
         2 * math.sqrt(2) / math.log(2), rel=1e-12)
