@@ -11,6 +11,7 @@ compatibility only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -60,14 +61,35 @@ def _load_target(target: str) -> tuple[MetricMeasureSpace, dict | None, str]:
     return load_space(target), None, os.path.basename(target)
 
 
+def _emit(text: str) -> None:
+    """``text`` to stdout, where only this writes.  A reader that closed it
+    leaves stdout on os.devnull, and the command its own exit status."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _strategy(args, mm: MetricMeasureSpace) -> str:
+    """--strategy, else exact up to EXACT_MAX_N points and family above."""
+    return args.strategy or ("exact" if mm.n <= EXACT_MAX_N else "family")
+
+
+def _write(text: str, out: str | None, wrote: str = "") -> None:
+    """``text``, with its own line ends, to the file ``out`` and ``wrote`` to
+    stdout, or without ``out`` ``text`` to stdout."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    _emit(wrote if out else text)
+
+
 def _write_json(doc: dict, out: str | None) -> None:
     # insertion order is deterministic (suite order for reports); no re-sort
-    text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def cmd_gen(args) -> int:
@@ -81,7 +103,7 @@ def cmd_gen(args) -> int:
     mm = build_space(entry, resolution=args.resolution)
     if args.out:
         save_space(mm, args.out)
-        print(f"wrote {args.out} (n = {mm.n}, hash {space_hash(mm)})")
+        _emit(f"wrote {args.out} (n = {mm.n}, hash {space_hash(mm)})\n")
     else:
         _write_json({"n": mm.n, "hash": space_hash(mm)}, None)
     return 0
@@ -91,17 +113,17 @@ def cmd_validate(args) -> int:
     with open(args.space) as fh:
         doc = json.load(fh)
     if doc.get("dist") is None:
-        print("space is edge-defined; shortest-path closures satisfy the "
-              "directed triangle inequality by construction")
+        _emit("space is edge-defined; shortest-path closures satisfy the "
+              "directed triangle inequality by construction\n")
         load_space(args.space)
-        print("ok")
+        _emit("ok\n")
         return 0
     result = validate(np.asarray(doc["dist"], dtype=float), rel_tol=args.tol,
                       sampled=args.sampled, seed=args.seed or 0)
     if hasattr(result, "dist"):
-        print(f"ok: valid quasi-metric on {result.n} points")
+        _emit(f"ok: valid quasi-metric on {result.n} points\n")
         return 0
-    print(str(result))
+    _emit(str(result) + "\n")
     return 1
 
 
@@ -128,12 +150,10 @@ def _load_family(path: str, mm: MetricMeasureSpace) -> LipschitzFamily:
 
 def cmd_alpha(args) -> int:
     mm, _, _ = _load_target(args.space)
-    profile = alpha_profile(mm, strategy=args.strategy, seed=args.seed or 0)
-    if args.out:
-        profile_to_csv(profile, args.out)
-        print(f"wrote {args.out} ({len(profile.radii)} breakpoints)")
-    else:
-        profile_to_csv(profile, sys.stdout)
+    profile = alpha_profile(mm, strategy=_strategy(args, mm), seed=args.seed or 0)
+    text = io.StringIO()
+    profile_to_csv(profile, text)
+    _write(text.getvalue(), args.out, f"wrote {args.out} ({len(profile.radii)} breakpoints)\n")
     return 0
 
 
@@ -152,17 +172,11 @@ def cmd_obsdiam(args) -> int:
 def cmd_isoperim(args) -> int:
     mm, _, _ = _load_target(args.space)
     scale = mesh_scale(mm) if args.scale is None else args.scale
-    strategy = args.strategy or ("exact" if mm.n <= EXACT_MAX_N else "family")
+    strategy = _strategy(args, mm)
     prof = isoperimetric_profile(mm, scale, strategy=strategy, seed=args.seed or 0)
     lines = ["mass,content,strategy"]
     lines += [f"{m:.17g},{c:.17g},{strategy}" for m, c in prof]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} (scale {scale:.6g})")
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out, f"wrote {args.out} (scale {scale:.6g})\n")
     return 0
 
 
@@ -203,7 +217,7 @@ def cmd_export(args) -> int:
     if "results" not in doc:
         raise ValueError("not a verification report (no 'results' key)")
     report_to_csv(doc, args.out)
-    print(f"wrote {args.out}")
+    _emit(f"wrote {args.out}\n")
     return 0
 
 
@@ -244,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="concentration profile as CSV (r,alpha,strategy)")
     p.add_argument("space")
-    p.add_argument("--strategy", choices=("exact", "family"), default="exact")
+    p.add_argument("--strategy", choices=("exact", "family"), default=None)
     common(p)
     p.set_defaults(func=cmd_alpha)
 

@@ -290,7 +290,7 @@ def _candidate_groups(mm: MetricMeasureSpace, strategy: str,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     masses = masks @ w
-    picks = np.flatnonzero((masses >= min_mass) & masks.any(axis=1))
+    picks = np.flatnonzero(masses >= min_mass)
     if len(picks):
         yield masses[picks], lambda sel: rows(picks[sel]), _row_block(8 * n * n)
 
@@ -590,7 +590,7 @@ _CONE_ROW_BYTES = 512
 _CONE_GRID_PAIRS = 16384
 
 # the fields of the cone kernel's readings, stacked
-_S, _V, _KEY, _MARGIN, _RHO, _HI, _LO, _KA, _KB = range(9)
+_S, _KEY, _MARGIN, _RHO, _HI, _LO, _KA, _KB = range(8)
 
 
 def _cone_thresholds(mass, rho, below, below_sum):
@@ -614,17 +614,15 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
     With c = #{values < rho}, the tail is (0 if hi > rho else 1 - mu(< hi))
     + (1 if lo >= rho else mu(<= lo)), hi and lo being the row's mean of
     min(m, rho) plus and minus the shrunk s: it reads two counts and two
-    flags.  On a stretch of radii with one c, hi and lo are affine in rho in
-    exact arithmetic on either side of rho = 1, where the absolute shrink
-    bends, so each count and flag moves one way there unless lo turns at 1.
-    The formula rounds by less than 1e-15 of the scale rho + 1e-12 max(1,
-    rho); a margin of 1e-13 of it separates a float comparison from the
-    exact one.
+    flags.  Stretches of radii with one c end also at rho = 1, where the
+    absolute shrink bends, so hi and lo are affine in rho on each in exact
+    arithmetic and each count and flag moves one way on it.  The formula
+    rounds by less than 1e-15 of the scale rho + 1e-12 max(1, rho); a margin
+    of 1e-13 of it separates a float comparison from the exact one.
 
-    A stretch is read at its last radius, and at the previous stretch's
-    last or, where that could hide a turn, at its own first.  Ends that
-    agree, each past the margin from every cut, hold the same tail at every
-    radius between them.  Where they differ, the ends' counts bound the tail
+    A stretch is read at its first and its last radius.  Ends that agree,
+    each past the margin from every cut, hold the same tail at every radius
+    between them.  Where they differ, the ends' counts bound the tail
     between them, and a stretch the front already covers is dropped.  In the
     rest the ends place each crossing of a cut; two readings past the margin
     confirm it, and the tail is read just before each crossing.  Any other
@@ -645,17 +643,15 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
         rho, rc = radii[j], r * (n + 1) + c
         return (rho, *_cone_thresholds(masses[r], rho, cwf[rc], cwm[rc]))
 
-    def counted(r, j, c):
-        """rho, s, hi and lo at rows r and radius indices j, and the counts
-        of each row's values below hi and at most lo."""
-        rho, s, hi, lo = thresholds(r, j, c)
+    def counts(r, hi, lo):
+        """The counts of the values of rows r below hi and at most lo."""
         ka = np.zeros(hi.shape, dtype=np.intp)
         kb = np.zeros(hi.shape, dtype=np.intp)
         for col in cols:
             x = col[r]
             ka += x < hi
             kb += x <= lo
-        return rho, s, hi, lo, ka, kb
+        return ka, kb
 
     def tail(r, rho, hi, lo, ka, kb):
         """The tail with ka values below hi and kb at most lo."""
@@ -663,24 +659,26 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
                 + np.where(lo >= rho, 1.0, cwf[r * (n + 1) + kb]))
 
     def read(r, rho, hi, lo, ka, kb):
-        """The tail, its counts and flags as one key, and the distance from
-        hi and lo to the cuts around them, negative if a count is wrong."""
+        """The counts and flags as one key, and the distance from hi and lo
+        to the cuts around them, negative if a count is wrong."""
         key = np.where(hi > rho, -1, ka) * (n + 2) + np.where(lo >= rho, -1, kb)
         pa, pb = r * (n + 2) + ka, r * (n + 2) + kb
         margin = np.minimum(np.abs(hi - rho), np.abs(lo - rho))
         for gap in (hi - msp[pa], msp[pa + 1] - hi, lo - msp[pb], msp[pb + 1] - lo):
             np.minimum(margin, gap, out=margin)
-        return tail(r, rho, hi, lo, ka, kb), key, margin
+        return key, margin
 
-    def tails(r, j, c):
-        """The fields at rows r and radius indices j, counted over the rows."""
-        rho, s, hi, lo, ka, kb = counted(r, j, c)
+    def tails(r, j, c, guess=None):
+        """The fields at rows r and radius indices j, with the counts
+        ``guess``, or counted over the rows."""
+        rho, s, hi, lo = thresholds(r, j, c)
+        ka, kb = counts(r, hi, lo) if guess is None else guess
         return np.stack([s, *read(r, rho, hi, lo, ka, kb), rho, hi, lo, ka, kb])
 
     def samples(r, j, c):
         """(s, v) at rows r and radius indices j."""
-        rho, s, hi, lo, ka, kb = counted(r, j, c)
-        return s, tail(r, rho, hi, lo, ka, kb)
+        rho, s, hi, lo = thresholds(r, j, c)
+        return s, tail(r, rho, hi, lo, *counts(r, hi, lo))
 
     cross = np.searchsorted(radii, ms, side="right")  # c = #{cross <= j}
     # radii <= 0 give s <= 0, which never reaches the front
@@ -692,45 +690,24 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
         return _merge_front(front, s.ravel(), v.ravel())
 
     # stretches [first, last] of rows r, with c values below every radius of
-    # one: c changes where rho passes a row value
-    bounds = np.concatenate([np.full((m, 1), j0), np.clip(cross, j0, R), np.full((m, 1), R)],
-                            axis=1)
-    r, c = np.nonzero(bounds[:, 1:] > bounds[:, :-1])
-    first, last = bounds[r, c], bounds[r, c + 1] - 1
+    # one and all on one side of rho = 1: c changes where rho passes a row
+    # value, and the column of a stretch past rho = 1 counts that bound too
+    bounds = np.sort(np.hstack([np.clip(cross, j0, R), np.tile([j0, j1, R], (m, 1))]), axis=1)
+    r, col = np.nonzero(bounds[:, 1:] > bounds[:, :-1])
+    first, last = bounds[r, col], bounds[r, col + 1] - 1
+    c = col - (first >= j1)
     tol = 1e-13 * (radii + 1e-12 * np.maximum(1.0, radii))[last]
 
     b = tails(r, last, c)
-    front = _merge_front(front, b[_S], b[_V])
-    # Across the step in c from the previous stretch, the functions keep
-    # their direction: hi rises once the mass passes 1e-11; hi - rho and
-    # lo - rho fall (mu(< rho) holds the set's own mass), or rise with a
-    # slope under 1e-15, which moves them far less than the margin; lo has
-    # slope 1 - mu(< rho) - mass (1 - 1e-9), 1e-12 more past rho = 1, known
-    # to within 1e-15.  Where lo's slope keeps its sign, the previous
-    # stretch's last radius is this stretch's other end.  A row's first
-    # stretch, a turn of lo and a tiny mass read the stretch's own first
-    # radius instead, with the counts of the previous end (c at a row's
-    # first), counted only where those miss the margin.  A stretch whose lo
-    # turns at rho = 1 inside it is read whole.
+    front = _merge_front(front, b[_S], tail(r, *b[_RHO:_KA], *b[_KA:].astype(np.intp)))
+    # the first radius, with the counts of the previous stretch's last
+    # reading (its own at a row's first), counted where those miss the margin
     after = np.append(False, r[1:] == r[:-1])
-    slope = 1.0 - cwf[r * (n + 1) + c] - masses[r] * (1 - 1e-9)
-    below, past = (np.sign(x) * (np.abs(x) > 1e-15) for x in (slope, slope + 1e-12))
-    way_first = np.where(first < j1, below, past)
-    way_last = np.where(last < j1, below, past)
-    tiny = masses[r] < 1e-11
-    bends = (way_first * way_last < 0) | (tiny & (first < j1) & (last >= j1))
-    own = np.nonzero(~after | (way_first * np.roll(way_last, 1) < 0) | tiny)[0]
-    a = np.empty_like(b)
-    a[:, 1:] = b[:, :-1]
-    rho, s, hi, lo = thresholds(r[own], first[own], c[own])
-    ka, kb = (np.where(after[own], a[f, own], c[own]).astype(np.intp) for f in (_KA, _KB))
-    a[:, own] = np.stack([s, *read(r[own], rho, hi, lo, ka, kb), rho, hi, lo, ka, kb])
-    recount = own[~(a[_MARGIN, own] > tol[own])]
+    a = tails(r, first, c, np.where(after, np.roll(b[_KA:], 1, axis=1), b[_KA:]).astype(np.intp))
+    recount = np.nonzero(~(a[_MARGIN] > tol))[0]
     a[:, recount] = tails(r[recount], first[recount], c[recount])
-    start = first - 1
-    start[own] += 1
 
-    safe = (a[_MARGIN] > tol) & (b[_MARGIN] > tol) & ~bends
+    safe = (a[_MARGIN] > tol) & (b[_MARGIN] > tol)
     # between two safe ends that differ the tail is at most the one with
     # the fewest values below hi and the most at most lo, or with a flag's
     # 0 or 1; a stretch the front is that high at is covered
@@ -754,18 +731,16 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
     kind = np.repeat([0, 1], num.sum(axis=1))
     nth = np.arange(len(g)) - np.repeat(np.cumsum(num.ravel()) - num.ravel(), num.ravel())
     x = ms[r[cut][g], np.minimum(a[_KA:], b[_KA:]).astype(np.intp)[kind, g] + nth]
-    fa, fb, rb = a[_HI + kind, g], b[_HI + kind, g], b[_RHO, g]
-    # hi and lo are affine on the stretch: with their values at its first
-    # radius, they place each crossing at the first radius past it
-    rf, _, hf, lf = thresholds(r[cut], first[cut], c[cut])
-    ff, rf, g = np.stack([hf, lf])[kind, g], rf[g], cut[g]
-    k = np.searchsorted(radii, rf + (x - ff) * (rb - rf) / np.where(fb == ff, 1.0, fb - ff),
+    fa, fb, ra, rb = a[_HI + kind, g], b[_HI + kind, g], a[_RHO, g], b[_RHO, g]
+    g = cut[g]
+    # hi and lo are affine on the stretch: their values at its two ends
+    # place each crossing at the first radius past it
+    k = np.searchsorted(radii, ra + (x - fa) * (rb - ra) / np.where(fb == fa, 1.0, fb - fa),
                         side="right")
-    k = np.clip(k, start[g] + 1, last[g])
-    c_before = np.where(k > first[g], c[g], c[g - 1])
+    k = np.clip(k, first[g] + 1, last[g])
     ok = np.ones(len(g), dtype=bool)
-    for j, cj, f_end in ((k - 1, c_before, fa), (k, c[g], fb)):
-        _, _, hi, lo = thresholds(r[g], j, cj)
+    for j, f_end in ((k - 1, fa), (k, fb)):
+        _, _, hi, lo = thresholds(r[g], j, c[g])
         f = np.where(kind == 0, hi, lo)
         ok &= (np.abs(f - x) > tol[g]) & ((f > x) == (f_end > x))
     missed = np.zeros(len(r), dtype=bool)
@@ -774,7 +749,7 @@ def _cone_front(front: tuple[np.ndarray, np.ndarray], masses: np.ndarray, ms: np
     # the tail just before each confirmed crossing, and at every radius of
     # the other open stretches and the unsafe ones, a budget's worth of
     # stretches at a time
-    front = _merge_front(front, *samples(r[g[keep]], k[keep] - 1, c_before[keep]))
+    front = _merge_front(front, *samples(r[g[keep]], k[keep] - 1, c[g[keep]]))
     whole = np.concatenate([np.nonzero(~safe)[0], i[open_ & flips], cut[missed[cut]]])
     step = _row_block(_CONE_ROW_BYTES * R)
     for w0 in range(0, len(whole), step):

@@ -101,9 +101,7 @@ def _jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = float(np.max(np.abs(A)))
     if scale == 0.0:
         return np.zeros(n), np.eye(n)
-    # 8 spare entries per row keep the strided column pair's stride off a
-    # power of two (4096 bytes at n = 256), where its entries share cache sets
-    work = np.empty((n, 2 * n + 8))[:, :2 * n]
+    work = np.empty((n, 2 * n))
     work[:, :n] = A.T
     work[:, n:] = np.eye(n)
     cols = work.T  # cols[p] is row p of A, as column p of the work array

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, wire formats, determinism, exit codes."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -145,6 +146,49 @@ def test_alpha_stdout_is_the_out_file(tmp_path, space_file, strategy):
     assert back.strategy == strategy
 
 
+@pytest.mark.parametrize("cid", ["g1", "r1"])
+def test_alpha_default_strategy_above_16_points_is_family(cid):
+    # n = 128 and 64 at the catalog resolution: exact enumeration is refused
+    default, family = run_cli("alpha", cid), run_cli("alpha", cid, "--strategy", "family")
+    assert default.returncode == family.returncode == 0, default.stderr + family.stderr
+    assert default.stdout == family.stdout
+    lines = default.stdout.splitlines()
+    assert lines[0] == "r,alpha,strategy" and len(lines) > 1
+    assert all(line.endswith(",family") for line in lines[1:])
+
+
+def test_alpha_default_strategy_up_to_16_points_is_exact(space_file):
+    default, exact = run_cli("alpha", str(space_file)), run_cli(
+        "alpha", str(space_file), "--strategy", "exact")
+    assert default.returncode == exact.returncode == 0, default.stderr + exact.stderr
+    assert default.stdout == exact.stdout
+    assert default.stdout.splitlines()[1].endswith(",exact")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [("alpha", "g1", "--strategy", "family"), ("family", "g1"),
+                                  ("verify", "all", "SPACE")], ids=lambda a: a[0])
+def test_stdout_closed_early_keeps_the_exit_status(space_file, args, buffered):
+    args = [str(space_file) if a == "SPACE" else a for a in args]
+    full = run_cli(*args)
+    # a buffered stdout meets the closed pipe when flushed, an unbuffered
+    # one at its first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # stdout is a pipe nobody reads: its read end is closed before the run
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run([sys.executable, "-m", "ccmm.cli", *args], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert full.stdout and full.returncode in (0, 1), full.stderr
+    assert closed.returncode == full.returncode
+    assert closed.stderr == ""
+
+
 def test_obsdiam_command(tmp_path, space_file):
     fam = tmp_path / "fam.json"
     run_cli("family", str(space_file), "--out", str(fam))
@@ -226,7 +270,6 @@ def test_verify_report_shape_and_exit(tmp_path, space_file):
 
 
 def test_verify_byte_identical_across_runs_and_threads(tmp_path, space_file):
-    import os
     blobs = []
     for i, threads in enumerate((1, 8, 1)):
         out = tmp_path / f"rep{i}.json"
@@ -373,7 +416,6 @@ def test_verify_zero_restarts_is_usage_error(tmp_path):
 
 
 def test_verify_zero_threads_is_usage_error(space_file):
-    import os
     env = dict(os.environ, CCMM_THREADS="0")
     for res in (run_cli("verify", "all", str(space_file), "--threads", "0"),
                 run_cli("verify", "all", str(space_file), env=env)):

@@ -546,6 +546,35 @@ def test_cone_front_reads_a_crossing_among_ulp_near_radii(monkeypatch):
     assert np.array_equal(s_ends, s) and np.array_equal(v_ends, v)
 
 
+def test_cone_front_reads_a_stretch_on_which_lo_bends_at_one(monkeypatch):
+    # one row: the set's point of mass m at 0, values x and a, and a value
+    # past every radius whose weight makes lo's slope -5e-13 below rho = 1
+    # and +5e-13 past it.  x sits 2e-13 above lo at 1 in exact arithmetic:
+    # the first and last radii count x as at most lo and rho = 1 does not,
+    # with one c at every radius.  The tail at 1 is the lower, so the front
+    # is the last radius's reading alone
+    m, w, a = 0.3, 0.1, 0.01
+    wb = m * (1 - 1e-9) - 0.5e-12
+    wa = 1 - m - w - wb
+    x = (wa * a + 0.7e-12) / (1 - w)
+    radii = np.array([0.1, 0.5, 1.0, 1.5, 1.9])
+    ms, ws = np.array([[0.0, x, a, 3.0]]), np.array([[m, w, wa, wb]])
+    cw = np.append(0.0, np.cumsum(ws))[None]
+    cw[:, -1] = 1.0
+    _, _, lo = concentration._cone_thresholds(m, radii, cw[0, 3], w * x + wa * a)
+    assert abs(1 - cw[0, 3] - m * (1 - 1e-9)) < 1e-12
+    assert list(lo >= x) == [True, True, False, True, True]
+    fronts = []
+    for grid_pairs in (10**9, 0):  # every radius, then the stretch ends
+        monkeypatch.setattr(concentration, "_CONE_GRID_PAIRS", grid_pairs)
+        fronts.append(concentration._cone_front((np.empty(0), np.empty(0)), np.array([m]),
+                                                ms, ws, cw, radii))
+    (s, v), (s_ends, v_ends) = fronts
+    # up 1 - mu(< hi) past a and down mu(<= lo) up to x, at the last radius
+    assert np.array_equal(s, [m * radii[-1]]) and np.array_equal(v, [1 - cw[0, 3] + cw[0, 2]])
+    assert np.array_equal(s_ends, s) and np.array_equal(v_ends, v)
+
+
 def test_tail_envelope_reads_at_most_a_quarter_of_the_grid(monkeypatch):
     mm = random_mm_space(0, n_low=12, n_high=12)
     pairs = []

@@ -18,6 +18,11 @@ Every ``CatalogEntry`` comes from one constructor, ``finsler.entry_from_dict``:
 the catalog's entries are documents it reads, as ``ccmm gen --spec`` files
 are, and no other code of the package calls ``CatalogEntry(...)``.
 
+The command line writes to stdout in one function, ``cli._emit``, which
+keeps a reader that closes stdout early from turning into an error: no
+other code of ``cli.py`` names ``sys.stdout`` or calls ``print`` without
+``file=sys.stderr``.
+
 The package holds no ``assert`` statement: ``python -O`` strips them, so a
 condition the code relies on at run time raises instead.
 """
@@ -101,6 +106,27 @@ def catalog_entry_calls(src=SRC):
     return found
 
 
+def stdout_writes(src=SRC):
+    """The lines, ascending, that use ``sys.stdout`` or call ``print`` other
+    than to ``sys.stderr`` in ``cli.py`` of the package at ``src``, outside
+    ``_emit``."""
+    tree = ast.parse((src / "cli.py").read_text())
+    allowed = {id(sub) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_emit"
+               for sub in ast.walk(node)}
+
+    def names(node, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+    return sorted({node.lineno for node in ast.walk(tree) if id(node) not in allowed
+                   and (names(node, "stdout")
+                        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "print"
+                        and not any(k.arg == "file" and names(k.value, "stderr")
+                                    for k in node.keywords))})
+
+
 def asserts(src=SRC):
     """(module, line) of every ``assert`` statement of the package at ``src``."""
     return [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
@@ -180,3 +206,16 @@ def test_a_second_catalog_entry_constructor_is_reported(tmp_path):
         "def entry_from_dict(doc):\n    return finsler.CatalogEntry(doc)\n\n\n"
         "ENTRY = finsler.entry_from_dict('CatalogEntry(')\n")
     assert catalog_entry_calls(tmp_path) == [("cli.py", 5), ("finsler.py", 11)]
+
+
+def test_cli_writes_stdout_only_through_emit():
+    assert stdout_writes() == []
+
+
+def test_a_stdout_write_outside_emit_is_reported(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import sys\n\n\n"
+        "def _emit(text):\n    sys.stdout.write(text)\n    print(text)\n\n\n"
+        "def cmd(out):\n    _emit('a')\n    print('b', file=sys.stderr)\n"
+        "    print('c')\n    print('d', file=sys.stdout)\n    write(out, sys.stdout)\n")
+    assert stdout_writes(tmp_path) == [12, 13, 14]
